@@ -74,6 +74,9 @@ def decode_tar(data: bytes) -> "list[tuple[str, bytes]]":
         if not any(h):  # first zero block: expect terminator
             if pos + 2 * _BLK > len(data) or any(mv[pos + _BLK : pos + 2 * _BLK]):
                 raise ValueError("tar: bad terminator")
+            # blocking-factor padding after the terminator is all zeros
+            if any(mv[pos + 2 * _BLK :]):
+                raise ValueError("tar: nonzero bytes after terminator")
             return out
         if bytes(h[257:263]) != b"ustar\0":
             raise ValueError("tar: bad magic")

@@ -10,11 +10,16 @@ read-side pruning happens in the caller's reader; then
 ``extract_corpus``: the resumable job runner — processes partitions in
 waves, commits each partition's output directory atomically, records a
 manifest row per partition, and skips completed partitions on restart
-(SURVEY.md §4.2, FIXTURES.md F6).
+(SURVEY.md §4.2, FIXTURES.md F6). Each wave is one self-contained Ray Data
+execution: its reads are sized from the input bytes, its sink
+(``stages.residual.PartitionSink``) finishes the salted-chunk merge and
+counts rows/spans/errors per partition, and its actors are released before
+the next wave starts.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import shutil
@@ -23,7 +28,6 @@ from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import ray
 import ray.data
 
@@ -32,12 +36,16 @@ from goose_parser_ray.sources.io import read_documents
 from goose_parser_ray.stages.extract import ExtractActor
 from goose_parser_ray.stages.normalize import make_normalize_fn
 from goose_parser_ray.stages.regroup import regroup_salted
+from goose_parser_ray.stages.residual import PartitionSink
 from goose_parser_ray.state.manifest import Manifest, PartitionRecord
 from goose_parser_ray import __version__ as CODE_VERSION
 
 # Salting protects actor heaps from mega-docs; anything below this span count
 # is cheaper to process in place than to split and re-shuffle.
 DEFAULT_SALT_THRESHOLD = 512
+# Input bytes per read block between the floor and the cap of
+# read_block_count: ~900 wrapped docs or ~2.3k rule-carrying case docs.
+READ_BLOCK_BYTES = 128 << 10
 
 
 class ErrorBudgetExceeded(RuntimeError):
@@ -65,6 +73,27 @@ def default_pool_size() -> int:
     return max(1, cpus - max(2, round(cpus / 5)))
 
 
+def read_block_count(input_bytes: int, pool: int) -> int:
+    """Read blocks for one wave, sized from its input bytes: one per
+    ``READ_BLOCK_BYTES``, at least two per actor (each actor holds one batch
+    and has one queued) and at most 16 per CPU. Every block pays a fixed
+    per-task cost (on 4 CPUs an identity actor-pool job plus write took
+    1.9–2.1 s at 64 blocks and 1.2–1.3 s at 8), while coarse blocks leave
+    actors idle at the drain tail (~1.8 s per actor at ~9k-row blocks). So
+    small inputs get a few blocks and inputs from 16 × CPUs ×
+    ``READ_BLOCK_BYTES`` up keep the 16 blocks per CPU that erased the
+    tail."""
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    return max(2 * pool, min(16 * cpus, math.ceil(input_bytes / READ_BLOCK_BYTES)))
+
+
+def _input_bytes(path: str) -> int:
+    p = Path(path)
+    if p.is_file():
+        return p.stat().st_size
+    return sum(f.stat().st_size for f in p.rglob("*") if f.is_file())
+
+
 def build_extraction_pipeline(
     ds: ray.data.Dataset,
     rules: dict | None = None,
@@ -77,7 +106,7 @@ def build_extraction_pipeline(
     strip_boilerplate: bool = True,
     drop_errors: bool = False,
     partition_filter: "set[int] | None" = None,
-    residual_collector=None,
+    regroup: bool = True,
     partition_source: str = "hash",
 ) -> ray.data.Dataset:
     """Wire the stages onto ``ds`` (lazy — nothing executes here).
@@ -87,15 +116,16 @@ def build_extraction_pipeline(
     runs must not re-extract skipped partitions).
 
     Regroup strategy for salted mega-docs:
-    - ``residual_collector`` given → shuffle-free fast path: in-batch partial
-      merge + residual rows handed to the collector actor (caller drains it
-      after consuming the dataset — see stages/residual.py). This is the
-      production path (extract_corpus / bench).
+    - ``regroup=False`` → the stream keeps its salted chunks and the
+      caller's sink merges them: ``stages.residual.PartitionSink``
+      partial-merges each write task's blocks and returns the few residual
+      rows for a driver-side merge. Shuffle-free; the production path
+      (extract_corpus / bench).
     - else → the general ``groupby(doc_id)`` regroup (stages/regroup.py):
       self-contained and correct for ad-hoc `.to_pandas()` use, but pays an
       all-to-all over ALL rows — measured ~14s wall + 100s CPU on a 50k-row
       corpus with zero salted docs, so production callers should prefer the
-      collector.
+      sink.
     - ``salt_threshold=None`` disables salting → no regroup at all."""
     pool = concurrency if concurrency is not None else default_pool_size()
     threshold = salt_threshold if salt_threshold is not None else 1 << 30
@@ -126,19 +156,8 @@ def build_extraction_pipeline(
         ),
         num_cpus=1,
     )
-    if salt_threshold is not None:
-        if residual_collector is not None:
-            from goose_parser_ray.stages.residual import (
-                make_partial_merge_with_collector,
-            )
-
-            ds = ds.map_batches(
-                make_partial_merge_with_collector(residual_collector),
-                batch_format="pyarrow",
-                batch_size=None,  # whole blocks: keep a doc's chunks together
-            )
-        else:
-            ds = regroup_salted(ds)
+    if salt_threshold is not None and regroup:
+        ds = regroup_salted(ds)
     if drop_errors:
         ds = ds.map_batches(
             lambda t: t.filter(pc.equal(t["error"], pa.scalar(""))),
@@ -150,19 +169,6 @@ def build_extraction_pipeline(
 def _chunk(seq: list[int], n_chunks: int) -> list[list[int]]:
     size = max(1, math.ceil(len(seq) / n_chunks))
     return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def _partition_metrics(part_dir: Path) -> tuple[int, int, int]:
-    """(row_count, span_count, error_count) from written parquet — column-
-    pruned scan of two small columns, no spans payload read."""
-    dataset = pads.dataset(str(part_dir), format="parquet")
-    tbl = dataset.to_table(columns=["n_spans", "error"])
-    rows = tbl.num_rows
-    span_count = pc.sum(tbl["n_spans"]).as_py() or 0
-    error_count = pc.sum(
-        pc.cast(pc.not_equal(tbl["error"], ""), pa.int64())
-    ).as_py() or 0
-    return rows, span_count, error_count
 
 
 def extract_corpus(
@@ -177,7 +183,6 @@ def extract_corpus(
     concurrency: int | None = None,
     batch_size: int = 256,
     strip_boilerplate: bool = True,
-    read_num_blocks: int | None = None,
     partition_mode: str = "hash",
     max_error_fraction: float | None = None,
 ) -> dict:
@@ -233,6 +238,8 @@ def extract_corpus(
         if fragment_files is not None
         else None
     )
+    # every hash-mode wave re-reads the whole input: size it once
+    input_bytes = _input_bytes(input_path) if fragment_files is None else None
     done = manifest.completed_partitions(
         rules_hash,
         input_path=str(input_path),
@@ -256,31 +263,25 @@ def extract_corpus(
         return summary
 
     summary["phase_s"] = {"pipeline": 0.0, "residual": 0.0, "commit_metrics": 0.0}
+    summary["read_blocks"] = []
+    pool = concurrency if concurrency is not None else default_pool_size()
     for wave_ids in _chunk(pending, waves):
         t0 = time.monotonic()
         wave_set = set(wave_ids)
         tmp = out / "_tmp" / "wave"
         if tmp.exists():
             shutil.rmtree(tmp)  # leftovers from a killed run
-        from goose_parser_ray.stages.residual import (
-            ResidualCollector,
-            drain_to_table,
-        )
-
-        collector = ResidualCollector.remote()
-        nb = read_num_blocks
-        if nb is None:
-            # ~16 blocks per CPU: fine enough to erase the actor-pool drain
-            # tail, coarse enough to keep per-task overhead negligible
-            nb = 16 * int(ray.cluster_resources().get("CPU", 4))
         if fragment_files is not None:
             # reader-level pruning: ONLY this wave's fragment files are
-            # opened; partition_id is stamped from file provenance
+            # opened; partition_id is stamped from file provenance; at
+            # least one block per file keeps every block single-partition
             wave_files = [fragment_files[p] for p in sorted(wave_set)]
+            nb = max(
+                read_block_count(sum(fragment_sizes[p] for p in wave_set), pool),
+                len(wave_files),
+            )
             ds = ray.data.read_parquet(
-                wave_files,
-                include_paths=True,
-                override_num_blocks=max(nb * len(wave_set) // num_partitions, len(wave_set)),
+                wave_files, include_paths=True, override_num_blocks=nb
             )
             path_to_pid = {fragment_files[p]: p for p in wave_set}
 
@@ -299,6 +300,7 @@ def extract_corpus(
             pipeline_filter = None  # pruning already happened at the read
             partition_source = "column"
         else:
+            nb = read_block_count(input_bytes, pool)
             ds = read_documents(input_path, num_blocks=nb)
             # pre-extract: skipped partitions cost nothing; a full-coverage
             # wave (single-wave fresh run) skips the filter stage entirely
@@ -312,47 +314,35 @@ def extract_corpus(
             rules_registry=rules_registry,
             num_partitions=num_partitions,
             salt_threshold=salt_threshold,
-            concurrency=concurrency,
+            concurrency=pool,
             batch_size=batch_size,
             strip_boilerplate=strip_boilerplate,
             partition_filter=pipeline_filter,
-            residual_collector=collector,
+            regroup=False,  # the sink merges salted chunks
             partition_source=partition_source,
         )
-        ds.write_parquet(str(tmp), partition_cols=["partition_id"])
-        summary["phase_s"]["pipeline"] += time.monotonic() - t0
-        t_res = time.monotonic()
-        # all map tasks finished ⇒ all residual adds applied; merge the few
-        # mega-docs whose chunks crossed block boundaries and append them
-        wave_metrics: dict[int, list[int]] = {
-            int(k): list(v) for k, v in ray.get(collector.metrics.remote()).items()
-        }
-        residual = drain_to_table(collector)
-        if residual is not None:
-            import pyarrow.parquet as _pq
-
-            for pid_val in sorted(set(residual["partition_id"].to_pylist())):
-                sub = residual.filter(
-                    pc.equal(residual["partition_id"], pa.scalar(pid_val, pa.int32()))
-                ).drop_columns(["partition_id"])  # hive layout omits the key
-                pdir = tmp / f"partition_id={pid_val}"
-                pdir.mkdir(parents=True, exist_ok=True)
-                _pq.write_table(sub, pdir / "residual.parquet")
-                acc = wave_metrics.setdefault(int(pid_val), [0, 0, 0])
-                acc[0] += sub.num_rows
-                acc[1] += pc.sum(sub["n_spans"]).as_py() or 0
-                acc[2] += (
-                    pc.sum(
-                        pc.cast(pc.not_equal(sub["error"], ""), pa.int64())
-                    ).as_py()
-                    or 0
-                )
-        summary["phase_s"]["residual"] += time.monotonic() - t_res
+        sink = PartitionSink(str(tmp))
+        ds.write_datasink(sink)
+        # Release this wave's actor pool before the next wave asks for CPUs.
+        # Ray Data drops its own handles at shutdown, but every task it
+        # submitted went through `ActorMethod.options()`, which builds a
+        # per-call class whose closure keeps the actor handle. Such a class
+        # is a reference cycle, so only the cyclic GC frees it; until a full
+        # collection runs the actors keep their CPUs and the next wave stalls
+        # until the raylet sends its own GC request (~20 s).
+        del ds
+        gc.collect()
+        summary["read_blocks"].append(nb)
+        # the sink merged the mega-docs whose chunks crossed write tasks
+        # inside the write; book that driver time as the residual phase
+        summary["phase_s"]["pipeline"] += time.monotonic() - t0 - sink.merge_s
+        summary["phase_s"]["residual"] += sink.merge_s
+        wave_metrics = sink.counts
         wall = time.monotonic() - t0
         t_commit = time.monotonic()
 
-        # commit partitions (atomic renames), then gather metrics in parallel
-        # (serial per-partition parquet scans cost ~2s at 64 partitions)
+        # commit partitions (atomic renames); their counts came back from
+        # the sink's write tasks, so the written files are never re-scanned
         for pid in wave_ids:
             src = tmp / f"partition_id={pid}"
             dst = out / f"partition_id={pid}"
@@ -361,19 +351,6 @@ def extract_corpus(
             if dst.exists():
                 shutil.rmtree(dst)
             src.rename(dst)
-        # metrics were streamed through the collector during the pipeline —
-        # no post-hoc scan of the written files (that scan cost 4.3s of
-        # serial driver tail per 2M-doc wave at 8k output files). The
-        # unsalted path has no collector stage → scan fallback.
-        if salt_threshold is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            def metrics_for(pid: int) -> tuple[int, int, int]:
-                d = out / f"partition_id={pid}"
-                return _partition_metrics(d) if any(d.iterdir()) else (0, 0, 0)
-
-            with ThreadPoolExecutor(max_workers=16) as ex:
-                wave_metrics = dict(zip(wave_ids, ex.map(metrics_for, wave_ids)))
         for pid in wave_ids:
             rows, spans, errors = wave_metrics.get(pid, (0, 0, 0))
             manifest.mark_complete(

@@ -119,9 +119,11 @@ def q_dedup_precision(sf_dir: str):
 def q_sample_random(sf_dir: str):
     """S7: seeded uniform 10% sampling, ORACLE-CHECKED (r5: converted
     from rows-only): the Bernoulli draw is the Knuth multiplicative hash
-    on doc_id — cross-engine exact int64 arithmetic, so SQL restates the
-    exact sample membership. Block-layout independent (unlike
-    ``Dataset.random_sample``, whose per-task seeding is not reproducible
+    on doc_id, kept to its low 32 bits. Arrow's unchecked int64 multiply
+    wraps mod 2^64, which leaves those bits exact; the SQL twin computes the
+    product in HUGEINT (a BIGINT product overflows once doc_id > ~3.47e9),
+    so it restates the exact sample membership. Block-layout independent
+    (unlike ``Dataset.random_sample``, whose per-task seeding is not reproducible
     across executions — the kmeans init lesson), map-only, no shuffle."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
 
@@ -137,7 +139,7 @@ def q_sample_random(sf_dir: str):
 
 SQL_SAMPLE_RANDOM = """
 SELECT doc_id, n_chars FROM documents
-WHERE (doc_id * 2654435761) % 4294967296 < 429496729
+WHERE (doc_id::HUGEINT * 2654435761) % 4294967296 < 429496729
 """
 
 

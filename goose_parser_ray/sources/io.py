@@ -38,7 +38,9 @@ def read_documents(
     but pruning happens post-parse, so convert to parquet before repeated
     scans. ``num_blocks`` controls block granularity: finer blocks balance
     the extract pool's drain tail (measured: coarse ~9k-row blocks cost
-    ~1.8s of tail imbalance per actor; ~16 blocks/CPU erases it)."""
+    ~1.8s of tail imbalance per actor), but every block pays a fixed
+    per-task cost, so ``extract_corpus`` sizes it from the input bytes
+    (``pipelines.extraction.read_block_count``)."""
     if fmt is None:
         low = path.lower()
         if low.endswith((".jsonl", ".json", ".ndjson")):

@@ -2439,3 +2439,33 @@ def test_netpbm_mutation_fuzz_controlled():
                 dec(bytes(good[:cut]))
             except ValueError:
                 pass
+
+
+def test_sample_random_matches_sql_twin_above_2_pow_32(ray_session, tmp_path):
+    """The Knuth-hash sample keeps the low 32 bits of doc_id * 2654435761;
+    ids past ~3.47e9 overflow a BIGINT product, so the SQL twin must compute
+    it wider and still select exactly the rows the Arrow query keeps."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from goose_parser_ray.queries import ORACLE_SQL, QUERIES
+
+    ids = [*range(2**32 - 500, 2**32 + 500), *range(5 * 10**9, 5 * 10**9 + 1000)]
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "n_chars": pa.array([i % 97 for i in ids], pa.int64()),
+            }
+        ),
+        tmp_path / "documents.parquet",
+    )
+    got = sorted(QUERIES["sample_random"](str(tmp_path)).to_pandas()["doc_id"])
+    con = duckdb.connect()
+    con.sql(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{tmp_path / 'documents.parquet'}')"
+    )
+    want = sorted(r[0] for r in con.sql(ORACLE_SQL["sample_random"]).fetchall())
+    assert 100 < len(got) < 300
+    assert got == want

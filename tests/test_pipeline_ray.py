@@ -239,6 +239,43 @@ def test_extract_corpus_fragment_mode_resume(corpus, tmp_path, ray_session):
     assert sum(r["row_count"] for r in manifest.records()) == 40
 
 
+def test_extract_corpus_releases_its_actors(corpus, tmp_path, ray_session):
+    """No actor started by extract_corpus outlives the call, even when the
+    caller never runs the cyclic GC: a leftover pool actor keeps its CPU,
+    and the next job waits until the raylet requests a collection."""
+    import gc
+    import time
+
+    def cpus_free_within(want: float, timeout_s: float = 5.0) -> float:
+        deadline = time.monotonic() + timeout_s
+        free = ray.available_resources().get("CPU", 0.0)
+        while free < want and time.monotonic() < deadline:
+            time.sleep(0.1)
+            free = ray.available_resources().get("CPU", 0.0)
+        return free
+
+    path, _ = corpus
+    tbl = pq.read_table(path)
+    frag_dir = tmp_path / "frags"
+    frag_dir.mkdir()
+    for i in range(4):
+        pq.write_table(tbl.slice(i * 10, 10), frag_dir / f"shard-{i:02d}.parquet")
+
+    gc.collect()  # leftovers of earlier tests are not this test's subject
+    before = cpus_free_within(ray.cluster_resources()["CPU"])
+    gc.disable()
+    try:
+        s = extract_corpus(
+            str(frag_dir), str(tmp_path / "out"), waves=2, salt_threshold=64,
+            concurrency=2, partition_mode="fragment",
+        )
+        assert s["processed"] == 4 and s["rows"] == 40
+        assert s["read_blocks"] == [4, 4]  # two per actor, each wave
+        assert cpus_free_within(before) == before
+    finally:
+        gc.enable()
+
+
 def test_read_documents_jsonl_csv_roundtrip(ray_session, tmp_path):
     """read_documents: JSONL and CSV ingest paths must yield the same rows
     as the parquet scale path, with format inference from the extension

@@ -88,3 +88,12 @@ def test_truncated_raises():
         decode_tar(blob[:-1024])  # terminator gone
     with pytest.raises(ValueError):
         decode_tar(blob[:700])  # mid-payload, unaligned
+
+
+def test_trailing_bytes_after_terminator():
+    blob = encode_tar([("a.txt", b"hello")])
+    # all-zero blocking-factor padding is legal ...
+    assert decode_tar(blob + bytes(3 * 512)) == [("a.txt", b"hello")]
+    # ... any nonzero byte after the terminator is corruption
+    with pytest.raises(ValueError, match="after terminator"):
+        decode_tar(blob + bytes(511) + b"\x01")
