@@ -29,7 +29,8 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     """One entry per implemented operator/pipeline from SURVEY.md §2/§2.6
     plus the training-data ops (dedup / similarity / text analysis /
-    multimodal). See goose_parser_ray/queries.py for the implementations."""
+    multimodal). The implementations are the ``q_<name>`` functions in the
+    modules of the goose_parser_ray/queries/ package."""
     from goose_parser_ray.queries import QUERIES
 
     return dict(QUERIES)

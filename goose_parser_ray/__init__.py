@@ -10,7 +10,7 @@ A brand-new engine with the query/data-processing capabilities of
 - ``goose_parser_ray.transforms`` — transform chain (trim/replace/date/split/…)
 - ``goose_parser_ray.spans``      — interleaved span document model
 - ``goose_parser_ray.stages``     — Ray Data stages (normalize/salt, extract
-                                    actor pool, regroup, boilerplate)
+                                    actor pool, salted-chunk sink)
 - ``goose_parser_ray.sources``    — IO shim (parquet now, lance when available)
 - ``goose_parser_ray.functions``  — dedup / similarity / text-analysis ops
 - ``goose_parser_ray.pipelines``  — end-to-end pipelines (extraction flagship)

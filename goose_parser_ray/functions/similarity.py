@@ -563,6 +563,9 @@ def pq_train(
     )
     sample_pd = ds.random_sample(frac, seed=seed).limit(2 * sample_size).to_pandas()
     sample = np.array(sample_pd[col].to_list(), dtype=np.float32)
+    # rows arrive in block-completion order; sort them so the seeded
+    # k-means init picks the same points on every run
+    sample = sample[np.lexsort(sample.T[::-1])]
     dim = sample.shape[1]
     if dim % m:
         raise ValueError(f"dim {dim} not divisible by m={m}")

@@ -5,7 +5,9 @@ read-side pruning happens in the caller's reader; then
 
   normalize/salt (stateless tasks)
   → ExtractActor pool (fixed size, DOM parse + rules/boilerplate)
-  → regroup (only when salting is on — the single shuffle)
+
+Salted mega-docs leave the pipeline as chunks; the write stage
+(``stages.residual.PartitionSink``) merges them back, without a shuffle.
 
 ``extract_corpus``: the resumable job runner — processes partitions in
 waves, commits each partition's output directory atomically, records a
@@ -35,7 +37,6 @@ from goose_parser_ray.rules import compile_rules
 from goose_parser_ray.sources.io import read_documents
 from goose_parser_ray.stages.extract import ExtractActor
 from goose_parser_ray.stages.normalize import make_normalize_fn
-from goose_parser_ray.stages.regroup import regroup_salted
 from goose_parser_ray.stages.residual import PartitionSink
 from goose_parser_ray.state.manifest import Manifest, PartitionRecord
 from goose_parser_ray import __version__ as CODE_VERSION
@@ -100,13 +101,11 @@ def build_extraction_pipeline(
     *,
     rules_registry: dict[str, dict] | None = None,
     num_partitions: int = 64,
-    salt_threshold: int | None = DEFAULT_SALT_THRESHOLD,
+    salt_threshold: int | None = None,
     concurrency: int | None = None,
     batch_size: int = 256,
     strip_boilerplate: bool = True,
-    drop_errors: bool = False,
     partition_filter: "set[int] | None" = None,
-    regroup: bool = True,
     partition_source: str = "hash",
 ) -> ray.data.Dataset:
     """Wire the stages onto ``ds`` (lazy — nothing executes here).
@@ -115,18 +114,11 @@ def build_extraction_pipeline(
     right after normalize, BEFORE the expensive extract stage (resume/wave
     runs must not re-extract skipped partitions).
 
-    Regroup strategy for salted mega-docs:
-    - ``regroup=False`` → the stream keeps its salted chunks and the
-      caller's sink merges them: ``stages.residual.PartitionSink``
-      partial-merges each write task's blocks and returns the few residual
-      rows for a driver-side merge. Shuffle-free; the production path
-      (extract_corpus / bench).
-    - else → the general ``groupby(doc_id)`` regroup (stages/regroup.py):
-      self-contained and correct for ad-hoc `.to_pandas()` use, but pays an
-      all-to-all over ALL rows — measured ~14s wall + 100s CPU on a 50k-row
-      corpus with zero salted docs, so production callers should prefer the
-      sink.
-    - ``salt_threshold=None`` disables salting → no regroup at all."""
+    ``salt_threshold``: split docs with more spans than this into salted
+    chunks (``None``, the default, disables salting). The returned stream
+    then keeps those chunks, so salted output must be written through
+    ``stages.residual.PartitionSink``, which merges them back into whole
+    docs; ``extract_corpus`` does that."""
     pool = concurrency if concurrency is not None else default_pool_size()
     threshold = salt_threshold if salt_threshold is not None else 1 << 30
     ds = ds.map_batches(
@@ -140,7 +132,7 @@ def build_extraction_pipeline(
             lambda t, k=keep: t.filter(pc.is_in(t["partition_id"], k)),
             batch_format="pyarrow",
         )
-    ds = ds.map_batches(
+    return ds.map_batches(
         ExtractActor,
         fn_constructor_kwargs={
             "rules": rules,
@@ -156,14 +148,6 @@ def build_extraction_pipeline(
         ),
         num_cpus=1,
     )
-    if salt_threshold is not None and regroup:
-        ds = regroup_salted(ds)
-    if drop_errors:
-        ds = ds.map_batches(
-            lambda t: t.filter(pc.equal(t["error"], pa.scalar(""))),
-            batch_format="pyarrow",
-        )
-    return ds
 
 
 def _chunk(seq: list[int], n_chunks: int) -> list[list[int]]:
@@ -318,7 +302,6 @@ def extract_corpus(
             batch_size=batch_size,
             strip_boilerplate=strip_boilerplate,
             partition_filter=pipeline_filter,
-            regroup=False,  # the sink merges salted chunks
             partition_source=partition_source,
         )
         sink = PartitionSink(str(tmp))

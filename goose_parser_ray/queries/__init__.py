@@ -5,6 +5,11 @@ Each Ray implementation is paired with ANSI SQL the driver runs in DuckDB on
 the same parquet; column NAMES and value semantics must match exactly
 (driver hashes values after sorting columns by name).
 
+Registration is by name: every ``q_<name>`` function defined in a module of
+this package is the query ``<name>``, and an ``SQL_<NAME>`` string in the
+same module is its DuckDB twin. Queries without a twin (sketches, RNG,
+DOM-semantic extraction) are checked rows-only by the driver.
+
 Float-sum parity: double sums are order-dependent in IEEE arithmetic, and the
 Ray and DuckDB plans sum in different orders. Every monetary/real aggregate
 is therefore computed as an integer-cents sum — per-element
@@ -16,1427 +21,31 @@ Ray never calls ``ray.init`` here — the driver owns the session.
 
 from __future__ import annotations
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
-from goose_parser_ray.queries.relational import (
-    q_filter_docs,
-    SQL_FILTER_DOCS,
-    q_agg_by_lang,
-    SQL_AGG_BY_LANG,
-    q_topk_docs,
-    SQL_TOPK_DOCS,
-    q_join_segment,
-    SQL_JOIN_SEGMENT,
-    q_join_hash,
-    SQL_JOIN_HASH,
-    q_join_left,
-    SQL_JOIN_LEFT,
-    q_join_salted,
-    SQL_JOIN_SALTED,
-    q_sample_mod,
-    SQL_SAMPLE_MOD,
-    q_pricing_summary,
-    SQL_PRICING_SUMMARY,
-    q_union_names,
-    SQL_UNION_NAMES,
-    q_distinct_sources,
-    SQL_DISTINCT_SOURCES,
-)
-from goose_parser_ray.queries.transforms_bulk import (
-    _CLEAN_CHAIN,
-    q_transform_clean,
-    SQL_TRANSFORM_CLEAN,
-    q_transform_split,
-    SQL_TRANSFORM_SPLIT,
-    q_transform_match,
-    SQL_TRANSFORM_MATCH,
-    q_transform_date,
-    SQL_TRANSFORM_DATE,
-)
-from goose_parser_ray.queries.gates import (
-    q_gopher_rules,
-    SQL_GOPHER_RULES,
-    q_c4_rules,
-    SQL_C4_RULES,
-    q_dsir_weights,
-    SQL_DSIR_WEIGHTS,
-    q_curation_funnel,
-    SQL_CURATION_FUNNEL,
-    q_token_stats,
-    SQL_TOKEN_STATS,
-    q_pack_sequences,
-    SQL_PACK_SEQUENCES,
-    q_redact_pii,
-    SQL_REDACT_PII,
-    q_json_extract,
-    SQL_JSON_EXTRACT,
-    q_repetition_signals,
-    SQL_REPETITION_SIGNALS,
-    q_percentile_gate,
-    SQL_PERCENTILE_GATE,
-    q_sample_mixture,
-    SQL_SAMPLE_MIXTURE,
-    q_decontaminate,
-    SQL_DECONTAMINATE,
-    q_fim_transform,
-    SQL_FIM_TRANSFORM,
-    q_chat_template,
-    SQL_CHAT_TEMPLATE,
-)
-from goose_parser_ray.queries.windows_events import (
-    q_window_frame_funcs,
-    SQL_WINDOW_FRAME_FUNCS,
-    q_cube_agg,
-    SQL_CUBE_AGG,
-    q_mode_per_group,
-    SQL_MODE_PER_GROUP,
-    q_zscore_by_type,
-    SQL_ZSCORE_BY_TYPE,
-    q_funnel,
-    SQL_FUNNEL,
-    q_tfidf_top_terms,
-    SQL_TFIDF_TOP_TERMS,
-    q_events_window,
-    SQL_EVENTS_WINDOW,
-    q_sessionize,
-    SQL_SESSIONIZE,
-    q_interval_coverage,
-    SQL_INTERVAL_COVERAGE,
-    q_topn_per_group,
-    SQL_TOPN_PER_GROUP,
-    q_events_hopping,
-    SQL_EVENTS_HOPPING,
-    q_activity_streaks,
-    SQL_ACTIVITY_STREAKS,
-    q_sort_global,
-    SQL_SORT_GLOBAL,
-    q_quantiles,
-    SQL_QUANTILES,
-    q_quantile_sketch,
-    SQL_QUANTILE_SKETCH,
-    q_user_deltas,
-    SQL_USER_DELTAS,
-    q_asof_join,
-    SQL_ASOF_JOIN,
-    q_bloom_semi_join,
-    SQL_BLOOM_SEMI_JOIN,
-    q_sources_per_lang,
-    SQL_SOURCES_PER_LANG,
-    q_value_histogram,
-    SQL_VALUE_HISTOGRAM,
-    q_sample_weighted,
-    SQL_SAMPLE_WEIGHTED,
-    q_sample_stratified,
-    SQL_SAMPLE_STRATIFIED,
-    q_ntile,
-    SQL_NTILE,
-    q_grouped_quantile_sketch,
-    SQL_GROUPED_QUANTILE_SKETCH,
-    q_running_totals,
-    SQL_RUNNING_TOTALS,
-)
-from goose_parser_ray.queries.setops_rank import (
-    q_except_users,
-    SQL_EXCEPT_USERS,
-    q_intersect_users,
-    SQL_INTERSECT_USERS,
-    q_rank_dense,
-    SQL_RANK_DENSE,
-    q_chunk_text,
-    SQL_CHUNK_TEXT,
-    q_corr_by_flag,
-    SQL_CORR_BY_FLAG,
-    q_latest_per_key,
-    SQL_LATEST_PER_KEY,
-    q_mad_by_lang,
-    SQL_MAD_BY_LANG,
-    q_shipping_priority,
-    SQL_SHIPPING_PRIORITY,
-    q_regional_revenue,
-    SQL_REGIONAL_REVENUE,
-    q_error_window_counts,
-    SQL_ERROR_WINDOW_COUNTS,
-    _EVENT_TYPES,
-    q_pivot_events,
-    SQL_PIVOT_EVENTS,
-    q_rollup_lineitem,
-    SQL_ROLLUP_LINEITEM,
-    q_distinct_users_per_type,
-    SQL_DISTINCT_USERS_PER_TYPE,
-    q_agg_builtins,
-    SQL_AGG_BUILTINS,
-)
-from goose_parser_ray.queries.dedup_sim import (
-    q_soundex_blocking,
-    SQL_SOUNDEX_BLOCKING,
-    q_spatial_join,
-    SQL_SPATIAL_JOIN,
-    q_dedup_exact,
-    SQL_DEDUP_EXACT,
-    q_dedup_minhash,
-    q_dedup_simhash,
-    q_dedup_minhash_verified,
-    q_dedup_precision,
-    q_sample_random,
-    SQL_SAMPLE_RANDOM,
-    q_dedup_embedding,
-    q_dedup_keep,
-    q_hll_distinct_users,
-    q_hll_users_per_type,
-    q_ann_bruteforce,
-    SQL_ANN_BRUTEFORCE,
-    q_dedup_incremental,
-    q_split_assign,
-    SQL_SPLIT_ASSIGN,
-    q_lm_score,
-    SQL_LM_SCORE,
-    q_epoch_shuffle,
-    SQL_EPOCH_SHUFFLE,
-    q_moving_avg,
-    SQL_MOVING_AVG,
-    q_quantiles_cont,
-    SQL_QUANTILES_CONT,
-    q_trimmed_mean,
-    SQL_TRIMMED_MEAN,
-    q_percent_rank,
-    SQL_PERCENT_RANK,
-    q_join_full,
-    SQL_JOIN_FULL,
-    q_join_anti,
-    SQL_JOIN_ANTI,
-    q_ngram_dup_spans,
-    SQL_NGRAM_DUP_SPANS,
-    q_semdedup,
-    q_semdedup_invariants,
-    q_cdc_dedup,
-    q_ann_recall,
-    q_fuzzy_pairs,
-    SQL_FUZZY_PAIRS,
-)
-from goose_parser_ray.queries.graph_mlstats import (
-    q_regr_by_flag,
-    SQL_REGR_BY_FLAG,
-    q_cohort_retention,
-    SQL_COHORT_RETENTION,
-    q_set_similarity,
-    SQL_SET_SIMILARITY,
-    q_range_window,
-    SQL_RANGE_WINDOW,
-    q_event_transitions,
-    SQL_EVENT_TRANSITIONS,
-    q_first_last_per_user,
-    SQL_FIRST_LAST_PER_USER,
-    q_kmeans,
-    q_pagerank,
-    SQL_PAGERANK,
-    q_hits,
-    SQL_HITS,
-    _copurchase_edges,
-    q_triangles,
-    SQL_TRIANGLES,
-    q_kcore,
-    SQL_KCORE,
-    q_lang_entropy,
-    SQL_LANG_ENTROPY,
-    q_normalize_text,
-    SQL_NORMALIZE_TEXT,
-    q_chi2_independence,
-    SQL_CHI2_INDEPENDENCE,
-    q_skyline,
-    SQL_SKYLINE,
-    q_gapfill,
-    SQL_GAPFILL,
-    q_pmi_bigrams,
-    SQL_PMI_BIGRAMS,
-    q_warc_roundtrip,
-    SQL_WARC_ROUNDTRIP,
-    q_table_diff,
-    SQL_TABLE_DIFF,
-    q_pq_codes,
-    q_sq8_quantize,
-    SQL_SQ8_QUANTIZE,
-    q_ann_ivf,
-    q_ann_lsh,
-)
-from goose_parser_ray.queries.text_media import (
-    q_lang_id,
-    _langid_sql,
-    q_langid_confusion,
-    _langid_confusion_sql,
-    q_quality,
-    _quality_sql,
-    q_fingerprint,
-    q_winnow,
-    SQL_WINNOW,
-    q_winnow_dedup_join,
-    SQL_WINNOW_DEDUP_JOIN,
-    q_robots_rules,
-    SQL_ROBOTS_RULES,
-    q_cidr_lookup,
-    SQL_CIDR_LOOKUP,
-    q_nfc_normalize,
-    SQL_NFC_NORMALIZE,
-    q_ua_parse,
-    SQL_UA_PARSE,
-    q_editdist2_pairs,
-    SQL_EDITDIST2_PAIRS,
-    q_anchor_texts,
-    SQL_ANCHOR_TEXTS,
-    q_rendezvous_sharding,
-    SQL_RENDEZVOUS_SHARDING,
-    q_media_decode,
-    q_media_pipeline,
-    q_media_pgm,
-    SQL_MEDIA_PGM,
-    q_data_pipeline,
-    q_web_pipeline,
-    _web_pipeline_sql,
-    q_top_words,
-    SQL_TOP_WORDS,
-    q_vocab_growth,
-    SQL_VOCAB_GROWTH,
-    q_varbyte_postings,
-    SQL_VARBYTE_POSTINGS,
-    q_snippets,
-    SQL_SNIPPETS,
-    q_homoglyph_domains,
-    SQL_HOMOGLYPH_DOMAINS,
-    q_index_merge,
-    SQL_INDEX_MERGE,
-    q_heavy_hitters,
-    q_cms_words,
-    q_image_ahash_dedup,
-    SQL_IMAGE_AHASH_DEDUP,
-    q_lang_centroids,
-    SQL_LANG_CENTROIDS,
-    q_extract_spans,
-    q_extract_rules,
-    SQL_EXTRACT_SPANS,
-    SQL_EXTRACT_RULES,
-    q_link_graph,
-    q_domain_cap,
-    SQL_DOMAIN_CAP,
-    q_sorted_neighborhood,
-    SQL_SORTED_NEIGHBORHOOD,
-    q_token_budget,
-    SQL_TOKEN_BUDGET,
-    q_kwic,
-    SQL_KWIC,
-    q_postings,
-    SQL_POSTINGS,
-    q_event_throttle,
-    SQL_EVENT_THROTTLE,
-    q_zorder,
-    _sql_zorder,
-    SQL_ZORDER,
-    q_editdist_pairs,
-    SQL_EDITDIST_PAIRS,
-    _PROFILE_COLS,
-    q_profile,
-    SQL_PROFILE,
-    q_tree_rollup,
-    SQL_TREE_ROLLUP,
-)
-from goose_parser_ray.queries.ir_ml import (
-    q_knn_classify,
-    SQL_KNN_CLASSIFY,
-    q_logreg,
-    q_media_ppm,
-    SQL_MEDIA_PPM,
-    q_except_all,
-    SQL_EXCEPT_ALL,
-    q_dup_chunks,
-    SQL_DUP_CHUNKS,
-    q_bpe_merges,
-    q_bpe_encode,
-    q_quality_classifier,
-    q_unigram_vocab,
-    q_unigram_encode,
-    SQL_LINK_GRAPH,
-    _BM25_TERMS,
-    _BM25_K1,
-    _BM25_B,
-    _BM25_TOPK,
-    q_bm25,
-    SQL_BM25,
-    q_auc,
-    SQL_AUC,
-    q_components,
-    q_theilsen,
-    SQL_THEILSEN,
-    q_calibration,
-    SQL_CALIBRATION,
-    SQL_COMPONENTS,
-    q_cdc_apply,
-    SQL_CDC_APPLY,
-    q_ohlc,
-    SQL_OHLC,
-    q_rolling_median,
-    SQL_ROLLING_MEDIAN,
-    q_jw_pairs,
-    SQL_JW_PAIRS,
-    q_interval_join,
-    SQL_INTERVAL_JOIN,
-    q_weighted_median,
-    SQL_WEIGHTED_MEDIAN,
-    q_unpivot,
-    SQL_UNPIVOT,
-    q_group_concat,
-    SQL_GROUP_CONCAT,
-    _COV_DIMS,
-    q_embed_cov,
-    _gen_sql_embed_cov,
-    SQL_EMBED_COV,
-    q_find_gaps,
-    SQL_FIND_GAPS,
-    q_order_count_dist,
-    SQL_ORDER_COUNT_DIST,
-)
-from goose_parser_ray.queries.versioning_graph2 import (
-    q_rich_inactive,
-    SQL_RICH_INACTIVE,
-    q_scd2_history,
-    SQL_SCD2_HISTORY,
-    q_stump,
-    SQL_STUMP,
-    q_nb_classify,
-    SQL_NB_CLASSIFY,
-    q_row_number_global,
-    SQL_ROW_NUMBER_GLOBAL,
-    q_curriculum_order,
-    SQL_CURRICULUM_ORDER,
-    q_pps_sample,
-    SQL_PPS_SAMPLE,
-    q_cusum_changepoint,
-    SQL_CUSUM_CHANGEPOINT,
-    q_entity_resolution,
-    SQL_ENTITY_RESOLUTION,
-    q_pca_project,
-    q_ridge_fit,
-    SQL_RIDGE_FIT,
-    _bootstrap_ci_sql,
-    _ab_test_sql,
-    q_bfs_levels,
-    SQL_BFS_LEVELS,
-    q_scc,
-    SQL_SCC,
-    _MAX_BASKET,
-    _capped_baskets,
-    _basket_pair_counts,
-    _SQL_CAPPED_BASKETS,
-    q_frequent_pairs,
-    SQL_FREQUENT_PAIRS,
-    q_regex_extract,
-    SQL_REGEX_EXTRACT,
-    q_item_cf,
-    SQL_ITEM_CF,
-    q_minmax_normalize,
-    SQL_MINMAX_NORMALIZE,
-    q_meta_extract,
-    SQL_META_EXTRACT,
-    q_sssp,
-    _sssp_round_sql,
-    SQL_SSSP,
-    q_training_shards,
-    _training_shards_sql,
-    q_html_table,
-    SQL_HTML_TABLE,
-    q_bootstrap_ci,
-    q_ab_test,
-)
-from goose_parser_ray.queries.tpch import (
-    q_forecast_revenue,
-    SQL_FORECAST_REVENUE,
-    q_priority_semi,
-    SQL_PRIORITY_SEMI,
-    q_returned_customers,
-    SQL_RETURNED_CUSTOMERS,
-    q_promo_share,
-    SQL_PROMO_SHARE,
-    q_volume_shipping,
-    SQL_VOLUME_SHIPPING,
-    q_market_share,
-    SQL_MARKET_SHARE,
-    q_product_profit,
-    SQL_PRODUCT_PROFIT,
-    q_late_priority,
-    SQL_LATE_PRIORITY,
-    q_min_cost_supplier,
-    SQL_MIN_COST_SUPPLIER,
-    q_important_parts,
-    SQL_IMPORTANT_PARTS,
-    q_top_supplier,
-    SQL_TOP_SUPPLIER,
-    q_part_supplier_counts,
-    SQL_PART_SUPPLIER_COUNTS,
-    q_small_qty_revenue,
-    SQL_SMALL_QTY_REVENUE,
-    q_large_volume_customers,
-    SQL_LARGE_VOLUME_CUSTOMERS,
-    q_bracket_revenue,
-    SQL_BRACKET_REVENUE,
-    q_dominant_suppliers,
-    SQL_DOMINANT_SUPPLIERS,
-    q_waiting_suppliers,
-    SQL_WAITING_SUPPLIERS,
-)
-from goose_parser_ray.queries.media_stats import (
-    q_media_bmp,
-    SQL_MEDIA_BMP,
-    q_line_dedup,
-    SQL_LINE_DEDUP,
-    q_media_wav,
-    SQL_MEDIA_WAV,
-    q_media_png,
-    SQL_MEDIA_PNG,
-    q_media_gif,
-    SQL_MEDIA_GIF,
-    q_video_frames,
-    SQL_VIDEO_FRAMES,
-    q_image_dhash_dedup,
-    SQL_IMAGE_DHASH_DEDUP,
-    q_scene_cuts,
-    SQL_SCENE_CUTS,
-    q_format_sniff,
-    SQL_FORMAT_SNIFF,
-    q_audio_segments,
-    SQL_AUDIO_SEGMENTS,
-    q_image_neardup,
-    SQL_IMAGE_NEARDUP,
-    q_pdf_pages,
-    SQL_PDF_PAGES,
-    q_audio_downsample,
-    SQL_AUDIO_DOWNSAMPLE,
-    q_video_neardup,
-    SQL_VIDEO_NEARDUP,
-    q_rgb_to_luma,
-    SQL_RGB_TO_LUMA,
-    q_audio_mixdown,
-    SQL_AUDIO_MIXDOWN,
-    q_hist_equalize,
-    SQL_HIST_EQUALIZE,
-    q_otsu_threshold,
-    SQL_OTSU_THRESHOLD,
-    q_image_blobs,
-    SQL_IMAGE_BLOBS,
-    q_sobel_energy,
-    SQL_SOBEL_ENERGY,
-    q_template_match,
-    SQL_TEMPLATE_MATCH,
-    q_integral_image,
-    SQL_INTEGRAL_IMAGE,
-    q_image_pyramid,
-    SQL_IMAGE_PYRAMID,
-    q_audio_spectrum,
-    SQL_AUDIO_SPECTRUM,
-    q_grouped_quantiles,
-    SQL_GROUPED_QUANTILES,
-    q_geo_mean,
-    SQL_GEO_MEAN,
-    q_window_distinct_users,
-    SQL_WINDOW_DISTINCT_USERS,
-    q_phrase_search,
-    SQL_PHRASE_SEARCH,
-    q_media_pdf,
-    SQL_MEDIA_PDF,
-    q_ks_test,
-    SQL_KS_TEST,
-    q_autocorr,
-    SQL_AUTOCORR,
-    q_orc_roundtrip,
-    SQL_ORC_ROUNDTRIP,
-    q_url_canonical,
-    SQL_URL_CANONICAL,
-    q_sentence_stats,
-    SQL_SENTENCE_STATS,
-    q_blocklist_filter,
-    SQL_BLOCKLIST_FILTER,
-    q_csv_roundtrip,
-    SQL_CSV_ROUNDTRIP,
-    q_jsonl_roundtrip,
-    SQL_JSONL_ROUNDTRIP,
-    q_k_anonymize,
-    SQL_K_ANONYMIZE,
-    _benford_e6,
-    q_benford,
-    SQL_BENFORD,
-    q_ewma_value,
-    SQL_EWMA_VALUE,
-    q_char_entropy,
-    SQL_CHAR_ENTROPY,
-    q_mann_whitney,
-    SQL_MANN_WHITNEY,
-    q_attribution,
-    SQL_ATTRIBUTION,
-    q_adamic_adar,
-    SQL_ADAMIC_ADAR,
-    q_twap,
-    SQL_TWAP,
-    q_survival,
-    SQL_SURVIVAL,
-    q_gini,
-    SQL_GINI,
-)
-from goose_parser_ray.queries.diagnostics import (
-    q_integrity_audit,
-    SQL_INTEGRITY_AUDIT,
-    q_fk_orphans,
-    SQL_FK_ORPHANS,
-    q_wilson_ctr,
-    SQL_WILSON_CTR,
-    q_funnel_steps,
-    SQL_FUNNEL_STEPS,
-    q_retention,
-    SQL_RETENTION,
-    q_markov_transitions,
-    SQL_MARKOV,
-    q_mad_outliers,
-    SQL_MAD_OUTLIERS,
-    q_compaction,
-    SQL_COMPACTION,
-    q_schema_evolution,
-    SQL_SCHEMA_EVOLUTION,
-    q_pair_windows,
-    SQL_PAIR_WINDOWS,
-    q_skew_profile,
-    SQL_SKEW_PROFILE,
-    q_dq_audit,
-    SQL_DQ_AUDIT,
-    q_rate_spikes,
-    SQL_RATE_SPIKES,
-    q_reject_reasons,
-    SQL_REJECT_REASONS,
-    q_dup_cluster_sizes,
-    SQL_DUP_CLUSTER_SIZES,
-    q_arrow_roundtrip,
-    SQL_ARROW_ROUNDTRIP,
-    q_ngram_jaccard,
-    SQL_NGRAM_JACCARD,
-    q_winsorize,
-    SQL_WINSORIZE,
-    q_grouping_sets,
-    SQL_GROUPING_SETS,
-    q_ppr,
-    SQL_PPR,
-    q_random_walks,
-    SQL_RANDOM_WALKS,
-    q_assortativity,
-    SQL_ASSORTATIVITY,
-    q_assoc_rules,
-    SQL_ASSOC_RULES,
-    q_degree_hist,
-    SQL_DEGREE_HIST,
-    q_seasonal_profile,
-    SQL_SEASONAL_PROFILE,
-    q_gap_hist,
-    SQL_GAP_HIST,
-    q_pushdown_scan,
-    SQL_PUSHDOWN_SCAN,
-    q_image_pipeline,
-    SQL_IMAGE_PIPELINE,
-    q_mutual_info,
-    SQL_MUTUAL_INFO,
-    q_transition_entropy,
-    SQL_TRANSITION_ENTROPY,
-    q_churn_rate,
-    SQL_CHURN_RATE,
-)
-from goose_parser_ray.queries.webcur import (
-    q_boilerplate_main,
-    SQL_BOILERPLATE_MAIN,
-    q_charset_prescan,
-    SQL_CHARSET_PRESCAN,
-    q_sitemap_urls,
-    SQL_SITEMAP_URLS,
-    q_crawl_frontier,
-    SQL_CRAWL_FRONTIER,
-    q_feed_parse,
-    SQL_FEED_PARSE,
-    q_http_charset,
-    SQL_HTTP_CHARSET,
-    q_atom_feed,
-    SQL_ATOM_FEED,
-    q_redirect_resolve,
-    SQL_REDIRECT_RESOLVE,
-)
-from goose_parser_ray.queries.extraction2 import (
-    q_microdata_extract,
-    SQL_MICRODATA_EXTRACT,
-    q_canonical_dedup,
-    SQL_CANONICAL_DEDUP,
-    q_multi_pattern_match,
-    SQL_MULTI_PATTERN_MATCH,
-    q_rules_oracle,
-    SQL_RULES_ORACLE,
-    q_srcset_extract,
-    SQL_SRCSET_EXTRACT,
-    q_pagination_chains,
-    SQL_PAGINATION_CHAINS,
-)
-from goose_parser_ray.queries.image_ops import (
-    q_morphology,
-    SQL_MORPHOLOGY,
-    q_rle_mask,
-    SQL_RLE_MASK,
-)
-from goose_parser_ray.queries.media_av import (
-    q_audio_loudness,
-    SQL_AUDIO_LOUDNESS,
-)
-from goose_parser_ray.queries.graph_walks import (
-    q_dag_critical_path,
-    SQL_DAG_CRITICAL_PATH,
-)
-from goose_parser_ray.queries.webidx_r5 import (
-    q_surt_index,
-    SQL_SURT_INDEX,
-    q_http_headers,
-    SQL_HTTP_HEADERS,
-    q_dom_depth,
-    SQL_DOM_DEPTH,
-    q_entity_decode,
-    SQL_ENTITY_DECODE,
-    q_link_locality,
-    SQL_LINK_LOCALITY,
-    q_hreflang_clusters,
-    SQL_HREFLANG_CLUSTERS,
-    q_meta_robots,
-    SQL_META_ROBOTS,
-    q_base_href,
-    SQL_BASE_HREF,
-)
-from goose_parser_ray.queries.stats_r5 import (
-    q_spearman,
-    SQL_SPEARMAN,
-    q_mann_kendall,
-    SQL_MANN_KENDALL,
-    q_prf_metrics,
-    SQL_PRF_METRICS,
-)
-from goose_parser_ray.queries.dedup_sim2 import (
-    q_containment_join,
-    SQL_CONTAINMENT_JOIN,
-    q_hard_negatives,
-    q_minhash_1bit,
-    SQL_HARD_NEGATIVES,
-)
-from goose_parser_ray.queries.media_stats import (
-    q_media_tiff,
-    SQL_MEDIA_TIFF,
-)
-from goose_parser_ray.queries.quality_stats import (
-    q_benford_digits,
-    SQL_BENFORD_DIGITS,
-    q_flesch_reading,
-    SQL_FLESCH_READING,
-    q_acf_daily,
-    SQL_ACF_DAILY,
-    q_interpolate_daily,
-    SQL_INTERPOLATE_DAILY,
-    q_zlib_gate,
-    q_wordpiece_encode,
-    SQL_WORDPIECE_ENCODE,
-    q_late_events,
-    SQL_LATE_EVENTS,
-    q_temperature_mixture,
-    SQL_TEMPERATURE_MIXTURE,
-    q_geohash_encode,
-    SQL_GEOHASH_ENCODE,
-    q_avro_roundtrip,
-    SQL_AVRO_ROUNDTRIP,
-    q_tfrecord_roundtrip,
-    q_webdataset_roundtrip,
-    SQL_WEBDATASET_ROUNDTRIP,
-    SQL_TFRECORD_ROUNDTRIP,
-)
-from goose_parser_ray.queries.tpch import (
-    q_local_supplier_volume,
-    SQL_LOCAL_SUPPLIER_VOLUME,
-)
-from goose_parser_ray.queries.graph_mlstats import (
-    q_communities_lpa,
-    SQL_COMMUNITIES_LPA,
-)
+import importlib
+import pkgutil
+from typing import Any
 
-QUERIES = {
-    "filter_docs": q_filter_docs,
-    "agg_by_lang": q_agg_by_lang,
-    "topk_docs": q_topk_docs,
-    "join_segment": q_join_segment,
-    "join_hash": q_join_hash,
-    "join_left": q_join_left,
-    "join_salted": q_join_salted,
-    "sample_mod": q_sample_mod,
-    "pricing_summary": q_pricing_summary,
-    "union_names": q_union_names,
-    "distinct_sources": q_distinct_sources,
-    "transform_clean": q_transform_clean,
-    "transform_split": q_transform_split,
-    "transform_match": q_transform_match,
-    "transform_date": q_transform_date,
-    "token_stats": q_token_stats,
-    "gopher_rules": q_gopher_rules,
-    "c4_rules": q_c4_rules,
-    "fk_orphans": q_fk_orphans,
-    "knn_classify": q_knn_classify,
-    "robots_rules": q_robots_rules,
-    "media_bmp": q_media_bmp,
-    "dsir_weights": q_dsir_weights,
-    "soundex_blocking": q_soundex_blocking,
-    "cidr_lookup": q_cidr_lookup,
-    "nfc_normalize": q_nfc_normalize,
-    "ua_parse": q_ua_parse,
-    "editdist2_pairs": q_editdist2_pairs,
-    "anchor_texts": q_anchor_texts,
-    "rendezvous_sharding": q_rendezvous_sharding,
-    "curation_funnel": q_curation_funnel,
-    "spatial_join": q_spatial_join,
-    "window_frame_funcs": q_window_frame_funcs,
-    "pack_sequences": q_pack_sequences,
-    "redact_pii": q_redact_pii,
-    "json_extract": q_json_extract,
-    "repetition_signals": q_repetition_signals,
-    "percentile_gate": q_percentile_gate,
-    "sample_mixture": q_sample_mixture,
-    "decontaminate": q_decontaminate,
-    "cube_agg": q_cube_agg,
-    "mode_per_group": q_mode_per_group,
-    "zscore_by_type": q_zscore_by_type,
-    "funnel_steps": q_funnel_steps,
-    "tfidf_top_terms": q_tfidf_top_terms,
-    "events_window": q_events_window,
-    "sessionize": q_sessionize,
-    "topn_per_group": q_topn_per_group,
-    "events_hopping": q_events_hopping,
-    "sort_global": q_sort_global,
-    "quantiles": q_quantiles,
-    "quantile_sketch": q_quantile_sketch,
-    "user_deltas": q_user_deltas,
-    "agg_builtins": q_agg_builtins,
-    "asof_join": q_asof_join,
-    "error_window_counts": q_error_window_counts,
-    "shipping_priority": q_shipping_priority,
-    "regional_revenue": q_regional_revenue,
-    "forecast_revenue": q_forecast_revenue,
-    "priority_semi": q_priority_semi,
-    "returned_customers": q_returned_customers,
-    "promo_share": q_promo_share,
-    "volume_shipping": q_volume_shipping,
-    "market_share": q_market_share,
-    "product_profit": q_product_profit,
-    "late_priority": q_late_priority,
-    "min_cost_supplier": q_min_cost_supplier,
-    "important_parts": q_important_parts,
-    "top_supplier": q_top_supplier,
-    "part_supplier_counts": q_part_supplier_counts,
-    "small_qty_revenue": q_small_qty_revenue,
-    "large_volume_customers": q_large_volume_customers,
-    "bracket_revenue": q_bracket_revenue,
-    "dominant_suppliers": q_dominant_suppliers,
-    "waiting_suppliers": q_waiting_suppliers,
-    "line_dedup": q_line_dedup,
-    "media_wav": q_media_wav,
-    "grouped_quantiles": q_grouped_quantiles,
-    "geo_mean": q_geo_mean,
-    "window_distinct_users": q_window_distinct_users,
-    "phrase_search": q_phrase_search,
-    "media_pdf": q_media_pdf,
-    "hits": q_hits,
-    "sentence_stats": q_sentence_stats,
-    "blocklist_filter": q_blocklist_filter,
-    "ks_test": q_ks_test,
-    "autocorr": q_autocorr,
-    "orc_roundtrip": q_orc_roundtrip,
-    "url_canonical": q_url_canonical,
-    "csv_roundtrip": q_csv_roundtrip,
-    "jsonl_roundtrip": q_jsonl_roundtrip,
-    "k_anonymize": q_k_anonymize,
-    "benford": q_benford,
-    "ewma_value": q_ewma_value,
-    "char_entropy": q_char_entropy,
-    "mann_whitney": q_mann_whitney,
-    "attribution": q_attribution,
-    "adamic_adar": q_adamic_adar,
-    "twap": q_twap,
-    "survival": q_survival,
-    "gini": q_gini,
-    "wilson_ctr": q_wilson_ctr,
-    "funnel": q_funnel,
-    "retention": q_retention,
-    "markov_transitions": q_markov_transitions,
-    "mad_outliers": q_mad_outliers,
-    "running_totals": q_running_totals,
-    "ntile_orders": q_ntile,
-    "sample_weighted": q_sample_weighted,
-    "sources_per_lang": q_sources_per_lang,
-    "bloom_semi_join": q_bloom_semi_join,
-    "value_histogram": q_value_histogram,
-    "sample_stratified": q_sample_stratified,
-    "grouped_quantile_sketch": q_grouped_quantile_sketch,
-    "except_users": q_except_users,
-    "intersect_users": q_intersect_users,
-    "rank_dense": q_rank_dense,
-    "chunk_text": q_chunk_text,
-    "corr_by_flag": q_corr_by_flag,
-    "latest_per_key": q_latest_per_key,
-    "mad_by_lang": q_mad_by_lang,
-    "pivot_events": q_pivot_events,
-    "rollup_lineitem": q_rollup_lineitem,
-    "distinct_users_per_type": q_distinct_users_per_type,
-    "top_words": q_top_words,
-    "heavy_hitters": q_heavy_hitters,
-    "cms_words": q_cms_words,
-    "image_ahash_dedup": q_image_ahash_dedup,
-    "lang_centroids": q_lang_centroids,
-    "dedup_exact": q_dedup_exact,
-    "dedup_minhash": q_dedup_minhash,
-    "dedup_minhash_verified": q_dedup_minhash_verified,
-    "sample_random": q_sample_random,
-    "dedup_simhash": q_dedup_simhash,
-    "dedup_embedding": q_dedup_embedding,
-    "dedup_keep": q_dedup_keep,
-    "hll_distinct_users": q_hll_distinct_users,
-    "hll_users_per_type": q_hll_users_per_type,
-    "kmeans": q_kmeans,
-    "pagerank": q_pagerank,
-    "link_graph": q_link_graph,
-    "domain_cap": q_domain_cap,
-    "sorted_neighborhood": q_sorted_neighborhood,
-    "token_budget": q_token_budget,
-    "kwic": q_kwic,
-    "postings": q_postings,
-    "event_throttle": q_event_throttle,
-    "zorder": q_zorder,
-    "editdist_pairs": q_editdist_pairs,
-    "profile": q_profile,
-    "tree_rollup": q_tree_rollup,
-    "logreg": q_logreg,
-    "media_ppm": q_media_ppm,
-    "except_all": q_except_all,
-    "dup_chunks": q_dup_chunks,
-    "bpe_merges": q_bpe_merges,
-    "bpe_encode": q_bpe_encode,
-    "quality_classifier": q_quality_classifier,
-    "unigram_vocab": q_unigram_vocab,
-    "unigram_encode": q_unigram_encode,
-    "bm25": q_bm25,
-    "auc": q_auc,
-    "components": q_components,
-    "theilsen_trend": q_theilsen,
-    "calibration_bins": q_calibration,
-    "cdc_apply": q_cdc_apply,
-    "ohlc": q_ohlc,
-    "rolling_median": q_rolling_median,
-    "jw_pairs": q_jw_pairs,
-    "interval_join": q_interval_join,
-    "weighted_median": q_weighted_median,
-    "unpivot": q_unpivot,
-    "group_concat": q_group_concat,
-    "embed_cov": q_embed_cov,
-    "find_gaps": q_find_gaps,
-    "order_count_dist": q_order_count_dist,
-    "rich_inactive": q_rich_inactive,
-    "scd2_history": q_scd2_history,
-    "stump": q_stump,
-    "nb_classify": q_nb_classify,
-    "row_number_global": q_row_number_global,
-    "cusum_changepoint": q_cusum_changepoint,
-    "entity_resolution": q_entity_resolution,
-    "pca_project": q_pca_project,
-    "ridge_fit": q_ridge_fit,
-    "dedup_precision": q_dedup_precision,
-    "bfs_levels": q_bfs_levels,
-    "scc": q_scc,
-    "frequent_pairs": q_frequent_pairs,
-    "regex_extract": q_regex_extract,
-    "item_cf": q_item_cf,
-    "minmax_normalize": q_minmax_normalize,
-    "meta_extract": q_meta_extract,
-    "sssp": q_sssp,
-    "training_shards": q_training_shards,
-    "html_table": q_html_table,
-    "bootstrap_ci": q_bootstrap_ci,
-    "ab_test": q_ab_test,
-    "triangles": q_triangles,
-    "lang_entropy": q_lang_entropy,
-    "skyline": q_skyline,
-    "gapfill": q_gapfill,
-    "pmi_bigrams": q_pmi_bigrams,
-    "warc_roundtrip": q_warc_roundtrip,
-    "table_diff": q_table_diff,
-    "web_pipeline": q_web_pipeline,
-    "kcore": q_kcore,
-    "media_pgm": q_media_pgm,
-    "media_png": q_media_png,
-    "media_gif": q_media_gif,
-    "video_frames": q_video_frames,
-    "image_dhash_dedup": q_image_dhash_dedup,
-    "scene_cuts": q_scene_cuts,
-    "format_sniff": q_format_sniff,
-    "audio_segments": q_audio_segments,
-    "vocab_growth": q_vocab_growth,
-    "varbyte_postings": q_varbyte_postings,
-    "snippets": q_snippets,
-    "redirect_resolve": q_redirect_resolve,
-    "image_neardup": q_image_neardup,
-    "minhash_1bit": q_minhash_1bit,
-    "curriculum_order": q_curriculum_order,
-    "interval_coverage": q_interval_coverage,
-    "homoglyph_domains": q_homoglyph_domains,
-    "index_merge": q_index_merge,
-    "pdf_pages": q_pdf_pages,
-    "integrity_audit": q_integrity_audit,
-    "audio_downsample": q_audio_downsample,
-    "interpolate_daily": q_interpolate_daily,
-    "video_neardup": q_video_neardup,
-    "rgb_to_luma": q_rgb_to_luma,
-    "audio_mixdown": q_audio_mixdown,
-    "hist_equalize": q_hist_equalize,
-    "tfrecord_roundtrip": q_tfrecord_roundtrip,
-    "pps_sample": q_pps_sample,
-    "otsu_threshold": q_otsu_threshold,
-    "image_blobs": q_image_blobs,
-    "sobel_energy": q_sobel_energy,
-    "template_match": q_template_match,
-    "integral_image": q_integral_image,
-    "image_pyramid": q_image_pyramid,
-    "compaction": q_compaction,
-    "schema_evolution": q_schema_evolution,
-    "pair_windows": q_pair_windows,
-    "skew_profile": q_skew_profile,
-    "dq_audit": q_dq_audit,
-    "rate_spikes": q_rate_spikes,
-    "reject_reasons": q_reject_reasons,
-    "dup_cluster_sizes": q_dup_cluster_sizes,
-    "arrow_roundtrip": q_arrow_roundtrip,
-    "ngram_jaccard": q_ngram_jaccard,
-    "winsorize": q_winsorize,
-    "grouping_sets": q_grouping_sets,
-    "ppr": q_ppr,
-    "langid_confusion": q_langid_confusion,
-    "random_walks": q_random_walks,
-    "assortativity": q_assortativity,
-    "assoc_rules": q_assoc_rules,
-    "degree_hist": q_degree_hist,
-    "seasonal_profile": q_seasonal_profile,
-    "gap_hist": q_gap_hist,
-    "pushdown_scan": q_pushdown_scan,
-    "image_pipeline": q_image_pipeline,
-    "mutual_info": q_mutual_info,
-    "transition_entropy": q_transition_entropy,
-    "churn_rate": q_churn_rate,
-    "audio_spectrum": q_audio_spectrum,
-    "activity_streaks": q_activity_streaks,
-    "chi2_independence": q_chi2_independence,
-    "normalize_text": q_normalize_text,
-    "pq_codes": q_pq_codes,
-    "sq8_quantize": q_sq8_quantize,
-    "dedup_incremental": q_dedup_incremental,
-    "split_assign": q_split_assign,
-    "lm_score": q_lm_score,
-    "epoch_shuffle": q_epoch_shuffle,
-    "moving_avg": q_moving_avg,
-    "quantiles_cont": q_quantiles_cont,
-    "trimmed_mean": q_trimmed_mean,
-    "percent_rank": q_percent_rank,
-    "join_full": q_join_full,
-    "join_anti": q_join_anti,
-    "ngram_dup_spans": q_ngram_dup_spans,
-    "semdedup": q_semdedup,
-    "semdedup_invariants": q_semdedup_invariants,
-    "cdc_dedup": q_cdc_dedup,
-    "ann_recall": q_ann_recall,
-    "fuzzy_pairs": q_fuzzy_pairs,
-    "regr_by_flag": q_regr_by_flag,
-    "cohort_retention": q_cohort_retention,
-    "set_similarity": q_set_similarity,
-    "range_window": q_range_window,
-    "event_transitions": q_event_transitions,
-    "first_last_per_user": q_first_last_per_user,
-    "ann_bruteforce": q_ann_bruteforce,
-    "ann_lsh": q_ann_lsh,
-    "ann_ivf": q_ann_ivf,
-    "lang_id": q_lang_id,
-    "quality_score": q_quality,
-    "fingerprint": q_fingerprint,
-    "winnow_fingerprints": q_winnow,
-    "winnow_dedup_join": q_winnow_dedup_join,
-    "media_decode": q_media_decode,
-    "media_pipeline": q_media_pipeline,
-    "data_pipeline": q_data_pipeline,
-    "extract_spans": q_extract_spans,
-    "extract_rules": q_extract_rules,
-    "boilerplate_main": q_boilerplate_main,
-    "charset_prescan": q_charset_prescan,
-    "sitemap_urls": q_sitemap_urls,
-    "crawl_frontier": q_crawl_frontier,
-    "benford_digits": q_benford_digits,
-    "flesch_reading": q_flesch_reading,
-    "acf_daily": q_acf_daily,
-    "zlib_gate": q_zlib_gate,
-    "wordpiece_encode": q_wordpiece_encode,
-    "media_tiff": q_media_tiff,
-    "late_events": q_late_events,
-    "temperature_mixture": q_temperature_mixture,
-    "geohash_encode": q_geohash_encode,
-    "avro_roundtrip": q_avro_roundtrip,
-    "local_supplier_volume": q_local_supplier_volume,
-    "communities_lpa": q_communities_lpa,
-    "feed_parse": q_feed_parse,
-    "http_charset": q_http_charset,
-    "atom_feed": q_atom_feed,
-    "microdata_extract": q_microdata_extract,
-    "rules_oracle": q_rules_oracle,
-    "srcset_extract": q_srcset_extract,
-    "pagination_chains": q_pagination_chains,
-    "spearman": q_spearman,
-    "surt_index": q_surt_index,
-    "webdataset_roundtrip": q_webdataset_roundtrip,
-    "http_headers": q_http_headers,
-    "dom_depth": q_dom_depth,
-    "link_locality": q_link_locality,
-    "hreflang_clusters": q_hreflang_clusters,
-    "meta_robots": q_meta_robots,
-    "base_href": q_base_href,
-    "prf_metrics": q_prf_metrics,
-    "dag_critical_path": q_dag_critical_path,
-    "entity_decode": q_entity_decode,
-    "morphology": q_morphology,
-    "fim_transform": q_fim_transform,
-    "chat_template": q_chat_template,
-    "rle_mask": q_rle_mask,
-    "audio_loudness": q_audio_loudness,
-    "mann_kendall": q_mann_kendall,
-    "canonical_dedup": q_canonical_dedup,
-    "multi_pattern_match": q_multi_pattern_match,
-    "containment_join": q_containment_join,
-    "hard_negatives": q_hard_negatives,
-}
+_MODULES = [
+    importlib.import_module(f"{__name__}.{m.name}")
+    for m in pkgutil.iter_modules(__path__)
+]
 
-ORACLE_SQL = {
-    "filter_docs": SQL_FILTER_DOCS,
-    "agg_by_lang": SQL_AGG_BY_LANG,
-    "topk_docs": SQL_TOPK_DOCS,
-    "join_segment": SQL_JOIN_SEGMENT,
-    "join_hash": SQL_JOIN_HASH,
-    "join_left": SQL_JOIN_LEFT,
-    "join_salted": SQL_JOIN_SALTED,
-    "sample_mod": SQL_SAMPLE_MOD,
-    "split_assign": SQL_SPLIT_ASSIGN,
-    "lm_score": SQL_LM_SCORE,
-    "epoch_shuffle": SQL_EPOCH_SHUFFLE,
-    "moving_avg": SQL_MOVING_AVG,
-    "quantiles_cont": SQL_QUANTILES_CONT,
-    "trimmed_mean": SQL_TRIMMED_MEAN,
-    "percent_rank": SQL_PERCENT_RANK,
-    "join_full": SQL_JOIN_FULL,
-    "join_anti": SQL_JOIN_ANTI,
-    "pagerank": SQL_PAGERANK,
-    "sq8_quantize": SQL_SQ8_QUANTIZE,
-    "image_ahash_dedup": SQL_IMAGE_AHASH_DEDUP,
-    "link_graph": SQL_LINK_GRAPH,
-    "domain_cap": SQL_DOMAIN_CAP,
-    "sorted_neighborhood": SQL_SORTED_NEIGHBORHOOD,
-    "token_budget": SQL_TOKEN_BUDGET,
-    "kwic": SQL_KWIC,
-    "postings": SQL_POSTINGS,
-    "event_throttle": SQL_EVENT_THROTTLE,
-    "zorder": SQL_ZORDER,
-    "editdist_pairs": SQL_EDITDIST_PAIRS,
-    "profile": SQL_PROFILE,
-    "tree_rollup": SQL_TREE_ROLLUP,
-    "media_ppm": SQL_MEDIA_PPM,
-    "except_all": SQL_EXCEPT_ALL,
-    "dup_chunks": SQL_DUP_CHUNKS,
-    "bm25": SQL_BM25,
-    "auc": SQL_AUC,
-    "components": SQL_COMPONENTS,
-    "theilsen_trend": SQL_THEILSEN,
-    "calibration_bins": SQL_CALIBRATION,
-    "winnow_fingerprints": SQL_WINNOW,
-    "winnow_dedup_join": SQL_WINNOW_DEDUP_JOIN,
-    "cdc_apply": SQL_CDC_APPLY,
-    "ohlc": SQL_OHLC,
-    "rolling_median": SQL_ROLLING_MEDIAN,
-    "jw_pairs": SQL_JW_PAIRS,
-    "interval_join": SQL_INTERVAL_JOIN,
-    "weighted_median": SQL_WEIGHTED_MEDIAN,
-    "unpivot": SQL_UNPIVOT,
-    "group_concat": SQL_GROUP_CONCAT,
-    "embed_cov": SQL_EMBED_COV,
-    "find_gaps": SQL_FIND_GAPS,
-    "order_count_dist": SQL_ORDER_COUNT_DIST,
-    "rich_inactive": SQL_RICH_INACTIVE,
-    "scd2_history": SQL_SCD2_HISTORY,
-    "stump": SQL_STUMP,
-    "nb_classify": SQL_NB_CLASSIFY,
-    "row_number_global": SQL_ROW_NUMBER_GLOBAL,
-    "cusum_changepoint": SQL_CUSUM_CHANGEPOINT,
-    "entity_resolution": SQL_ENTITY_RESOLUTION,
-    "bfs_levels": SQL_BFS_LEVELS,
-    "scc": SQL_SCC,
-    "frequent_pairs": SQL_FREQUENT_PAIRS,
-    "regex_extract": SQL_REGEX_EXTRACT,
-    "item_cf": SQL_ITEM_CF,
-    "minmax_normalize": SQL_MINMAX_NORMALIZE,
-    "meta_extract": SQL_META_EXTRACT,
-    "sssp": SQL_SSSP,
-    "training_shards": _training_shards_sql(),
-    "html_table": SQL_HTML_TABLE,
-    "triangles": SQL_TRIANGLES,
-    "lang_entropy": SQL_LANG_ENTROPY,
-    "skyline": SQL_SKYLINE,
-    "gapfill": SQL_GAPFILL,
-    "pmi_bigrams": SQL_PMI_BIGRAMS,
-    "warc_roundtrip": SQL_WARC_ROUNDTRIP,
-    "table_diff": SQL_TABLE_DIFF,
-    "kcore": SQL_KCORE,
-    "media_pgm": SQL_MEDIA_PGM,
-    "media_png": SQL_MEDIA_PNG,
-    "media_gif": SQL_MEDIA_GIF,
-    "video_frames": SQL_VIDEO_FRAMES,
-    "image_dhash_dedup": SQL_IMAGE_DHASH_DEDUP,
-    "scene_cuts": SQL_SCENE_CUTS,
-    "format_sniff": SQL_FORMAT_SNIFF,
-    "audio_segments": SQL_AUDIO_SEGMENTS,
-    "vocab_growth": SQL_VOCAB_GROWTH,
-    "varbyte_postings": SQL_VARBYTE_POSTINGS,
-    "snippets": SQL_SNIPPETS,
-    "redirect_resolve": SQL_REDIRECT_RESOLVE,
-    "image_neardup": SQL_IMAGE_NEARDUP,
-    "curriculum_order": SQL_CURRICULUM_ORDER,
-    "interval_coverage": SQL_INTERVAL_COVERAGE,
-    "homoglyph_domains": SQL_HOMOGLYPH_DOMAINS,
-    "index_merge": SQL_INDEX_MERGE,
-    "pdf_pages": SQL_PDF_PAGES,
-    "integrity_audit": SQL_INTEGRITY_AUDIT,
-    "audio_downsample": SQL_AUDIO_DOWNSAMPLE,
-    "interpolate_daily": SQL_INTERPOLATE_DAILY,
-    "video_neardup": SQL_VIDEO_NEARDUP,
-    "rgb_to_luma": SQL_RGB_TO_LUMA,
-    "audio_mixdown": SQL_AUDIO_MIXDOWN,
-    "hist_equalize": SQL_HIST_EQUALIZE,
-    "tfrecord_roundtrip": SQL_TFRECORD_ROUNDTRIP,
-    "pps_sample": SQL_PPS_SAMPLE,
-    "otsu_threshold": SQL_OTSU_THRESHOLD,
-    "image_blobs": SQL_IMAGE_BLOBS,
-    "sobel_energy": SQL_SOBEL_ENERGY,
-    "template_match": SQL_TEMPLATE_MATCH,
-    "integral_image": SQL_INTEGRAL_IMAGE,
-    "image_pyramid": SQL_IMAGE_PYRAMID,
-    "compaction": SQL_COMPACTION,
-    "schema_evolution": SQL_SCHEMA_EVOLUTION,
-    "pair_windows": SQL_PAIR_WINDOWS,
-    "skew_profile": SQL_SKEW_PROFILE,
-    "dq_audit": SQL_DQ_AUDIT,
-    "rate_spikes": SQL_RATE_SPIKES,
-    "reject_reasons": SQL_REJECT_REASONS,
-    "dup_cluster_sizes": SQL_DUP_CLUSTER_SIZES,
-    "arrow_roundtrip": SQL_ARROW_ROUNDTRIP,
-    "ngram_jaccard": SQL_NGRAM_JACCARD,
-    "winsorize": SQL_WINSORIZE,
-    "grouping_sets": SQL_GROUPING_SETS,
-    "ppr": SQL_PPR,
-    "langid_confusion": _langid_confusion_sql(),
-    "random_walks": SQL_RANDOM_WALKS,
-    "assortativity": SQL_ASSORTATIVITY,
-    "assoc_rules": SQL_ASSOC_RULES,
-    "degree_hist": SQL_DEGREE_HIST,
-    "seasonal_profile": SQL_SEASONAL_PROFILE,
-    "gap_hist": SQL_GAP_HIST,
-    "pushdown_scan": SQL_PUSHDOWN_SCAN,
-    "image_pipeline": SQL_IMAGE_PIPELINE,
-    "mutual_info": SQL_MUTUAL_INFO,
-    "transition_entropy": SQL_TRANSITION_ENTROPY,
-    "churn_rate": SQL_CHURN_RATE,
-    "audio_spectrum": SQL_AUDIO_SPECTRUM,
-    "activity_streaks": SQL_ACTIVITY_STREAKS,
-    "chi2_independence": SQL_CHI2_INDEPENDENCE,
-    "normalize_text": SQL_NORMALIZE_TEXT,
-    "ngram_dup_spans": SQL_NGRAM_DUP_SPANS,
-    "fuzzy_pairs": SQL_FUZZY_PAIRS,
-    "regr_by_flag": SQL_REGR_BY_FLAG,
-    "cohort_retention": SQL_COHORT_RETENTION,
-    "set_similarity": SQL_SET_SIMILARITY,
-    "range_window": SQL_RANGE_WINDOW,
-    "event_transitions": SQL_EVENT_TRANSITIONS,
-    "first_last_per_user": SQL_FIRST_LAST_PER_USER,
-    "pricing_summary": SQL_PRICING_SUMMARY,
-    "union_names": SQL_UNION_NAMES,
-    "distinct_sources": SQL_DISTINCT_SOURCES,
-    "transform_clean": SQL_TRANSFORM_CLEAN,
-    "transform_split": SQL_TRANSFORM_SPLIT,
-    "transform_match": SQL_TRANSFORM_MATCH,
-    "transform_date": SQL_TRANSFORM_DATE,
-    "token_stats": SQL_TOKEN_STATS,
-    "gopher_rules": SQL_GOPHER_RULES,
-    "c4_rules": SQL_C4_RULES,
-    "fk_orphans": SQL_FK_ORPHANS,
-    "knn_classify": SQL_KNN_CLASSIFY,
-    "robots_rules": SQL_ROBOTS_RULES,
-    "media_bmp": SQL_MEDIA_BMP,
-    "dsir_weights": SQL_DSIR_WEIGHTS,
-    "soundex_blocking": SQL_SOUNDEX_BLOCKING,
-    "cidr_lookup": SQL_CIDR_LOOKUP,
-    "nfc_normalize": SQL_NFC_NORMALIZE,
-    "ua_parse": SQL_UA_PARSE,
-    "editdist2_pairs": SQL_EDITDIST2_PAIRS,
-    "anchor_texts": SQL_ANCHOR_TEXTS,
-    "rendezvous_sharding": SQL_RENDEZVOUS_SHARDING,
-    "curation_funnel": SQL_CURATION_FUNNEL,
-    "spatial_join": SQL_SPATIAL_JOIN,
-    "window_frame_funcs": SQL_WINDOW_FRAME_FUNCS,
-    "pack_sequences": SQL_PACK_SEQUENCES,
-    "redact_pii": SQL_REDACT_PII,
-    "json_extract": SQL_JSON_EXTRACT,
-    "repetition_signals": SQL_REPETITION_SIGNALS,
-    "percentile_gate": SQL_PERCENTILE_GATE,
-    "sample_mixture": SQL_SAMPLE_MIXTURE,
-    "decontaminate": SQL_DECONTAMINATE,
-    "cube_agg": SQL_CUBE_AGG,
-    "mode_per_group": SQL_MODE_PER_GROUP,
-    "zscore_by_type": SQL_ZSCORE_BY_TYPE,
-    "funnel_steps": SQL_FUNNEL_STEPS,
-    "tfidf_top_terms": SQL_TFIDF_TOP_TERMS,
-    "events_window": SQL_EVENTS_WINDOW,
-    "sessionize": SQL_SESSIONIZE,
-    "topn_per_group": SQL_TOPN_PER_GROUP,
-    "events_hopping": SQL_EVENTS_HOPPING,
-    "sort_global": SQL_SORT_GLOBAL,
-    "quantiles": SQL_QUANTILES,
-    "user_deltas": SQL_USER_DELTAS,
-    "agg_builtins": SQL_AGG_BUILTINS,
-    "asof_join": SQL_ASOF_JOIN,
-    "error_window_counts": SQL_ERROR_WINDOW_COUNTS,
-    "shipping_priority": SQL_SHIPPING_PRIORITY,
-    "regional_revenue": SQL_REGIONAL_REVENUE,
-    "forecast_revenue": SQL_FORECAST_REVENUE,
-    "priority_semi": SQL_PRIORITY_SEMI,
-    "returned_customers": SQL_RETURNED_CUSTOMERS,
-    "promo_share": SQL_PROMO_SHARE,
-    "volume_shipping": SQL_VOLUME_SHIPPING,
-    "market_share": SQL_MARKET_SHARE,
-    "product_profit": SQL_PRODUCT_PROFIT,
-    "late_priority": SQL_LATE_PRIORITY,
-    "min_cost_supplier": SQL_MIN_COST_SUPPLIER,
-    "important_parts": SQL_IMPORTANT_PARTS,
-    "top_supplier": SQL_TOP_SUPPLIER,
-    "part_supplier_counts": SQL_PART_SUPPLIER_COUNTS,
-    "small_qty_revenue": SQL_SMALL_QTY_REVENUE,
-    "large_volume_customers": SQL_LARGE_VOLUME_CUSTOMERS,
-    "bracket_revenue": SQL_BRACKET_REVENUE,
-    "dominant_suppliers": SQL_DOMINANT_SUPPLIERS,
-    "waiting_suppliers": SQL_WAITING_SUPPLIERS,
-    "line_dedup": SQL_LINE_DEDUP,
-    "media_wav": SQL_MEDIA_WAV,
-    "grouped_quantiles": SQL_GROUPED_QUANTILES,
-    "geo_mean": SQL_GEO_MEAN,
-    "window_distinct_users": SQL_WINDOW_DISTINCT_USERS,
-    "phrase_search": SQL_PHRASE_SEARCH,
-    "media_pdf": SQL_MEDIA_PDF,
-    "hits": SQL_HITS,
-    "sentence_stats": SQL_SENTENCE_STATS,
-    "blocklist_filter": SQL_BLOCKLIST_FILTER,
-    "ks_test": SQL_KS_TEST,
-    "autocorr": SQL_AUTOCORR,
-    "orc_roundtrip": SQL_ORC_ROUNDTRIP,
-    "url_canonical": SQL_URL_CANONICAL,
-    "csv_roundtrip": SQL_CSV_ROUNDTRIP,
-    "jsonl_roundtrip": SQL_JSONL_ROUNDTRIP,
-    "k_anonymize": SQL_K_ANONYMIZE,
-    "benford": SQL_BENFORD,
-    "ewma_value": SQL_EWMA_VALUE,
-    "char_entropy": SQL_CHAR_ENTROPY,
-    "mann_whitney": SQL_MANN_WHITNEY,
-    "attribution": SQL_ATTRIBUTION,
-    "adamic_adar": SQL_ADAMIC_ADAR,
-    "twap": SQL_TWAP,
-    "survival": SQL_SURVIVAL,
-    "gini": SQL_GINI,
-    "wilson_ctr": SQL_WILSON_CTR,
-    "funnel": SQL_FUNNEL,
-    "retention": SQL_RETENTION,
-    "markov_transitions": SQL_MARKOV,
-    "mad_outliers": SQL_MAD_OUTLIERS,
-    "running_totals": SQL_RUNNING_TOTALS,
-    "ntile_orders": SQL_NTILE,
-    "sample_stratified": SQL_SAMPLE_STRATIFIED,
-    "sources_per_lang": SQL_SOURCES_PER_LANG,
-    "value_histogram": SQL_VALUE_HISTOGRAM,
-    "except_users": SQL_EXCEPT_USERS,
-    "intersect_users": SQL_INTERSECT_USERS,
-    "rank_dense": SQL_RANK_DENSE,
-    "chunk_text": SQL_CHUNK_TEXT,
-    "corr_by_flag": SQL_CORR_BY_FLAG,
-    "latest_per_key": SQL_LATEST_PER_KEY,
-    "mad_by_lang": SQL_MAD_BY_LANG,
-    "pivot_events": SQL_PIVOT_EVENTS,
-    "rollup_lineitem": SQL_ROLLUP_LINEITEM,
-    "distinct_users_per_type": SQL_DISTINCT_USERS_PER_TYPE,
-    "top_words": SQL_TOP_WORDS,
-    "lang_centroids": SQL_LANG_CENTROIDS,
-    "dedup_exact": SQL_DEDUP_EXACT,
-    "ann_bruteforce": SQL_ANN_BRUTEFORCE,
-    "lang_id": _langid_sql(),
-    "quality_score": _quality_sql(),
-    "web_pipeline": _web_pipeline_sql(),
-    "boilerplate_main": SQL_BOILERPLATE_MAIN,
-    "charset_prescan": SQL_CHARSET_PRESCAN,
-    "sitemap_urls": SQL_SITEMAP_URLS,
-    "crawl_frontier": SQL_CRAWL_FRONTIER,
-    "benford_digits": SQL_BENFORD_DIGITS,
-    "flesch_reading": SQL_FLESCH_READING,
-    "acf_daily": SQL_ACF_DAILY,
-    "wordpiece_encode": SQL_WORDPIECE_ENCODE,
-    "media_tiff": SQL_MEDIA_TIFF,
-    "late_events": SQL_LATE_EVENTS,
-    "temperature_mixture": SQL_TEMPERATURE_MIXTURE,
-    "geohash_encode": SQL_GEOHASH_ENCODE,
-    "avro_roundtrip": SQL_AVRO_ROUNDTRIP,
-    "local_supplier_volume": SQL_LOCAL_SUPPLIER_VOLUME,
-    "communities_lpa": SQL_COMMUNITIES_LPA,
-    "feed_parse": SQL_FEED_PARSE,
-    "http_charset": SQL_HTTP_CHARSET,
-    "atom_feed": SQL_ATOM_FEED,
-    "microdata_extract": SQL_MICRODATA_EXTRACT,
-    "rules_oracle": SQL_RULES_ORACLE,
-    "srcset_extract": SQL_SRCSET_EXTRACT,
-    "pagination_chains": SQL_PAGINATION_CHAINS,
-    "spearman": SQL_SPEARMAN,
-    "surt_index": SQL_SURT_INDEX,
-    "http_headers": SQL_HTTP_HEADERS,
-    "dom_depth": SQL_DOM_DEPTH,
-    "link_locality": SQL_LINK_LOCALITY,
-    "hreflang_clusters": SQL_HREFLANG_CLUSTERS,
-    "meta_robots": SQL_META_ROBOTS,
-    "base_href": SQL_BASE_HREF,
-    "prf_metrics": SQL_PRF_METRICS,
-    "dag_critical_path": SQL_DAG_CRITICAL_PATH,
-    "entity_decode": SQL_ENTITY_DECODE,
-    "morphology": SQL_MORPHOLOGY,
-    "fim_transform": SQL_FIM_TRANSFORM,
-    "chat_template": SQL_CHAT_TEMPLATE,
-    "rle_mask": SQL_RLE_MASK,
-    "audio_loudness": SQL_AUDIO_LOUDNESS,
-    "mann_kendall": SQL_MANN_KENDALL,
-    "extract_spans": SQL_EXTRACT_SPANS,
-    "extract_rules": SQL_EXTRACT_RULES,
-    "sample_random": SQL_SAMPLE_RANDOM,
-    "sample_weighted": SQL_SAMPLE_WEIGHTED,
-    "quantile_sketch": SQL_QUANTILE_SKETCH,
-    "bloom_semi_join": SQL_BLOOM_SEMI_JOIN,
-    "webdataset_roundtrip": SQL_WEBDATASET_ROUNDTRIP,
-    "grouped_quantile_sketch": SQL_GROUPED_QUANTILE_SKETCH,
-    "ridge_fit": SQL_RIDGE_FIT,
-    "bootstrap_ci": _bootstrap_ci_sql(),
-    "ab_test": _ab_test_sql(),
-    "extract_rules": SQL_EXTRACT_RULES,
-    "canonical_dedup": SQL_CANONICAL_DEDUP,
-    "multi_pattern_match": SQL_MULTI_PATTERN_MATCH,
-    "containment_join": SQL_CONTAINMENT_JOIN,
-    "hard_negatives": SQL_HARD_NEGATIVES,
-    # dedup_minhash / dedup_simhash / dedup_embedding / ann_lsh /
-    # hll (sketch vs exact) / sample_random (RNG) / fingerprint (crc32
-    # rolling hash has no DuckDB equivalent) / media_decode / extract_spans
-    # / extract_rules (DOM-semantic): not SQL-expressible → rows-only
-    # checks per the driver contract.
-}
+QUERIES: dict[str, Any] = {}
+ORACLE_SQL: dict[str, str] = {}
+for _mod in _MODULES:
+    for _attr, _fn in vars(_mod).items():
+        # re-imported names belong to the module that defines them
+        if _attr.startswith("q_") and getattr(_fn, "__module__", None) == _mod.__name__:
+            QUERIES[_attr[2:]] = _fn
+            _sql = getattr(_mod, "SQL_" + _attr[2:].upper(), None)
+            if _sql is not None:
+                ORACLE_SQL[_attr[2:]] = _sql
+
+
+def __getattr__(name: str) -> Any:
+    """Any top-level name of a query module, e.g. ``q_bm25`` or ``_BM25_B``
+    (PEP 562); no name is defined in two modules."""
+    for mod in _MODULES:
+        if name in vars(mod):
+            return vars(mod)[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

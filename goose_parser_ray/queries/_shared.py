@@ -16,29 +16,10 @@ Ray never calls ``ray.init`` here — the driver owns the session.
 
 from __future__ import annotations
 
-import datetime as _dt
-
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-
-from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
-from goose_parser_ray.functions.multimodal import ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
-from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
-from goose_parser_ray.pipelines import build_extraction_pipeline
-from goose_parser_ray.sources.corpus import wrap_flat_documents
-from goose_parser_ray.transforms import compile_chain
 
 
 def _pool() -> int:

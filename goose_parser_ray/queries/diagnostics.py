@@ -1,13 +1,10 @@
 """Diagnostics + maintenance + graph breadth: Wilson CTR, funnels, retention, Markov, outliers, compaction, schema evolution, skew profile, DQ audit, PPR, random walks, assortativity, association rules, seasonal profiles, pushdown scan, mutual information.
 
-Split from the original single-file query surface (registration order preserved;
-registry lives in the package __init__). See package docstring for the
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
 column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
-
-
-import datetime as _dt
 
 import numpy as np
 import pyarrow as pa
@@ -16,26 +13,9 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
-from goose_parser_ray.functions.multimodal import ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
-from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
-from goose_parser_ray.pipelines import build_extraction_pipeline
-from goose_parser_ray.sources.corpus import wrap_flat_documents
-from goose_parser_ray.transforms import compile_chain
+from goose_parser_ray.functions.relational import pre_aggregated_sum
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
-from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
-from goose_parser_ray.queries.versioning_graph2 import _SQL_CAPPED_BASKETS, _basket_pair_counts, _capped_baskets
-
-
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 def q_wilson_ctr(sf_dir: str):
@@ -988,21 +968,3 @@ SELECT doc_id,
        NOT (doc_id % 23 = 5 AND strlen(text) > 0) AS crc_ok
 FROM documents
 """
-
-
-# --- re-exports: blocks moved to family modules (r5 item 6 split); the
-# package __init__ and tests import these names from here unchanged.
-from goose_parser_ray.queries.graph_walks import (  # noqa: E402,F401
-    q_ppr, SQL_PPR, q_random_walks, SQL_RANDOM_WALKS, q_assortativity,
-    SQL_ASSORTATIVITY, q_assoc_rules, SQL_ASSOC_RULES, q_degree_hist,
-    SQL_DEGREE_HIST, q_dup_cluster_sizes, SQL_DUP_CLUSTER_SIZES,
-    q_ngram_jaccard, SQL_NGRAM_JACCARD,
-)
-from goose_parser_ray.queries.event_quality import (  # noqa: E402,F401
-    q_funnel_steps, SQL_FUNNEL_STEPS, q_retention, SQL_RETENTION,
-    q_markov_transitions, SQL_MARKOV, q_pair_windows, SQL_PAIR_WINDOWS,
-    q_rate_spikes, SQL_RATE_SPIKES, q_seasonal_profile,
-    SQL_SEASONAL_PROFILE, q_gap_hist, SQL_GAP_HIST,
-    q_transition_entropy, SQL_TRANSITION_ENTROPY, q_churn_rate,
-    SQL_CHURN_RATE, q_mutual_info, SQL_MUTUAL_INFO,
-)

@@ -5,18 +5,14 @@ See package docstring for parity rules."""
 
 from __future__ import annotations
 
-import datetime as _dt
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
-import ray.data
 
 from goose_parser_ray.functions.relational import pre_aggregated_sum
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 def q_funnel_steps(sf_dir: str):
@@ -229,7 +225,7 @@ def q_markov_transitions(sf_dir: str):
     )
 
 
-SQL_MARKOV = """
+SQL_MARKOV_TRANSITIONS = """
 WITH l AS (
   SELECT user_id, event_type AS a,
          LEAD(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id)

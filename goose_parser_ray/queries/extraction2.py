@@ -12,8 +12,6 @@ Any parser or automaton regression breaks the value hash.
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -309,7 +307,7 @@ def q_rules_oracle(sf_dir: str):
     → flatten; the twin restates every span (seq, kind, text) from the
     formulas, so a wrong order, a dropped grid cell, or an untrimmed
     value breaks the hash. Scale shape: map-only synth + actor-pool
-    extract, regroup bounded per doc (reference: goose-parser
+    extract, no shuffle (reference: goose-parser
     parser.parse rule semantics, README 'Parser.parse' /
     test/parser.test.js grid+collection cases)."""
     from goose_parser_ray.functions import dedup as _dedup

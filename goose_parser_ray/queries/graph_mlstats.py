@@ -1,13 +1,10 @@
 """Graph + ML stats: regression, cohorts, set-similarity join, range windows, k-means, PageRank/HITS/triangles/k-core, chi2, skyline, gapfill, PMI, WARC, diff, PQ/IVF/LSH.
 
-Split from the original single-file query surface (registration order preserved;
-registry lives in the package __init__). See package docstring for the
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
 column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
-
-
-import datetime as _dt
 
 import numpy as np
 import pyarrow as pa
@@ -16,24 +13,10 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
-from goose_parser_ray.functions.multimodal import ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
-from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
-from goose_parser_ray.pipelines import build_extraction_pipeline
-from goose_parser_ray.sources.corpus import wrap_flat_documents
-from goose_parser_ray.transforms import compile_chain
+from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.similarity import ann_lsh
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
-
-
 
 
 def q_regr_by_flag(sf_dir: str):

@@ -5,18 +5,14 @@ See package docstring for parity rules."""
 
 from __future__ import annotations
 
-import datetime as _dt
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
-import ray.data
 
 from goose_parser_ray.functions.relational import pre_aggregated_sum
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
 from goose_parser_ray.queries.versioning_graph2 import (

@@ -5,17 +5,11 @@ See package docstring for parity rules."""
 
 from __future__ import annotations
 
-import datetime as _dt
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
-import ray.data
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
-
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _read
 
 
 def q_kwic(sf_dir: str):
@@ -327,7 +321,7 @@ FROM r GROUP BY term ORDER BY term
 """
 
 
-def q_winnow(sf_dir: str):
+def q_winnow_fingerprints(sf_dir: str):
     """Winnowing document fingerprints (the MOSS plagiarism-detection
     selection scheme) over every document, ORACLE-CHECKED: k-gram (k=8)
     codepoint-polynomial hashes, centered width-7 window minima (w=4 —
@@ -357,7 +351,7 @@ def q_winnow(sf_dir: str):
     return ds.map_batches(fp, batch_format="pyarrow")
 
 
-SQL_WINNOW = """
+SQL_WINNOW_FINGERPRINTS = """
 WITH pos AS (
   SELECT doc_id, g.i AS i,
          CAST(ascii(substr(text, g.i    , 1)) AS BIGINT) * 1
@@ -387,16 +381,17 @@ FROM wm WHERE h = mn GROUP BY doc_id
 
 def q_winnow_dedup_join(sf_dir: str):
     """MOSS-style near-dup join over winnowed fingerprints (the dedup
-    companion of q_winnow's per-doc selection), ORACLE-CHECKED: docs are
-    fingerprinted with the winnowing scheme the SQL twin states
-    position-for-position, over-common fingerprints are dropped with an
-    IDF cut (doc-frequency > 32 — MOSS's boilerplate guard, which is also
-    the scale story: per-fingerprint pair fan-out is bounded by C(32,2),
-    never corpus-proportional), and pairs whose shared rare fingerprints
-    cover ≥ half of the smaller doc's fingerprint set are emitted with
-    exact integer evidence columns (n_shared, nfp_a, nfp_b). One
-    data-proportional shuffle; per-doc count table broadcast under the
-    5M-doc guard, hash-partitioned joins past it (tier-parity tested)."""
+    companion of q_winnow_fingerprints's per-doc selection),
+    ORACLE-CHECKED: docs are fingerprinted with the winnowing scheme the
+    SQL twin states position-for-position, over-common fingerprints are
+    dropped with an IDF cut (doc-frequency > 32 — MOSS's boilerplate
+    guard, which is also the scale story: per-fingerprint pair fan-out
+    is bounded by C(32,2), never corpus-proportional), and pairs whose
+    shared rare fingerprints cover ≥ half of the smaller doc's
+    fingerprint set are emitted with exact integer evidence columns
+    (n_shared, nfp_a, nfp_b). One data-proportional shuffle; per-doc
+    count table broadcast under the 5M-doc guard, hash-partitioned joins
+    past it (tier-parity tested)."""
     from goose_parser_ray.functions.dedup import winnow_dedup_pairs
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])

@@ -1,11 +1,10 @@
 """IR + ML + relational completion: logreg, BPE, BM25, AUC, components, CDC, OHLC, medians, JW join, unpivot, covariance, embed stats.
 
-Split from the original single-file query surface (registration order preserved;
-registry lives in the package __init__). See package docstring for the
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
 column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
-
 
 import datetime as _dt
 
@@ -16,25 +15,10 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
-from goose_parser_ray.functions.multimodal import ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
-from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
-from goose_parser_ray.pipelines import build_extraction_pipeline
-from goose_parser_ray.sources.corpus import wrap_flat_documents
-from goose_parser_ray.transforms import compile_chain
+from goose_parser_ray.functions.relational import pre_aggregated_sum
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
 from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
-
-
 
 
 def q_logreg(sf_dir: str):
@@ -486,16 +470,6 @@ def q_unigram_encode(sf_dir: str):
     return unigram_encode(
         ds, vocab, concurrency=(2, max(2, _pool() // 2))
     ).sort("doc_id")
-
-
-SQL_LINK_GRAPH = """
-SELECT CAST((d.doc_id * 7 + g.k) % 1000 AS BIGINT) AS dst,
-       CAST(COUNT(*) AS BIGINT) AS in_degree
-FROM documents d,
-     LATERAL (SELECT unnest(generate_series(1, d.doc_id % 3 + 1)) AS k) g
-GROUP BY 1
-ORDER BY 1
-"""
 
 
 _BM25_TERMS = ("vector", "hash", "latency")
@@ -1494,7 +1468,7 @@ FROM per GROUP BY c_count
 """
 
 
-def q_theilsen(sf_dir: str):
+def q_theilsen_trend(sf_dir: str):
     """Theil–Sen robust trend over the 1997 daily-revenue series (median
     of all pairwise slopes — the classic breakdown-point-29% robust
     regressor), ORACLE-CHECKED with exact integer arithmetic: slopes are
@@ -1555,7 +1529,7 @@ def q_theilsen(sf_dir: str):
     )
 
 
-SQL_THEILSEN = """
+SQL_THEILSEN_TREND = """
 WITH daily AS (
   SELECT DATEDIFF('day', DATE '1997-01-01', o_orderdate) AS x,
          SUM(CAST(ROUND(100 * o_totalprice) AS BIGINT)) AS y
@@ -1588,7 +1562,7 @@ SELECT CAST((SELECT COUNT(*) FROM daily) AS BIGINT) AS n_days,
 """
 
 
-def q_calibration(sf_dir: str):
+def q_calibration_bins(sf_dir: str):
     """Classifier-calibration reliability table + exact-integer Brier
     decomposition over the click/error slice (the AUC query's cohort):
     score = the cents part of ``value`` as a percent-probability (a
@@ -1638,7 +1612,7 @@ def q_calibration(sf_dir: str):
     )
 
 
-SQL_CALIBRATION = """
+SQL_CALIBRATION_BINS = """
 WITH s AS (
   SELECT CAST(ROUND(100 * value) AS BIGINT) % 100 AS score,
          CASE WHEN event_type = 'click' THEN 1 ELSE 0 END AS lab

@@ -1,23 +1,17 @@
 """Media container/codec roundtrips: WAV, PNG, GIF, BMP, TIFF, PDF, format sniffing, ORC/CSV/JSONL interchange.
 
-Split from ``queries/media_stats.py`` (r5 VERDICT item 6 — family-seam
-module split; registration order preserved, registry lives in the package
-__init__). See package docstring for the column-naming / integer-cents
-parity rules every query follows."""
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
+column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
 
-import datetime as _dt
-
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
-
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 def q_media_wav(sf_dir: str):

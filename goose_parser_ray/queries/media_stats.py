@@ -1,39 +1,20 @@
 """Media codecs + robust stats: line dedup, WAV/PNG/PDF/spectrum, grouped quantiles, KS, autocorr, URL canonicalization, Benford, EWMA, entropy, Mann-Whitney, attribution, TWAP, survival, Gini.
 
-Split from the original single-file query surface (registration order preserved;
-registry lives in the package __init__). See package docstring for the
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
 column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
-
-
-import datetime as _dt
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
-from goose_parser_ray.functions.multimodal import ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
-from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
-from goose_parser_ray.pipelines import build_extraction_pipeline
-from goose_parser_ray.sources.corpus import wrap_flat_documents
-from goose_parser_ray.transforms import compile_chain
+from goose_parser_ray.functions.relational import pre_aggregated_sum
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
-
-
 
 
 def q_line_dedup(sf_dir: str):
@@ -1532,30 +1513,3 @@ SELECT event_type,
        CAST(SUM(c) * SUM(c * v) AS BIGINT) AS gini_den
 FROM r GROUP BY event_type
 """
-
-
-# --- re-exports: blocks moved to family modules (r5 item 6 split); the
-# package __init__ and tests import these names from here unchanged.
-from goose_parser_ray.queries.media_codecs import (  # noqa: E402,F401
-    q_media_wav, SQL_MEDIA_WAV, q_media_png, SQL_MEDIA_PNG,
-    q_media_gif, SQL_MEDIA_GIF, q_media_bmp, SQL_MEDIA_BMP,
-    q_media_tiff, SQL_MEDIA_TIFF, q_media_pdf, SQL_MEDIA_PDF,
-    q_pdf_pages, SQL_PDF_PAGES, q_format_sniff, SQL_FORMAT_SNIFF,
-    q_orc_roundtrip, SQL_ORC_ROUNDTRIP, q_csv_roundtrip,
-    SQL_CSV_ROUNDTRIP, q_jsonl_roundtrip, SQL_JSONL_ROUNDTRIP,
-)
-from goose_parser_ray.queries.media_av import (  # noqa: E402,F401
-    q_audio_spectrum, SQL_AUDIO_SPECTRUM, q_video_frames,
-    SQL_VIDEO_FRAMES, q_scene_cuts, SQL_SCENE_CUTS, q_audio_segments,
-    SQL_AUDIO_SEGMENTS, q_audio_downsample, SQL_AUDIO_DOWNSAMPLE,
-    q_video_neardup, SQL_VIDEO_NEARDUP, q_audio_mixdown,
-    SQL_AUDIO_MIXDOWN, q_rgb_to_luma, SQL_RGB_TO_LUMA,
-)
-from goose_parser_ray.queries.image_ops import (  # noqa: E402,F401
-    q_hist_equalize, SQL_HIST_EQUALIZE, q_otsu_threshold,
-    SQL_OTSU_THRESHOLD, ccl_blob_stats, q_image_blobs, SQL_IMAGE_BLOBS,
-    q_sobel_energy, SQL_SOBEL_ENERGY, q_template_match,
-    SQL_TEMPLATE_MATCH, q_integral_image, SQL_INTEGRAL_IMAGE,
-    q_image_pyramid, SQL_IMAGE_PYRAMID, q_image_dhash_dedup,
-    SQL_IMAGE_DHASH_DEDUP, q_image_neardup, SQL_IMAGE_NEARDUP,
-)

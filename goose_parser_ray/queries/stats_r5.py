@@ -17,10 +17,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
 from goose_parser_ray.functions.relational import pre_aggregated_sum
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _read
 
 
 def q_spearman(sf_dir: str):

@@ -1,13 +1,10 @@
 """Text analysis + multimodal: lang-id, quality, fingerprints, media decode pipelines, top words, extraction surface, link graph, KWIC, postings, z-order, edit-distance, profiler.
 
-Split from the original single-file query surface (registration order preserved;
-registry lives in the package __init__). See package docstring for the
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
 column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
-
-
-import datetime as _dt
 
 import numpy as np
 import pyarrow as pa
@@ -16,24 +13,14 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
+from goose_parser_ray.functions.dedup import exact_dedup, minhash_dedup_keep
 from goose_parser_ray.functions.multimodal import ImageDecodeActor
 from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
 from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
 from goose_parser_ray.pipelines import build_extraction_pipeline
 from goose_parser_ray.sources.corpus import wrap_flat_documents
-from goose_parser_ray.transforms import compile_chain
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +73,9 @@ FROM c
 """
 
 
+SQL_LANG_ID = _langid_sql()
+
+
 def q_langid_confusion(sf_dir: str):
     """Language-ID CONFUSION MATRIX against the labeled lang column — the
     quality audit you run before trusting a classifier at corpus scale:
@@ -120,7 +110,10 @@ GROUP BY d.lang, pred.lang_pred
 """
 
 
-def q_quality(sf_dir: str):
+SQL_LANGID_CONFUSION = _langid_confusion_sql()
+
+
+def q_quality_score(sf_dir: str):
     """Quality score emitted as integer basis points (deterministic
     element-wise rounding on both sides — the float-sum parity rule from
     the module docstring applied to a scalar formula)."""
@@ -171,6 +164,9 @@ SELECT doc_id,
            AS quality_bp
 FROM s
 """
+
+
+SQL_QUALITY_SCORE = _quality_sql()
 
 
 def q_fingerprint(sf_dir: str):
@@ -475,6 +471,9 @@ SELECT g.lang_pred,
 FROM dedup JOIN gated g ON dedup.doc_id = g.doc_id
 GROUP BY g.lang_pred
 """
+
+
+SQL_WEB_PIPELINE = _web_pipeline_sql()
 
 
 def q_vocab_growth(sf_dir: str):
@@ -958,6 +957,16 @@ def q_link_graph(sf_dir: str):
     return deg.sort("dst")
 
 
+SQL_LINK_GRAPH = """
+SELECT CAST((d.doc_id * 7 + g.k) % 1000 AS BIGINT) AS dst,
+       CAST(COUNT(*) AS BIGINT) AS in_degree
+FROM documents d,
+     LATERAL (SELECT unnest(generate_series(1, d.doc_id % 3 + 1)) AS k) g
+GROUP BY 1
+ORDER BY 1
+"""
+
+
 def q_domain_cap(sf_dir: str):
     """URL curation (C4/RefinedWeb shape), ORACLE-CHECKED: synthesize a
     deterministic URL per document, extract the registrable domain through
@@ -1251,25 +1260,6 @@ WITH RECURSIVE a AS (
 SELECT CAST(anc AS BIGINT) AS node, CAST(COUNT(*) AS BIGINT) AS subtree
 FROM a GROUP BY anc ORDER BY node
 """
-
-
-# --- re-exports: blocks moved to family modules (r5 item 6 split); the
-# package __init__ and tests import these names from here unchanged.
-from goose_parser_ray.queries.webnorm import (  # noqa: E402,F401
-    q_robots_rules, SQL_ROBOTS_RULES, q_cidr_lookup, SQL_CIDR_LOOKUP,
-    q_nfc_normalize, SQL_NFC_NORMALIZE, q_ua_parse, SQL_UA_PARSE,
-    q_editdist2_pairs, SQL_EDITDIST2_PAIRS, q_anchor_texts,
-    SQL_ANCHOR_TEXTS, q_rendezvous_sharding, SQL_RENDEZVOUS_SHARDING,
-    q_homoglyph_domains, SQL_HOMOGLYPH_DOMAINS, q_index_merge,
-    SQL_INDEX_MERGE,
-)
-from goose_parser_ray.queries.indexing import (  # noqa: E402,F401
-    q_kwic, SQL_KWIC, q_snippets, SQL_SNIPPETS, q_varbyte_postings,
-    SQL_VARBYTE_POSTINGS, q_postings, SQL_POSTINGS, q_winnow, SQL_WINNOW,
-    q_winnow_dedup_join, SQL_WINNOW_DEDUP_JOIN, q_token_budget,
-    SQL_TOKEN_BUDGET, q_sorted_neighborhood, SQL_SORTED_NEIGHBORHOOD,
-    q_zorder, SQL_ZORDER, _sql_zorder,
-)
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,16 @@
 """Transform chains over documents.text (T1-T6 bulk path).
 
-Split from the original single-file query surface (registration order preserved;
-registry lives in the package __init__). See package docstring for the
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
 column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
 
-
-import datetime as _dt
-
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
-import ray
-import ray.data
 
-from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
-from goose_parser_ray.functions.multimodal import ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
-from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
-from goose_parser_ray.pipelines import build_extraction_pipeline
-from goose_parser_ray.sources.corpus import wrap_flat_documents
 from goose_parser_ray.transforms import compile_chain
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
-
-
+from goose_parser_ray.queries._shared import _read
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
 """Versioning + classic ML + graph distance: SCD2, stump, NB, global row number, CUSUM, entity resolution, PCA/ridge, BFS/SSSP, baskets, item-CF, TRAINING-SHARDS flagship, bootstrap/A-B.
 
-Split from the original single-file query surface (registration order preserved;
-registry lives in the package __init__). See package docstring for the
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
 column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
-
-
-import datetime as _dt
 
 import numpy as np
 import pyarrow as pa
@@ -16,26 +13,12 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
-from goose_parser_ray.functions.multimodal import ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
-from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
-from goose_parser_ray.pipelines import build_extraction_pipeline
-from goose_parser_ray.sources.corpus import wrap_flat_documents
-from goose_parser_ray.transforms import compile_chain
+from goose_parser_ray.functions.dedup import exact_dedup
+from goose_parser_ray.functions.relational import pre_aggregated_sum
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
 from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
 from goose_parser_ray.queries.text_media import _quality_sql
-
-
 
 
 def q_rich_inactive(sf_dir: str):
@@ -1329,6 +1312,9 @@ FROM o GROUP BY 1
 """
 
 
+SQL_TRAINING_SHARDS = _training_shards_sql()
+
+
 def q_html_table(sf_dir: str):
     """HTML <table> extraction to relational rows (the tabular-scrape op:
     goose-parser grid rules over real markup), ORACLE-CHECKED: each doc
@@ -1838,6 +1824,9 @@ FROM tot t
 """
 
 
+SQL_BOOTSTRAP_CI = _bootstrap_ci_sql()
+
+
 def _ab_test_sql() -> str:
     m = _sql_mix64("b.id * 64 + r.r")
     u = f"CAST(({m}) AS DOUBLE) / 18446744073709551616.0"
@@ -1888,3 +1877,6 @@ SELECT t.n_a AS n_a, t.n_b AS n_b,
        (ci.lo > 0 OR ci.hi < 0) AS significant
 FROM tots t, ci
 """
+
+
+SQL_AB_TEST = _ab_test_sql()

@@ -13,11 +13,9 @@ ops (SURT is the Wayback/OpenWayback CDX key convention).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from goose_parser_ray.queries._shared import _pool, _read
+from goose_parser_ray.queries._shared import _read
 
 
 # ---------------------------------------------------------------------------

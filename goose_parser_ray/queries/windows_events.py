@@ -1,39 +1,20 @@
 """Windowed / event analytics: cube, mode, z-score, funnel, sessions, hopping windows, streaks, quantiles, as-of joins, sampling, ranks.
 
-Split from the original single-file query surface (registration order preserved;
-registry lives in the package __init__). See package docstring for the
+Each ``q_<name>`` here is the query ``<name>`` and ``SQL_<NAME>`` its
+DuckDB twin; see the package docstring for that naming rule and the
 column-naming / integer-cents parity rules every query follows."""
 
 from __future__ import annotations
-
-
-import datetime as _dt
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.dedup import (
-    exact_dedup,
-    minhash_dedup_keep,
-    minhash_lsh_candidates,
-    simhash_near_dups,
-    embedding_near_dups,
-)
-from goose_parser_ray.functions.multimodal import ImageDecodeActor
 from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
-from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
-from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
-from goose_parser_ray.pipelines import build_extraction_pipeline
-from goose_parser_ray.sources.corpus import wrap_flat_documents
-from goose_parser_ray.transforms import compile_chain
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
-
-
 
 
 def q_cube_agg(sf_dir: str):
@@ -1004,7 +985,7 @@ SELECT doc_id, lang FROM r WHERE rn <= CEIL(0.1 * n)
 """
 
 
-def q_ntile(sf_dir: str):
+def q_ntile_orders(sf_dir: str):
     """NTILE(4) window: price quartile of every order within its market
     segment. Segment count is tiny so per-segment groups are exact-window
     safe (same shape as q_quantiles); inside each group the tile
@@ -1039,7 +1020,7 @@ def q_ntile(sf_dir: str):
     return joined.groupby("segment").map_groups(ntile4, batch_format="pandas")
 
 
-SQL_NTILE = """
+SQL_NTILE_ORDERS = """
 SELECT o_orderkey, c_mktsegment AS segment,
        CAST(NTILE(4) OVER (
            PARTITION BY c_mktsegment

@@ -111,41 +111,53 @@ def read_documents(
     return ray.data.read_parquet(path, columns=columns, **kw)
 
 
-def write_avro_shards(
-    ds: ray.data.Dataset, out_dir: str, schema: dict, codec: str = "deflate"
+def _write_shards(
+    ds: ray.data.Dataset, out_dir: str, encode, name: str
 ) -> None:
-    """Write a Dataset as one Avro object container per block (the
-    resumable-shards discipline: never one giant file). Schema must be the
-    primitive-record subset ``avromini`` supports; field order follows the
-    schema. Runs fully distributed — each block encodes and writes its own
-    shard from the worker, nothing funnels through the driver."""
-    import os as _os
-    import zlib as _zlib
+    """Write one file per block of ``ds`` into ``out_dir`` (the
+    resumable-shards discipline: never one giant file). ``encode(table)``
+    returns the file's bytes; ``name`` is a pattern over ``uniq``, ``tag``
+    and ``rows``. Fully distributed: each block encodes and writes its own
+    shard from the worker, nothing funnels through the driver.
 
-    _os.makedirs(out_dir, exist_ok=True)
+    The crc32 ``tag`` is an integrity hint only; the uuid ``uniq`` keeps
+    names unique, so two blocks with identical content (duplicate rows) or
+    a crc32 collision cannot overwrite each other and drop rows."""
+    import os
+    import uuid
+    import zlib
+
+    os.makedirs(out_dir, exist_ok=True)
 
     def _write(t: "pa.Table") -> "pa.Table":
-        import uuid as _uuid
-
-        from goose_parser_ray.sources.avromini import encode_avro
-
-        names = [f["name"] for f in schema["fields"]]
-        cols = {n: t[n].to_pylist() for n in names}
-        payload = encode_avro(cols, schema, codec=codec)
-        # crc tag = integrity hint only; the uuid component guarantees
-        # uniqueness — two blocks with identical content (duplicate rows)
-        # or a birthday crc32 collision must NOT overwrite each other.
-        tag = _zlib.crc32(payload) & 0xFFFFFFFF
-        uniq = _uuid.uuid4().hex[:12]
-        path = _os.path.join(
-            out_dir, f"part-{uniq}-{tag:08x}-{t.num_rows}.avro"
+        payload = encode(t)
+        fname = name.format(
+            uniq=uuid.uuid4().hex[:12],
+            tag=zlib.crc32(payload) & 0xFFFFFFFF,
+            rows=t.num_rows,
         )
-        with open(path, "wb") as f:
+        with open(os.path.join(out_dir, fname), "wb") as f:
             f.write(payload)
         return pa.table({"rows": [t.num_rows]})
 
     # consume for effect; the tiny per-block row counts are the only output
     ds.map_batches(_write, batch_format="pyarrow").materialize()
+
+
+def write_avro_shards(
+    ds: ray.data.Dataset, out_dir: str, schema: dict, codec: str = "deflate"
+) -> None:
+    """Write a Dataset as one Avro object container per block
+    (``_write_shards``). Schema must be the primitive-record subset
+    ``avromini`` supports; field order follows the schema."""
+
+    def encode(t: "pa.Table") -> bytes:
+        from goose_parser_ray.sources.avromini import encode_avro
+
+        names = [f["name"] for f in schema["fields"]]
+        return encode_avro({n: t[n].to_pylist() for n in names}, schema, codec=codec)
+
+    _write_shards(ds, out_dir, encode, "part-{uniq}-{tag:08x}-{rows}.avro")
 
 
 def read_extracted(path: str) -> ray.data.Dataset:
@@ -231,36 +243,15 @@ def read_evolving(path: str, target_schema: "pa.Schema") -> ray.data.Dataset:
 def write_record_shards(
     ds: ray.data.Dataset, out_dir: str, payload_col: str = "payload"
 ) -> None:
-    """Write a binary column as TFRecord-style shards (one container per
-    block — the resumable-shards discipline; masked-CRC32C framing via
-    ``recordio``). Fully distributed: each block encodes and writes its
-    own shard from the worker, nothing funnels through the driver."""
-    import os as _os
-    import zlib as _zlib
+    """Write a binary column as TFRecord-style shards, one container per
+    block (``_write_shards``; masked-CRC32C framing via ``recordio``)."""
 
-    _os.makedirs(out_dir, exist_ok=True)
-
-    def _write(t: "pa.Table") -> "pa.Table":
-        import uuid as _uuid
-
+    def encode(t: "pa.Table") -> bytes:
         from goose_parser_ray.sources.recordio import encode_records
 
-        payload = encode_records(
-            [p or b"" for p in t[payload_col].to_pylist()]
-        )
-        # crc tag = integrity hint only; uuid guarantees uniqueness so
-        # duplicate-content blocks (or crc32 birthday collisions) cannot
-        # silently overwrite each other and drop rows at read time.
-        tag = _zlib.crc32(payload) & 0xFFFFFFFF
-        uniq = _uuid.uuid4().hex[:12]
-        path = _os.path.join(
-            out_dir, f"part-{uniq}-{tag:08x}-{t.num_rows}.rec"
-        )
-        with open(path, "wb") as f:
-            f.write(payload)
-        return pa.table({"rows": [t.num_rows]})
+        return encode_records([p or b"" for p in t[payload_col].to_pylist()])
 
-    ds.map_batches(_write, batch_format="pyarrow").materialize()
+    _write_shards(ds, out_dir, encode, "part-{uniq}-{tag:08x}-{rows}.rec")
 
 
 def read_record_shards(path: str) -> ray.data.Dataset:
@@ -287,31 +278,16 @@ def write_tar_shards(
     members_fn,
 ) -> None:
     """WebDataset-style shard writer: one POSIX ustar archive per block
-    (``functions/tarmini`` — stdlib-interoperable, differential-tested),
-    ``members_fn(table) -> [(name, bytes), ...]`` supplies the members.
-    Fully distributed; uuid-unique shard names (the r5 shard-naming rule:
-    content hashes alone can collide/overwrite)."""
-    import os as _os
-    import zlib as _zlib
+    (``_write_shards``; ``functions/tarmini`` — stdlib-interoperable,
+    differential-tested). ``members_fn(table) -> [(name, bytes), ...]``
+    supplies the members."""
 
-    _os.makedirs(out_dir, exist_ok=True)
-
-    def _write(t: "pa.Table") -> "pa.Table":
-        import uuid as _uuid
-
+    def encode(t: "pa.Table") -> bytes:
         from goose_parser_ray.functions.tarmini import encode_tar
 
-        payload = encode_tar(members_fn(t))
-        tag = _zlib.crc32(payload) & 0xFFFFFFFF
-        uniq = _uuid.uuid4().hex[:12]
-        path = _os.path.join(
-            out_dir, f"shard-{uniq}-{tag:08x}-{t.num_rows}.tar"
-        )
-        with open(path, "wb") as f:
-            f.write(payload)
-        return pa.table({"rows": [t.num_rows]})
+        return encode_tar(members_fn(t))
 
-    ds.map_batches(_write, batch_format="pyarrow").materialize()
+    _write_shards(ds, out_dir, encode, "shard-{uniq}-{tag:08x}-{rows}.tar")
 
 
 def read_tar_shards(path: str) -> "ray.data.Dataset":

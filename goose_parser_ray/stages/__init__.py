@@ -5,13 +5,11 @@
 - :mod:`extract`   — the hot stage: a fixed-size actor pool hosting the DOM
   parser + compiled rule plan + boilerplate classifier; poison-document
   quarantine instead of task failure.
-- :mod:`regroup`   — the only shuffle: salted docs regrouped by ``doc_id``,
-  spans re-concatenated in salt order; unsalted rows take a shuffle-free
-  fast path.
+- :mod:`residual`  — the write stage: a partition-counting parquet sink that
+  merges salted chunks back into whole docs in salt order, with no shuffle.
 """
 
 from goose_parser_ray.stages.normalize import make_normalize_fn, stable_hash
 from goose_parser_ray.stages.extract import ExtractActor
-from goose_parser_ray.stages.regroup import regroup_salted
 
-__all__ = ["make_normalize_fn", "stable_hash", "ExtractActor", "regroup_salted"]
+__all__ = ["make_normalize_fn", "stable_hash", "ExtractActor"]

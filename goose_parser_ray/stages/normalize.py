@@ -4,9 +4,9 @@ stage 3, §4.2 "salting").
 Adds ``partition_id = stable_hash(doc_id) % P`` (the ONE partitioning key,
 reused by the write layout and the manifest — SURVEY.md §2.6 S3) and splits
 mega-documents (span count > ``salt_threshold``) into ``(doc_id, salt)``
-chunk rows so no single row blows an actor's heap; the regroup stage
-reassembles them (§2.6 S1). Unsalted docs carry ``salt=0, n_salts=1`` and
-skip the regroup shuffle entirely.
+chunk rows so no single row blows an actor's heap; the write stage
+(``stages.residual.PartitionSink``) reassembles them (§2.6 S1). Unsalted
+docs carry ``salt=0, n_salts=1`` and pass through that merge untouched.
 """
 
 from __future__ import annotations

@@ -2,9 +2,14 @@
 consistent (every oracle key has a query, names are unique and stable,
 SQL strings reference registered tables only)."""
 
+import ast
 import re
+from collections import Counter
+from pathlib import Path
 
 import __ray_entry__ as entry
+
+QUERY_DIR = Path(__file__).resolve().parent.parent / "goose_parser_ray" / "queries"
 
 
 def test_oracle_keys_subset_of_queries():
@@ -51,3 +56,41 @@ def test_oracle_sql_references_known_tables():
         table_fns = {"unnest", "generate_series", "range", "values"}
         unknown = froms - TABLES - ctes - extracts - table_fns
         assert not unknown, f"{name}: unknown tables {unknown}"
+
+
+def _defined_names(path: Path) -> tuple[set[str], set[str]]:
+    """Top-level ``q_*`` functions and ``SQL_*`` assignments one query
+    module defines (imported names do not count)."""
+    fns, sqls = set(), set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("q_"):
+            fns.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            sqls |= {
+                t.id
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.startswith("SQL_")
+            }
+    return fns, sqls
+
+
+def test_every_sql_twin_has_its_query_in_the_same_module():
+    """The registry pairs ``SQL_<NAME>`` with ``q_<name>`` of the same
+    module; a twin without that function would be silently dropped."""
+    orphans = []
+    for path in sorted(QUERY_DIR.glob("*.py")):
+        fns, sqls = _defined_names(path)
+        orphans += [
+            f"{path.name}:{s}" for s in sorted(sqls) if f"q_{s[4:].lower()}" not in fns
+        ]
+    assert not orphans, f"SQL twins without a q_ function beside them: {orphans}"
+
+
+def test_no_query_or_twin_defined_in_two_modules():
+    seen = Counter()
+    for path in QUERY_DIR.glob("*.py"):
+        fns, sqls = _defined_names(path)
+        seen.update(fns | sqls)
+    dups = sorted(n for n, c in seen.items() if c > 1)
+    assert not dups, f"defined in more than one query module: {dups}"

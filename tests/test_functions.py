@@ -1900,6 +1900,23 @@ def test_normalize_unicode_edge_cases():
     assert nfkc[1] == "fine" and got[1] == "ﬁne"
 
 
+def test_pq_train_ignores_row_order(ray_session):
+    """The codebooks depend on the sampled rows, not on the order their
+    blocks finish in: reversed input trains the same books."""
+    import numpy as np
+    import pandas as pd
+
+    from goose_parser_ray.functions.similarity import pq_train
+
+    vecs = np.random.RandomState(5).randn(120, 8).astype(np.float32)
+    df = pd.DataFrame({"vec_id": np.arange(120), "embedding": list(map(list, vecs))})
+    books = [
+        pq_train(ray.data.from_pandas(d), m=2, k=4, sample_size=200, seed=3)
+        for d in (df, df.iloc[::-1].reset_index(drop=True))
+    ]
+    assert (books[0] == books[1]).all()
+
+
 def test_pq_deterministic_and_quality(ray_session):
     """PQ must be run-to-run deterministic (seeded sample + seeded Lloyd),
     reconstruct better than the k=1 (mean-only) codebook, and improve with

@@ -238,7 +238,7 @@ def test_rate_spikes_fuzz_vs_duckdb(ray_session, tmp_path):
 def test_markov_and_gap_hist_fuzz_vs_duckdb(ray_session, tmp_path):
     from goose_parser_ray.queries import (
         SQL_GAP_HIST,
-        SQL_MARKOV,
+        SQL_MARKOV_TRANSITIONS,
         q_gap_hist,
         q_markov_transitions,
     )
@@ -249,7 +249,7 @@ def test_markov_and_gap_hist_fuzz_vs_duckdb(ray_session, tmp_path):
             tmp_path, rng, n_users=15, n_rows=250, types=["a", "b", "c", "d"]
         )
         _compare(
-            q_markov_transitions(str(tmp_path)), SQL_MARKOV, tmp_path
+            q_markov_transitions(str(tmp_path)), SQL_MARKOV_TRANSITIONS, tmp_path
         )
         _compare(q_gap_hist(str(tmp_path)), SQL_GAP_HIST, tmp_path)
 

@@ -15,7 +15,7 @@ class TestCCL8Connectivity:
     tolerance, unioning runs across a 2-column gap."""
 
     def test_two_column_gap_is_two_blobs(self):
-        from goose_parser_ray.queries.media_stats import ccl_blob_stats
+        from goose_parser_ray.queries.image_ops import ccl_blob_stats
 
         # row0 cols 0-1, row1 cols 3-4: one background column (col 2)
         # strictly separates their 8-neighborhoods -> two blobs.
@@ -24,7 +24,7 @@ class TestCCL8Connectivity:
         assert (n, mx, tot) == (2, 2, 4)
 
     def test_diagonal_touch_is_one_blob(self):
-        from goose_parser_ray.queries.media_stats import ccl_blob_stats
+        from goose_parser_ray.queries.image_ops import ccl_blob_stats
 
         # row0 cols 0-1, row1 cols 2-3: corners touch diagonally.
         n, mx, tot = ccl_blob_stats(_mask([[1, 1, 0, 0],
@@ -32,20 +32,20 @@ class TestCCL8Connectivity:
         assert (n, mx, tot) == (1, 4, 4)
 
     def test_vertical_overlap_one_blob(self):
-        from goose_parser_ray.queries.media_stats import ccl_blob_stats
+        from goose_parser_ray.queries.image_ops import ccl_blob_stats
 
         n, mx, tot = ccl_blob_stats(_mask([[0, 1, 1, 0],
                                            [0, 0, 1, 1]]))
         assert (n, mx, tot) == (1, 4, 4)
 
     def test_same_row_separate_runs(self):
-        from goose_parser_ray.queries.media_stats import ccl_blob_stats
+        from goose_parser_ray.queries.image_ops import ccl_blob_stats
 
         n, mx, tot = ccl_blob_stats(_mask([[1, 0, 1]]))
         assert (n, mx, tot) == (2, 1, 2)
 
     def test_u_shape_merges_late(self):
-        from goose_parser_ray.queries.media_stats import ccl_blob_stats
+        from goose_parser_ray.queries.image_ops import ccl_blob_stats
 
         # two vertical arms joined by a bottom bar -> one blob
         n, mx, tot = ccl_blob_stats(_mask([[1, 0, 0, 1],
@@ -54,12 +54,12 @@ class TestCCL8Connectivity:
         assert (n, mx, tot) == (1, 8, 8)
 
     def test_empty_mask(self):
-        from goose_parser_ray.queries.media_stats import ccl_blob_stats
+        from goose_parser_ray.queries.image_ops import ccl_blob_stats
 
         assert ccl_blob_stats(_mask([[0, 0], [0, 0]])) == (0, 0, 0)
 
     def test_checkerboard_is_one_blob(self):
-        from goose_parser_ray.queries.media_stats import ccl_blob_stats
+        from goose_parser_ray.queries.image_ops import ccl_blob_stats
 
         # 8-connectivity joins all diagonal neighbors
         n, mx, tot = ccl_blob_stats(_mask([[1, 0, 1],

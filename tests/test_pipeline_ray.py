@@ -34,13 +34,13 @@ def corpus(tmp_path_factory, ray_session):
     return str(path), oracle
 
 
-def test_pipeline_matches_oracle_with_salting(corpus):
+def test_pipeline_matches_oracle_with_salting(corpus, tmp_path):
     path, oracle = corpus
-    ds = ray.data.read_parquet(path)
-    out = build_extraction_pipeline(
-        ds, num_partitions=8, salt_threshold=64, concurrency=2, batch_size=16
+    extract_corpus(
+        path, str(tmp_path / "out"), num_partitions=8, waves=1,
+        salt_threshold=64, concurrency=2, batch_size=16,
     )
-    res = out.to_pandas()
+    res = ray.data.read_parquet(str(tmp_path / "out")).to_pandas()
     assert len(res) == len(oracle)
     assert (res["error"] != "").sum() == 0
     for _, row in res.iterrows():
@@ -62,14 +62,14 @@ def test_pipeline_no_salting_fast_path(corpus):
         assert seq(row["spans"]) == seq(oracle[row["doc_id"]])
 
 
-def test_rules_mode_through_pipeline(corpus, ray_session):
+def test_rules_mode_through_pipeline(corpus, tmp_path):
     path, _ = corpus
     rules = {"collection": [{"name": "heads", "scope": "h1", "type": "array"}]}
-    ds = ray.data.read_parquet(path)
-    out = build_extraction_pipeline(
-        ds, rules, num_partitions=4, salt_threshold=64, concurrency=2, batch_size=16
+    extract_corpus(
+        path, str(tmp_path / "out"), rules, num_partitions=4, waves=1,
+        salt_threshold=64, concurrency=2, batch_size=16,
     )
-    res = out.to_pandas()
+    res = ray.data.read_parquet(str(tmp_path / "out")).to_pandas()
     assert (res["error"] != "").sum() == 0
     assert len(res) == 40
 
