@@ -34,6 +34,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from goose_parser_ray.functions.relational import (
+    compact_for_join,
+    pre_aggregated_sum,
+    safe_join,
+)
+
 
 def _crc(s: str) -> int:
     return zlib.crc32(s.encode("utf-8")) & 0xFFFFFFFF
@@ -63,13 +69,16 @@ _BUCKET_FLOOR = 64
 def num_shuffle_buckets(
     n_rows: int, target: int = _TARGET_ROWS_PER_BUCKET, floor: int = _BUCKET_FLOOR
 ) -> int:
-    """Power-of-two coarse-bucket count sized so the EXPECTED rows per
-    shuffle group stays ≤ ``target`` at any input size. A fixed bucket count
-    means group payload grows linearly with the corpus — the unbounded-group
-    scale bug class (r2 VERDICT #1); every bucketed groupby in this module
-    derives its count from the row count instead (callers with only a lazy
-    transformed Dataset should pass an upper-bound row count computed from
-    metadata, never ``count()`` a pipeline mid-stream)."""
+    """Power-of-two coarse-bucket count for a bucketed GROUPBY, sized so
+    the EXPECTED rows per shuffle group stays ≤ ``target`` at any input
+    size. A fixed bucket count means group payload grows linearly with the
+    corpus — the unbounded-group scale bug class (r2 VERDICT #1); every
+    bucketed groupby in this module derives its count from the row count
+    instead (callers with only a lazy transformed Dataset should pass an
+    upper-bound row count computed from metadata, never ``count()`` a
+    pipeline mid-stream). Groupbys run on Ray's sort shuffle, which
+    reserves no aggregator actors; this is never a hash-join width — those
+    come from ``relational.join_width``."""
     need = max(floor, (int(n_rows) + target - 1) // target)
     return 1 << (need - 1).bit_length()
 
@@ -581,17 +590,6 @@ def verify_candidates_jaccard(
 
 
 
-def _default_join_partitions() -> int:
-    """Join/shuffle aggregator count sized to the cluster: each hash-join
-    partition is served by an aggregator actor, and more aggregators than
-    cores deadlocks a small cluster while starving the map side on a big
-    one. Half the cores is the measured sweet spot locally; on a multi-node
-    cluster CPU scales with nodes so partition count follows."""
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 4))
-    return max(2, min(64, cpus // 2))
-
 # Past this many distinct endpoint ids the semi-join prefilter switches from
 # a driver-collected broadcast `is_in` (cheap, but every map task probes the
 # full id set and the driver must hold it) to a hash-partitioned ids-only
@@ -618,7 +616,7 @@ def _semi_join_filter(
     docs: ray.data.Dataset,
     pairs: ray.data.Dataset,
     id_col: str,
-    num_partitions: int,
+    num_partitions: int | None,
     num_buckets: int = _BUCKET_FLOOR,
 ) -> ray.data.Dataset:
     """Corpus → candidate docs via a REAL hash-partitioned semi-join:
@@ -638,11 +636,8 @@ def _semi_join_filter(
     ids = ids.groupby("__b").map_groups(
         lambda g: g.drop_duplicates(subset=["__sj_id"]), batch_format="pandas"
     ).drop_columns(["__b"])
-    out = docs.join(
-        ids,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(id_col,),
+    out = safe_join(
+        docs, ids, num_partitions=num_partitions, on=(id_col,),
         right_on=("__sj_id",),
     )
     if "__sj_id" in out.columns():
@@ -672,8 +667,6 @@ def attach_pair_texts(
     it, a hash-partitioned ids-only inner join — neither the driver nor any
     map task ever holds the full id set. ``pairs`` must already be
     materialized (callers do — it is reused for both joins anyway)."""
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
     if not prefiltered:
         if 2 * pairs.count() > endpoint_broadcast_guard:
             docs = _semi_join_filter(docs, pairs, id_col, num_partitions)
@@ -695,11 +688,8 @@ def attach_pair_texts(
             ),
             batch_format="pyarrow",
         )
-        pairs = pairs.join(
-            keyed,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=(side,),
+        pairs = safe_join(
+            pairs, keyed, num_partitions=num_partitions, on=(side,),
             right_on=(f"__{side}",),
         )
         if f"__{side}" in pairs.columns():
@@ -731,8 +721,6 @@ def verify_candidates_jaccard_distributed(
     import ray as _ray
 
     pairs = pairs.materialize()  # tiny (O(duplicates)); reused ≥2× below
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
     if 2 * pairs.count() > endpoint_broadcast_guard:
         cand_docs = _semi_join_filter(
             docs, pairs, id_col, num_partitions
@@ -1018,16 +1006,7 @@ def connected_components_distributed(
         batch_format="pyarrow",
     ).materialize()
 
-    if num_partitions is None:
-        # data-proportional aggregator count (the num_shuffle_buckets rule
-        # applied to hash-join partitions): a tiny candidate graph pays
-        # per-partition actor overhead × rounds for nothing, a corpus-scale
-        # one saturates the CPU-derived ceiling. count() here is
-        # metadata-only — edges was just materialized.
-        num_partitions = max(
-            2,
-            min(_default_join_partitions(), -(-edges.count() // 100_000)),
-        )
+    n_edges = edges.count()  # metadata-only: edges was just materialized
 
     # initial labels: every endpoint labels itself
     labels = (
@@ -1048,12 +1027,9 @@ def connected_components_distributed(
     prev_sum = label_sum(labels)
     converged = False
     for _ in range(max_iters):
-        msgs = edges.join(
-            labels,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("u",),
-            right_on=("node",),
+        msgs = safe_join(
+            edges, labels, num_partitions=num_partitions, on=("u",),
+            right_on=("node",), left_rows=n_edges,
         )
         msgs = msgs.map_batches(
             lambda t: pa.Table.from_arrays(
@@ -1073,16 +1049,17 @@ def connected_components_distributed(
         # convergence in O(log diameter) rounds instead of O(diameter),
         # which is what makes long chains affordable at corpus scale (one
         # extra candidate-set-bounded join per round, same exchange size).
-        jumped = labels.join(
+        jumped = safe_join(
+            labels,
             labels.map_batches(
                 lambda t: pa.Table.from_arrays(
                     [t["node"], t["label"]], names=["label", "label2"]
                 ),
                 batch_format="pyarrow",
             ),
-            join_type="inner",
             num_partitions=num_partitions,
             on=("label",),
+            left_rows=labels.count(),
         )
         labels = _drop_empty_blocks(
             jumped.map_batches(
@@ -1123,8 +1100,6 @@ def filter_out_ids(
     """Remove rows whose ``id_col`` appears in ``drop``. Small drop set →
     ray.put broadcast + map-side ``is_in`` (no corpus shuffle); large →
     hash-partitioned ``left_anti`` join."""
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
     n = drop.count()
     if n == 0:
         return ds
@@ -1145,12 +1120,9 @@ def filter_out_ids(
         lambda t: pa.Table.from_arrays([t[drop_col]], names=["__drop_id"]),
         batch_format="pyarrow",
     )
-    return ds.join(
-        keyed,
-        join_type="left_anti",
-        num_partitions=num_partitions,
-        on=(id_col,),
-        right_on=("__drop_id",),
+    return safe_join(
+        ds, keyed, join_type="left_anti", num_partitions=num_partitions,
+        on=(id_col,), right_on=("__drop_id",), right_rows=n,
     )
 
 
@@ -1168,8 +1140,6 @@ def filter_in_ids(
     small keep set → ray.put broadcast + map-side ``is_in``; large →
     hash-partitioned inner join against the distinct id stream (inner ≡
     semi when the right side is unique)."""
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
     n = keep.count()
     if n == 0:
         return ds.limit(0)
@@ -1188,12 +1158,9 @@ def filter_in_ids(
         lambda t: pa.Table.from_arrays([t[keep_col]], names=["__keep_id"]),
         batch_format="pyarrow",
     )
-    out = ds.join(
-        keyed,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(id_col,),
-        right_on=("__keep_id",),
+    out = safe_join(
+        ds, keyed, num_partitions=num_partitions, on=(id_col,),
+        right_on=("__keep_id",), right_rows=n,
     )
     if "__keep_id" in out.columns():
         out = out.drop_columns(["__keep_id"])
@@ -1394,7 +1361,6 @@ def duplicated_ngram_stats(
     import pandas as pd
 
     from ray.data.aggregate import Max, Min
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     def gram_minmax(t: pa.Table) -> pa.Table:
         g = _word_ngrams_table(t, text_col=text_col, id_col=id_col, n=n)
@@ -1495,15 +1461,12 @@ def duplicated_ngram_stats(
                  "k": pa.array(c["k"].astype(np.int64))}
             )
 
-        nbj = join_num_partitions or num_shuffle_buckets(n_dup)
         pos = ds.map_batches(pos_counts, batch_format="pyarrow")
         # dup is aggregate-derived → compact (empty-block hash-join guard);
         # pos streams off the raw corpus read and stays lazy.
-        from goose_parser_ray.functions.relational import compact_for_join
-
-        j = pos.join(
-            compact_for_join(dup, nbj, n_dup),
-            join_type="inner", num_partitions=nbj, on=("gram",),
+        j = safe_join(
+            pos, compact_for_join(dup, n_dup),
+            num_partitions=join_num_partitions, on=("gram",), right_rows=n_dup,
         )
         dupc = pre_aggregated_sum(
             j.map_batches(
@@ -1522,7 +1485,8 @@ def duplicated_ngram_stats(
     # hash-join path pays aggregator spin-up that dominates at small
     # corpora); the join path takes over past the guard.
     dupc = dupc.materialize()
-    if dupc.count() <= dup_broadcast_guard:
+    n_dupc = dupc.count()
+    if n_dupc <= dup_broadcast_guard:
         import ray as _ray
 
         dupc_ref = _ray.put(dupc.to_pandas())
@@ -1541,11 +1505,9 @@ def duplicated_ngram_stats(
             )
 
         return total.map_batches(attach, batch_format="pyarrow")
-    j = total.join(
-        dupc,
-        join_type="left_outer",
-        num_partitions=join_num_partitions or 16,
-        on=(id_col,),
+    j = safe_join(
+        total, dupc, join_type="left_outer",
+        num_partitions=join_num_partitions, on=(id_col,), right_rows=n_dupc,
     )
     return j.map_batches(
         lambda t: pa.Table.from_pydict(
@@ -1941,8 +1903,6 @@ def set_similarity_join(
 
     from ray.data.aggregate import Sum
 
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
     num, den = threshold_num, threshold_den
 
     def distinct_tokens(t: pa.Table) -> pa.Table:
@@ -2017,9 +1977,9 @@ def set_similarity_join(
 
         with_df = tokens.map_batches(attach_df, batch_format="pyarrow")
     else:
-        with_df = tokens.join(
-            dfreq, join_type="inner", num_partitions=num_partitions,
-            on=("token",),
+        with_df = safe_join(
+            tokens, dfreq, num_partitions=num_partitions, on=("token",),
+            left_rows=n_tok_rows, right_rows=n_vocab,
         )
 
     bucketed = with_df.map_batches(
@@ -2154,26 +2114,19 @@ def set_similarity_join(
 
             return fn
 
-        from goose_parser_ray.functions.relational import compact_for_join
-
         # aggregate-derived join inputs: compact away the zero-column
         # empty blocks Ray's hash join chokes on (tiny candidate sets
         # leave most partitions empty)
-        j1 = compact_for_join(cand, num_partitions, n_cand).join(
-            compact_for_join(
-                bitsets.map_batches(rename("id_a"), batch_format="pyarrow"),
-                num_partitions,
-            ),
-            join_type="inner", num_partitions=num_partitions, on=("id_a",),
+        j1 = safe_join(
+            cand, bitsets.map_batches(rename("id_a"), batch_format="pyarrow"),
+            num_partitions=num_partitions, on=("id_a",), compact=True,
+            left_rows=n_cand,
         )
         # the first join's empty partitions re-poison the second join —
         # compact the intermediate too (same as the graph half-rounds)
-        j = compact_for_join(j1.materialize(), num_partitions).join(
-            compact_for_join(
-                bitsets.map_batches(rename("id_b"), batch_format="pyarrow"),
-                num_partitions,
-            ),
-            join_type="inner", num_partitions=num_partitions, on=("id_b",),
+        j = safe_join(
+            j1, bitsets.map_batches(rename("id_b"), batch_format="pyarrow"),
+            num_partitions=num_partitions, on=("id_b",), compact=True,
         )
 
         def popcount_gate(t: pa.Table) -> pa.Table:
@@ -2265,13 +2218,11 @@ def set_similarity_join(
         )
 
     # scale path: exact verification via two hash joins + grouped count
-    # (safe_join: compacted inputs + compacted intermediates — see
-    # compact_for_join on Ray's empty-block hash-join failure)
-    from goose_parser_ray.functions.relational import safe_join
-
+    # (compacted inputs + compacted intermediates — see compact_for_join
+    # on Ray's empty-block hash-join failure)
     j1 = safe_join(
         cand, tokens, num_partitions=num_partitions,
-        on=("id_a",), right_on=("doc_id",),
+        on=("id_a",), right_on=("doc_id",), compact=True,
         left_rows=n_cand, right_rows=n_tok_rows,
     )
     tok_b = tokens.map_batches(
@@ -2282,7 +2233,7 @@ def set_similarity_join(
     )
     j2 = safe_join(
         j1, tok_b, num_partitions=num_partitions,
-        on=("id_b", "token"), right_rows=n_tok_rows,
+        on=("id_b", "token"), compact=True, right_rows=n_tok_rows,
     )
 
     def inter_partial(t: pa.Table) -> pa.Table:
@@ -2296,8 +2247,6 @@ def set_similarity_join(
              "id_b": pa.array(c["id_b"].astype(np.int64)),
              "i": pa.array(c["i"].astype(np.int64))}
         )
-
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     inter = pre_aggregated_sum(
         j2.map_batches(inter_partial, batch_format="pyarrow"),
@@ -2328,8 +2277,11 @@ def set_similarity_join(
         batch_format="pyarrow",
     )
     withs = safe_join(
-        safe_join(inter, sa, num_partitions=num_partitions, on=("id_a",)),
-        sb, num_partitions=num_partitions, on=("id_b",),
+        safe_join(
+            inter, sa, num_partitions=num_partitions, on=("id_a",),
+            compact=True,
+        ),
+        sb, num_partitions=num_partitions, on=("id_b",), compact=True,
     )
 
     def gate(t: pa.Table) -> pa.Table:
@@ -2471,7 +2423,6 @@ def cdc_dedup_stats(
     bytes. Returns one row per chunk_hash bucket pre-reduced — callers
     fold the tiny result. Scale shape: the shuffle moves (hash, length,
     count) partials — map-side combined per batch, never raw chunks."""
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     def chunk_partials(t: pa.Table) -> pa.Table:
         ct = cdc_chunk_table(
@@ -2536,16 +2487,10 @@ def winnow_dedup_pairs(
     whole-dataset materialization on either tier."""
     import pandas as pd
 
-    from goose_parser_ray.functions.relational import (
-        compact_for_join,
-        pre_aggregated_sum,
-    )
     from goose_parser_ray.functions.textstats import winnow_hash_rows
 
     n = n_rows if n_rows is not None else ds.count()
     nb = num_shuffle_buckets(max(1, n) * fp_per_doc_hint)
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
 
     def fp_batch(t: pa.Table) -> pa.Table:
         ids, hs = winnow_hash_rows(
@@ -2635,10 +2580,10 @@ def winnow_dedup_pairs(
 
         out = shared.map_batches(attach_nfp, batch_format="pyarrow")
     else:
-        shared = compact_for_join(shared, num_partitions)
-        nfp_j = compact_for_join(nfp, num_partitions)
-        out = shared.join(
-            nfp_j, join_type="inner", num_partitions=num_partitions,
+        shared = compact_for_join(shared)
+        nfp_j = compact_for_join(nfp)
+        out = safe_join(
+            shared, nfp_j, num_partitions=num_partitions,
             on=("a",), right_on=("a",), right_suffix="_ra",
         )
         out = out.map_batches(
@@ -2647,8 +2592,8 @@ def winnow_dedup_pairs(
             ),
             batch_format="pyarrow",
         )
-        out = compact_for_join(out, num_partitions).join(
-            nfp_j, join_type="inner", num_partitions=num_partitions,
+        out = safe_join(
+            compact_for_join(out), nfp_j, num_partitions=num_partitions,
             on=("b",), right_on=("a",), right_suffix="_rb",
         )
         drop = [c for c in out.columns() if c.endswith("_rb") and c != "nfp_rb"]
@@ -2723,13 +2668,6 @@ def containment_join(
 
     from ray.data.aggregate import Sum
 
-    from goose_parser_ray.functions.relational import (
-        compact_for_join,
-        pre_aggregated_sum,
-    )
-
-    if num_partitions is None:
-        num_partitions = _default_join_partitions()
     num, den = threshold_num, threshold_den
 
     def distinct_grams(t: pa.Table) -> pa.Table:
@@ -2792,10 +2730,9 @@ def containment_join(
 
         with_df = grams.map_batches(attach_df, batch_format="pyarrow")
     else:
-        with_df = compact_for_join(grams, num_partitions, n_gram_rows).join(
-            compact_for_join(dfreq, num_partitions, n_vocab),
-            join_type="inner", num_partitions=num_partitions,
-            on=("gram",),
+        with_df = safe_join(
+            grams, dfreq, num_partitions=num_partitions, on=("gram",),
+            compact=True, left_rows=n_gram_rows, right_rows=n_vocab,
         )
 
     nb = num_shuffle_buckets(n_gram_rows)
@@ -2881,24 +2818,20 @@ def containment_join(
     # (ArrowInvalid "No match ... FieldRef" — same failure mode as the
     # set-similarity join, dedup.py:2150).
     n_cand = cand.count()
-    j1 = compact_for_join(cand, num_partitions, n_cand).join(
-        compact_for_join(grams, num_partitions, n_gram_rows),
-        join_type="inner", num_partitions=num_partitions,
+    j1 = safe_join(
+        cand, grams, num_partitions=num_partitions,
         on=("id_a",), right_on=("doc_id",),
+        compact=True, left_rows=n_cand, right_rows=n_gram_rows,
     )
-    gram_b = compact_for_join(
-        grams.map_batches(
-            lambda t: pa.Table.from_arrays(
-                [t["doc_id"], t["gram"]], names=["id_b", "gram"]
-            ),
-            batch_format="pyarrow",
-        ).materialize(),
-        num_partitions,
-        n_gram_rows,
-    )
-    j2 = compact_for_join(j1.materialize(), num_partitions).join(
-        gram_b, join_type="inner", num_partitions=num_partitions,
-        on=("id_b", "gram"),
+    gram_b = grams.map_batches(
+        lambda t: pa.Table.from_arrays(
+            [t["doc_id"], t["gram"]], names=["id_b", "gram"]
+        ),
+        batch_format="pyarrow",
+    ).materialize()
+    j2 = safe_join(
+        j1, gram_b, num_partitions=num_partitions, on=("id_b", "gram"),
+        compact=True, right_rows=n_gram_rows,
     )
 
     def inter_partial(t: pa.Table) -> pa.Table:
@@ -2934,10 +2867,9 @@ def containment_join(
         ),
         batch_format="pyarrow",
     )
-    withs = compact_for_join(inter.materialize(), num_partitions).join(
-        compact_for_join(sizes.materialize(), num_partitions),
-        join_type="inner", num_partitions=num_partitions,
-        on=("id_a",),
+    withs = safe_join(
+        inter, sizes, num_partitions=num_partitions, on=("id_a",),
+        compact=True,
     )
 
     def gate(t: pa.Table) -> pa.Table:

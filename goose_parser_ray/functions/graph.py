@@ -21,6 +21,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from goose_parser_ray.functions.relational import (
+    compact_for_join,
+    pre_aggregated_sum,
+    safe_join,
+)
+
 
 def _pagerank_driver(
     e_pd, damping, max_iters, tol, seed_arr=None
@@ -102,9 +108,6 @@ def pagerank_distributed(
     per-round L1-delta join (one fewer shuffle per round)."""
     from ray.data.aggregate import Sum
 
-    from goose_parser_ray.functions.dedup import _default_join_partitions
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
     def collapse_block(t: pa.Table) -> pa.Table:
         df = pa.Table.from_arrays(
             [pc.cast(t[src], pa.int64()), pc.cast(t[dst], pa.int64())],
@@ -141,14 +144,7 @@ def pagerank_distributed(
         ),
         batch_format="pyarrow",
     ).materialize()
-    if num_partitions is None:
-        # data-proportional aggregator count (metadata-only count on the
-        # just-materialized edges) capped at the CPU-derived ceiling
-        num_partitions = max(
-            2, min(_default_join_partitions(), -(-e.count() // 100_000))
-        )
-
-    from goose_parser_ray.functions.relational import compact_for_join
+    n_edges = e.count()  # metadata-only: e was just materialized
 
     # out-degree per src, attached to the edges ONCE (not per round).
     # Aggregate-derived join inputs are compacted — Ray's hash join breaks
@@ -164,11 +160,10 @@ def pagerank_distributed(
                 batch_format="pyarrow",
             ),
             keys=["u"], sums={"one": "deg"},
-        ).materialize(),
-        num_partitions,
+        ).materialize()
     )
-    e = e.join(
-        deg, join_type="inner", num_partitions=num_partitions, on=("u",)
+    e = safe_join(
+        e, deg, num_partitions=num_partitions, on=("u",), left_rows=n_edges
     ).materialize()
 
     # node set = distinct endpoints (distinct via grouped count partials);
@@ -204,7 +199,7 @@ def pagerank_distributed(
             batch_format="pyarrow",
         )
 
-    nodes = compact_for_join(nodes, num_partitions, n_nodes).materialize()
+    nodes = compact_for_join(nodes, n_nodes).materialize()
     if seed_arr is None:
         t_ref = None
         init = 1.0 / n_nodes
@@ -233,9 +228,9 @@ def pagerank_distributed(
 
     for _ in range(max_iters):
         # contributions along edges
-        msgs = e.join(
-            ranks, join_type="inner", num_partitions=num_partitions,
-            on=("u",), right_on=("node",),
+        msgs = safe_join(
+            e, ranks, num_partitions=num_partitions,
+            on=("u",), right_on=("node",), left_rows=n_edges,
         ).map_batches(
             lambda t: pa.Table.from_pydict(
                 {"node": t["v"],
@@ -249,8 +244,7 @@ def pagerank_distributed(
         contrib = compact_for_join(
             pre_aggregated_sum(
                 msgs, keys=["node"], sums={"c": "c"}
-            ).materialize(),
-            num_partitions,
+            ).materialize()
         ).materialize()
         # Σ contributions = Σ_{u: deg>0} rank(u) (each u emits deg copies
         # of rank/deg), so the dangling mass needs NO extra ranks⋈out_nodes
@@ -296,11 +290,10 @@ def pagerank_distributed(
                 )
 
         new_ranks = compact_for_join(
-            nodes.join(
-                contrib, join_type="left_outer",
-                num_partitions=num_partitions, on=("node",),
+            safe_join(
+                nodes, contrib, join_type="left_outer",
+                num_partitions=num_partitions, on=("node",), left_rows=n_nodes,
             ).map_batches(apply_base, batch_format="pyarrow"),
-            num_partitions,
             n_nodes,  # left-outer on the unique node key ⇒ n_nodes rows
         ).materialize()
 
@@ -308,14 +301,15 @@ def pagerank_distributed(
             ranks = new_ranks
             continue
         # L1 delta via one join + aggregate
-        delta_ds = new_ranks.join(
+        delta_ds = safe_join(
+            new_ranks,
             ranks.map_batches(
                 lambda t: pa.Table.from_pydict(
                     {"node": t["node"], "prev": t["rank"]}
                 ),
                 batch_format="pyarrow",
             ),
-            join_type="inner", num_partitions=num_partitions, on=("node",),
+            num_partitions=num_partitions, on=("node",), left_rows=n_nodes,
         ).map_batches(
             lambda t: pa.Table.from_pydict(
                 {"d": pa.array(
@@ -348,7 +342,6 @@ def _hits_broadcast(
     edge list stays distributed; only node-bounded vectors reach the
     driver (≤ ``broadcast_nodes_threshold`` rows, the same collect bound
     the verify/components tiers use)."""
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     node_arr = np.sort(
         nodes.to_pandas()["node"].to_numpy(np.int64, copy=True)
@@ -470,12 +463,6 @@ def hits_distributed(
     argument the SQL twins already rely on (see q_hits)."""
     from ray.data.aggregate import Sum
 
-    from goose_parser_ray.functions.dedup import _default_join_partitions
-    from goose_parser_ray.functions.relational import (
-        compact_for_join,
-        pre_aggregated_sum,
-    )
-
     def collapse_block(t: pa.Table) -> pa.Table:
         df = pa.Table.from_arrays(
             [pc.cast(t[src], pa.int64()), pc.cast(t[dst], pa.int64())],
@@ -514,10 +501,6 @@ def hits_distributed(
         partials, keys=["u", "v"], sums={"w": "w"}
     ).materialize()
     n_edges = e.count()
-    if num_partitions is None:
-        num_partitions = max(
-            2, min(_default_join_partitions(), -(-n_edges // 100_000))
-        )
 
     nodes = pre_aggregated_sum(
         e.map_batches(
@@ -548,7 +531,7 @@ def hits_distributed(
 
     # every aggregate-derived join input is compacted: Ray's hash join
     # breaks on the empty blocks aggregates emit for empty partitions
-    nodes = compact_for_join(nodes, num_partitions, n_nodes).materialize()
+    nodes = compact_for_join(nodes, n_nodes).materialize()
 
     def scalar_sum(ds: ray.data.Dataset, col: str) -> float:
         row = ds.aggregate(Sum(col, alias_name="s"))
@@ -560,9 +543,9 @@ def hits_distributed(
         """One HITS half-step: push ``score_col`` along edges from
         ``join_col`` endpoints to ``emit_col`` endpoints, sum per target,
         L1-normalize over the full node set (absent targets → 0)."""
-        msgs = e.join(
-            scores, join_type="inner", num_partitions=num_partitions,
-            on=(join_col,), right_on=("node",),
+        msgs = safe_join(
+            e, scores, num_partitions=num_partitions,
+            on=(join_col,), right_on=("node",), left_rows=n_edges,
         ).map_batches(
             lambda t: pa.Table.from_pydict(
                 {
@@ -588,10 +571,9 @@ def hits_distributed(
                 batch_format="pyarrow",
             ).materialize()
         tot = scalar_sum(raw, "c") or 1.0
-        out = nodes.join(
-            compact_for_join(raw, num_partitions, n_raw),
-            join_type="left_outer",
-            num_partitions=num_partitions, on=("node",),
+        out = safe_join(
+            nodes, compact_for_join(raw, n_raw), join_type="left_outer",
+            num_partitions=num_partitions, on=("node",), left_rows=n_nodes,
         ).map_batches(
             # true division (not reciprocal-multiply): the SQL twin writes
             # COALESCE(c,0)/s and IEEE x/s != x*(1/s) in the last ulp
@@ -609,7 +591,7 @@ def hits_distributed(
         # the normalize map skips empty join partitions, re-poisoning the
         # stream — compact before this table feeds the NEXT edge join
         # (left-outer on the unique node key ⇒ exactly n_nodes rows)
-        return compact_for_join(out, num_partitions, n_nodes).materialize()
+        return compact_for_join(out, n_nodes).materialize()
 
     init = 1.0 / n_nodes
     hub = nodes.map_batches(
@@ -623,15 +605,16 @@ def hits_distributed(
         auth = half_round(hub, "u", "v", "s")    # a ∝ Σ h over in-edges
         hub = half_round(auth, "v", "u", "s")    # h ∝ Σ a over out-edges
 
-    return auth.map_batches(
-        lambda t: pa.Table.from_pydict({"node": t["node"], "auth": t["s"]}),
-        batch_format="pyarrow",
-    ).join(
+    return safe_join(
+        auth.map_batches(
+            lambda t: pa.Table.from_pydict({"node": t["node"], "auth": t["s"]}),
+            batch_format="pyarrow",
+        ),
         hub.map_batches(
             lambda t: pa.Table.from_pydict({"node": t["node"], "hub": t["s"]}),
             batch_format="pyarrow",
         ),
-        join_type="inner", num_partitions=num_partitions, on=("node",),
+        num_partitions=num_partitions, on=("node",), left_rows=n_nodes,
     )
 
 
@@ -708,9 +691,6 @@ def triangle_count(
     in the standard algorithm."""
     from ray.data.aggregate import Sum
 
-    from goose_parser_ray.functions.dedup import _default_join_partitions
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
     e = edges.map_batches(
         lambda t: pa.Table.from_arrays(
             [pc.cast(t[u], pa.int64()), pc.cast(t[v], pa.int64())],
@@ -719,11 +699,6 @@ def triangle_count(
         batch_format="pyarrow",
     ).materialize()
     n_edges = e.count()
-    if num_partitions is None:
-        # data-proportional aggregator count, CPU-ceiling capped
-        num_partitions = max(
-            2, min(_default_join_partitions(), -(-n_edges // 100_000))
-        )
     if n_edges == 0:
         return {"edges": 0, "wedges": 0, "triangles": 0}
     if n_edges <= driver_edges_threshold:
@@ -748,15 +723,10 @@ def triangle_count(
             keys=["node"], sums={"one": alias},
         )
 
-    from goose_parser_ray.functions.relational import (
-        compact_for_join,
-        safe_join,
-    )
-
     # wedges (a<b<c paths) = Σ_b (#edges ending at b) × (#edges starting at b)
     prod = safe_join(
         degrees("v", "l"), degrees("u", "r"),
-        num_partitions=num_partitions, on=("node",),
+        num_partitions=num_partitions, on=("node",), compact=True,
     ).map_batches(
         lambda t: pa.Table.from_pydict(
             {"w": pc.multiply(t["l"], t["r"])}
@@ -782,13 +752,13 @@ def triangle_count(
     # with the known edge count, and the wedge→closing intermediate is
     # compacted by repartition using the just-computed wedge count — an
     # exchange, not a driver/object-store pin.
-    wedge_join = compact_for_join(left, num_partitions, n_edges).join(
-        compact_for_join(right, num_partitions, n_edges),
-        join_type="inner", num_partitions=num_partitions, on=("b",),
+    wedge_join = safe_join(
+        left, right, num_partitions=num_partitions, on=("b",),
+        compact=True, left_rows=n_edges, right_rows=n_edges,
     )
-    tri = compact_for_join(wedge_join, num_partitions, max(1, n_wedges)).join(
-        compact_for_join(closing, num_partitions, n_edges),
-        join_type="inner", num_partitions=num_partitions, on=("a", "c"),
+    tri = safe_join(
+        wedge_join, closing, num_partitions=num_partitions, on=("a", "c"),
+        compact=True, left_rows=max(1, n_wedges), right_rows=n_edges,
     )
     return {"edges": n_edges, "wedges": n_wedges, "triangles": tri.count()}
 
@@ -917,8 +887,6 @@ def kcore_distributed(
     set shrinks monotonically, so convergence is detected by an edge-count
     fixed point (metadata-only after materialize). Per-round distributed
     state = the current edge set; nothing is collected driver-side."""
-    from goose_parser_ray.functions.dedup import _default_join_partitions
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     e = edges.map_batches(
         lambda t: pa.Table.from_arrays(
@@ -934,11 +902,6 @@ def kcore_distributed(
             pdf["u"].to_numpy(np.int64),
             pdf["v"].to_numpy(np.int64),
             int(k), max_iters, allow_partial,
-        )
-    if num_partitions is None:
-        # data-proportional aggregator count, CPU-ceiling capped
-        num_partitions = max(
-            2, min(_default_join_partitions(), -(-n_edges // 100_000))
         )
 
     def degrees(cur: ray.data.Dataset) -> ray.data.Dataset:
@@ -963,8 +926,6 @@ def kcore_distributed(
     if n_edges == 0:
         return empty
 
-    from goose_parser_ray.functions.relational import safe_join
-
     for _ in range(max_iters):
         good = degrees(e).filter(expr=f"deg >= {int(k)}").materialize()
         n_good = good.count()
@@ -978,16 +939,16 @@ def kcore_distributed(
             lambda t: pa.Table.from_arrays([t["node"]], names=["v"]),
             batch_format="pyarrow",
         )
-        # safe_join both halves: good is filter-of-aggregate and e is a
+        # compact both halves: good is filter-of-aggregate and e is a
         # prior-round join output — both can carry the empty blocks Ray's
         # hash join rejects (see compact_for_join).
         e2 = safe_join(
             safe_join(
                 e, keep_u, num_partitions=num_partitions, on=("u",),
-                left_rows=n_edges, right_rows=n_good,
+                compact=True, left_rows=n_edges, right_rows=n_good,
             ),
             keep_v, num_partitions=num_partitions, on=("v",),
-            right_rows=n_good,
+            compact=True, right_rows=n_good,
         ).materialize()
         n2 = e2.count()
         if n2 == n_edges:
@@ -1079,14 +1040,14 @@ def bfs_levels_distributed(
     from ray.data.aggregate import Min
 
     from goose_parser_ray.functions.dedup import (
-        _default_join_partitions,
         _drop_empty_blocks,
         filter_out_ids,
     )
 
     a, b = cols
     edges = edges.materialize()
-    if edges.count() <= driver_edges_threshold:
+    n_edges = edges.count()
+    if n_edges <= driver_edges_threshold:
         epd = edges.to_pandas()
         spd = seeds.to_pandas()
         return _bfs_driver(
@@ -1094,14 +1055,6 @@ def bfs_levels_distributed(
             epd[b].to_numpy(np.int64),
             np.unique(spd[seed_col].to_numpy(np.int64)),
             max_hops,
-        )
-    if num_partitions is None:
-        # data-proportional aggregator count (same rule as connected
-        # components): callers pass a materialized edge list, so count()
-        # is metadata-only; pass num_partitions explicitly for lazy input
-        num_partitions = max(
-            2,
-            min(_default_join_partitions(), -(-edges.count() // 100_000)),
         )
 
     def tag(lvl: int):
@@ -1114,8 +1067,6 @@ def bfs_levels_distributed(
             )
 
         return fn
-
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     def _distinct(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         # map-side-combined distinct (the repo idiom): one narrow row per
@@ -1139,12 +1090,9 @@ def bfs_levels_distributed(
     )
 
     for lvl in range(1, max_hops + 1):
-        hops = edges.join(
-            frontier,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=(a,),
-            right_on=("node",),
+        hops = safe_join(
+            edges, frontier, num_partitions=num_partitions, on=(a,),
+            right_on=("node",), left_rows=n_edges,
         ).map_batches(
             lambda t: pa.Table.from_arrays([t[b]], names=["node"]),
             batch_format="pyarrow",
@@ -1228,14 +1176,12 @@ def sssp_bounded(
     components template."""
     from ray.data.aggregate import Min
 
-    from goose_parser_ray.functions.dedup import (
-        _default_join_partitions,
-        _drop_empty_blocks,
-    )
+    from goose_parser_ray.functions.dedup import _drop_empty_blocks
 
     a, b, wcol = cols
     e = edges.materialize()
-    if e.count() <= driver_edges_threshold:
+    n_edges = e.count()
+    if n_edges <= driver_edges_threshold:
         epd = e.to_pandas()
         spd = seeds.to_pandas()
         return _sssp_driver(
@@ -1244,10 +1190,6 @@ def sssp_bounded(
             epd[wcol].to_numpy(np.int64),
             np.unique(spd[seed_col].to_numpy(np.int64)),
             rounds,
-        )
-    if num_partitions is None:
-        num_partitions = max(
-            2, min(_default_join_partitions(), -(-e.count() // 100_000))
         )
 
     dist = _drop_empty_blocks(
@@ -1265,12 +1207,9 @@ def sssp_bounded(
         .materialize()
     )
     for _ in range(rounds):
-        relaxed = e.join(
-            dist,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=(a,),
-            right_on=("node",),
+        relaxed = safe_join(
+            e, dist, num_partitions=num_partitions, on=(a,),
+            right_on=("node",), left_rows=n_edges,
         ).map_batches(
             lambda t: pa.Table.from_pydict(
                 {
@@ -1319,11 +1258,9 @@ def random_walks(
 
     Returns Dataset(walk_id, step, node) including step 0 = the seed."""
     from goose_parser_ray.functions.dedup import (
-        _default_join_partitions,
         add_hash_bucket,
         num_shuffle_buckets,
     )
-    from goose_parser_ray.functions.relational import compact_for_join
 
     a, b = cols
     e = edges.map_batches(
@@ -1401,10 +1338,8 @@ def random_walks(
         )
 
     # join tier: one hop per round
-    num_partitions = max(
-        2, min(_default_join_partitions(), -(-n_edges // 100_000))
-    )
-    ranked = compact_for_join(ranked, num_partitions).materialize()
+    n_ranked = ranked.count()
+    ranked = compact_for_join(ranked, n_ranked).materialize()
     frontier = (
         sd.map_batches(
             lambda t: pa.Table.from_pydict(
@@ -1446,9 +1381,9 @@ def random_walks(
         )
     ]
     for s in range(1, steps + 1):
-        hop = compact_for_join(cur_ds.materialize(), num_partitions).join(
-            ranked, join_type="inner", num_partitions=num_partitions,
-            on=("node",), right_on=("u",),
+        hop = safe_join(
+            compact_for_join(cur_ds.materialize()), ranked,
+            on=("node",), right_on=("u",), right_rows=n_ranked,
         )
 
         def pick(t: pa.Table, _s=s) -> pa.Table:
@@ -1585,13 +1520,8 @@ def scc_distributed(
     from ray.data.aggregate import Min
 
     from goose_parser_ray.functions.dedup import (
-        _default_join_partitions,
         _drop_empty_blocks,
         filter_out_ids,
-    )
-    from goose_parser_ray.functions.relational import (
-        compact_for_join,
-        pre_aggregated_sum,
     )
 
     a, b = cols
@@ -1614,11 +1544,6 @@ def scc_distributed(
             )
         )
 
-    if num_partitions is None:
-        num_partitions = max(
-            2, min(_default_join_partitions(), -(-n_edges // 100_000))
-        )
-
     def _nodes_of(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
         return ds.map_batches(
             lambda t, c=col: pa.Table.from_arrays([t[c]], names=["node"]),
@@ -1627,7 +1552,7 @@ def scc_distributed(
 
     def _compact(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         m = ds.materialize()
-        return compact_for_join(m, num_partitions, m.count()).materialize()
+        return compact_for_join(m, m.count()).materialize()
 
     all_nodes = _compact(
         pre_aggregated_sum(
@@ -1639,7 +1564,8 @@ def scc_distributed(
     settled: list["ray.data.Dataset"] = []
     for _peel in range(max_peels):
         active_edges = _compact(active_edges)
-        if active_edges.count() == 0:
+        n_active = active_edges.count()
+        if n_active == 0:
             break
         # (1) forward min-color fixpoint: color(v) = min over ids reaching v
         colors = _compact(
@@ -1657,12 +1583,9 @@ def scc_distributed(
         )
         prev = None
         for _r in range(max_color_rounds):
-            pushed = active_edges.join(
-                colors,
-                join_type="inner",
-                num_partitions=num_partitions,
-                on=(a,),
-                right_on=("node",),
+            pushed = safe_join(
+                active_edges, colors, num_partitions=num_partitions, on=(a,),
+                right_on=("node",), left_rows=n_active,
             ).map_batches(
                 lambda t: pa.Table.from_pydict(
                     {"node": t[b], "color": t["color"]}
@@ -1679,17 +1602,18 @@ def scc_distributed(
             # color(v) reaches v): color(v) ← color(color(v)). Same
             # O(log diameter) round bound as connected components.
             colors = _compact(
-                colors.join(
+                safe_join(
+                    colors,
                     colors.map_batches(
                         lambda t: pa.Table.from_pydict(
                             {"__jn": t["node"], "__jc": t["color"]}
                         ),
                         batch_format="pyarrow",
                     ),
-                    join_type="inner",
                     num_partitions=num_partitions,
                     on=("color",),
                     right_on=("__jn",),
+                    left_rows=colors.count(),
                 ).map_batches(
                     lambda t: pa.Table.from_pydict(
                         {"node": t["node"], "color": t["__jc"]}
@@ -1732,12 +1656,9 @@ def scc_distributed(
             # only u whose own color equals the root color (one more
             # node-keyed join against the color table)
             hop = _compact(
-                active_edges.join(
-                    frontier,
-                    join_type="inner",
-                    num_partitions=num_partitions,
-                    on=(b,),
-                    right_on=("node",),
+                safe_join(
+                    active_edges, frontier, num_partitions=num_partitions,
+                    on=(b,), right_on=("node",), left_rows=n_active,
                 ).map_batches(
                     lambda t: pa.Table.from_pydict(
                         {"node": t[a], "color": t["color"]}
@@ -1748,17 +1669,18 @@ def scc_distributed(
             if hop.count() == 0:
                 break
             checked = _compact(
-                hop.join(
+                safe_join(
+                    hop,
                     colors.map_batches(
                         lambda t: pa.Table.from_pydict(
                             {"node": t["node"], "__c2": t["color"]}
                         ),
                         batch_format="pyarrow",
                     ),
-                    join_type="inner",
                     num_partitions=num_partitions,
                     on=("node",),
                     right_on=("node",),
+                    right_rows=colors.count(),
                 )
                 .map_batches(
                     lambda t: pa.Table.from_pydict(
@@ -1892,12 +1814,6 @@ def label_propagation(
     count + a v-grouped mode pick."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import _default_join_partitions
-    from goose_parser_ray.functions.relational import (
-        compact_for_join,
-        pre_aggregated_sum,
-    )
-
     def sym_block(t: pa.Table) -> pa.Table:
         a = pc.cast(t[src], pa.int64()).combine_chunks()
         b = pc.cast(t[dst], pa.int64()).combine_chunks()
@@ -1930,15 +1846,10 @@ def label_propagation(
         )
 
     # join tier: global dedup of (u, v) once, then bounded rounds
-    if num_partitions is None:
-        num_partitions = max(
-            2, min(_default_join_partitions(), -(-n_partial // 100_000))
-        )
     e = compact_for_join(
         pre_aggregated_sum(sym, keys=["u", "v"], sums={}, count_alias="w")
         .drop_columns(["w"])
-        .materialize(),
-        num_partitions,
+        .materialize()
     )
     nodes = compact_for_join(
         pre_aggregated_sum(
@@ -1951,8 +1862,7 @@ def label_propagation(
             count_alias="k",
         )
         .drop_columns(["k"])
-        .materialize(),
-        num_partitions,
+        .materialize()
     )
     labels = nodes.map_batches(
         lambda t: pa.Table.from_pydict({"u": t["node"], "label": t["node"]}),
@@ -1977,8 +1887,9 @@ def label_propagation(
         )
 
     for _ in range(rounds):
-        msgs = e.join(
-            labels, join_type="inner", num_partitions=num_partitions, on=("u",)
+        msgs = safe_join(
+            e, labels, num_partitions=num_partitions, on=("u",),
+            left_rows=n_partial,  # upper bound: e is sym deduplicated
         )
         counts = pre_aggregated_sum(
             msgs.map_batches(
@@ -1993,8 +1904,7 @@ def label_propagation(
         )
         labels = compact_for_join(
             counts.groupby("v").map_groups(pick_mode, batch_format="pandas")
-            .materialize(),
-            num_partitions,
+            .materialize()
         )
     return labels.map_batches(
         lambda t: pa.Table.from_pydict({"node": t["u"], "label": t["label"]}),
@@ -2025,13 +1935,11 @@ def resolve_redirects(
     pattern): at or under ``driver_nodes_threshold`` the node-bounded
     state is pulled to the driver and doubled as vectorized numpy
     gathers (zero shuffles); past the guard each round is ONE hash join
-    on the landing key via safe_join, with per-round materialization of
-    the node-bounded state (the pagerank convention — without it each
-    round's three consumers re-execute the whole prior lineage)."""
+    on the landing key (compacted, see compact_for_join), with per-round
+    materialization of the node-bounded state (the pagerank convention —
+    without it each round's three consumers re-execute the whole prior
+    lineage)."""
     import math
-
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-    from goose_parser_ray.functions.relational import safe_join
 
     rounds = max(1, math.ceil(math.log2(hop_cap)))
     if n_nodes is None:
@@ -2071,7 +1979,6 @@ def resolve_redirects(
             )
         )
 
-    nparts = num_partitions or max(2, num_shuffle_buckets(n_nodes) // 4)
     # normalize column ORDER once: compose() emits (u, cur, hops, done)
     # and union-ing blocks with mismatched layouts poisons the next join.
     state = state.map_batches(
@@ -2107,12 +2014,8 @@ def resolve_redirects(
             break  # fully resolved — and an empty join side is poisoned
         right = state.map_batches(as_right, batch_format="pyarrow")
         j = safe_join(
-            todo,
-            right,
-            on=("cur",),
-            right_on=("r_u",),
-            num_partitions=nparts,
-            left_rows=n_todo,
+            todo, right, on=("cur",), right_on=("r_u",),
+            num_partitions=num_partitions, compact=True, left_rows=n_todo,
         ).materialize()
         # u is unique, so each todo row matches AT MOST one right row; an
         # inner-join shrinkage means some cur points outside the node set
@@ -2148,9 +2051,6 @@ def longest_path_dag(
     Returns Dataset(node, lvl)."""
     from ray.data.aggregate import Max
 
-    from goose_parser_ray.functions.dedup import _default_join_partitions
-    from goose_parser_ray.functions.relational import compact_for_join
-
     a, b = cols
     edges = edges.materialize()
     n_edges = edges.count()
@@ -2181,17 +2081,11 @@ def longest_path_dag(
             )
         )
 
-    nparts = num_partitions or max(
-        2, min(_default_join_partitions(), -(-n_edges // 100_000))
-    )
-
     def nodes_of(col: str):
         return edges.map_batches(
             lambda t, c=col: pa.Table.from_arrays([t[c]], names=["node"]),
             batch_format="pyarrow",
         )
-
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     state = (
         pre_aggregated_sum(
@@ -2207,12 +2101,13 @@ def longest_path_dag(
         )
         .materialize()
     )
-    edges_c = compact_for_join(edges, nparts, n_edges).materialize()
+    edges_c = compact_for_join(edges, n_edges).materialize()
     for _ in range(max_rounds):
         n_state = state.count()
-        pushed = compact_for_join(state, nparts, n_state).join(
-            edges_c, join_type="inner", num_partitions=nparts,
-            on=("node",), right_on=(a,),
+        pushed = safe_join(
+            compact_for_join(state, n_state),
+            edges_c, num_partitions=num_partitions,
+            on=("node",), right_on=(a,), right_rows=n_edges,
         )
         cand = pushed.map_batches(
             lambda t: pa.Table.from_pydict(

@@ -129,11 +129,12 @@ def bigram_lm_score(
     upstream lineage is expensive."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_hash_bucket,
-        num_shuffle_buckets,
+    from goose_parser_ray.functions.dedup import add_hash_bucket
+    from goose_parser_ray.functions.relational import (
+        compact_for_join,
+        pre_aggregated_sum,
+        safe_join,
     )
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     cb = bigram_model(ds, id_col=id_col, text_col=text_col).materialize()
     n_bigram_kinds = cb.count()
@@ -211,7 +212,6 @@ def bigram_lm_score(
     # scale path: the model never leaves the cluster — triples join the
     # bigram table on (w1, w2), then prefix counts on w1, then a doc-keyed
     # partial aggregate.
-    nb_join = join_num_partitions or num_shuffle_buckets(n_bigram_kinds)
 
     def triples(t: pa.Table) -> pa.Table:
         ids, w1, w2 = _doc_bigrams(t, id_col, text_col)
@@ -223,16 +223,16 @@ def bigram_lm_score(
             }
         )
 
-    from goose_parser_ray.functions.relational import compact_for_join
-
     # cb/cu are aggregate-derived → compact (empty-block hash-join guard);
     # trip streams off the raw corpus and stays lazy. The intermediate j is
     # a join output, so compact it too — by repartition, never materialize
-    # (it is corpus-bigram sized).
+    # (it is corpus-bigram sized). Every model bigram occurs in the corpus,
+    # so n_bigram_kinds is a lower bound on j's rows: no count needed.
     trip = ds.map_batches(triples, batch_format="pyarrow")
-    j = trip.join(
-        compact_for_join(cb, nb_join, n_bigram_kinds),
-        join_type="inner", num_partitions=nb_join, on=("w1", "w2"),
+    j = safe_join(
+        trip, compact_for_join(cb, n_bigram_kinds),
+        num_partitions=join_num_partitions, on=("w1", "w2"),
+        right_rows=n_bigram_kinds,
     )
     cu_m = cu.map_batches(
         lambda t: pa.Table.from_arrays(
@@ -240,12 +240,10 @@ def bigram_lm_score(
         ),
         batch_format="pyarrow",
     ).materialize()
-    j = compact_for_join(j, nb_join, nb_join).join(
-        compact_for_join(cu_m, nb_join),
-        join_type="inner",
-        num_partitions=nb_join,
-        on=("w1",),
-        right_on=("__pw1",),
+    j = safe_join(
+        compact_for_join(j, n_bigram_kinds), compact_for_join(cu_m),
+        num_partitions=join_num_partitions, on=("w1",), right_on=("__pw1",),
+        left_rows=n_bigram_kinds,
     )
 
     def score_joined(t: pa.Table) -> pa.Table:

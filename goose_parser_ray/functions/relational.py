@@ -127,24 +127,94 @@ def pin_schema(schema: pa.Schema):
     return fn
 
 
+# Rows one hash-join partition is sized for when the caller knows a count.
+_ROWS_PER_JOIN_PARTITION = 100_000
+
+# Ray 2.49 reserves this many ``target_max_block_size`` of memory per join
+# partition (see :func:`join_width`).
+_RESERVED_BLOCKS_PER_PARTITION = 7
+
+
+def join_width(
+    *,
+    cpus: float,
+    memory: float,
+    block_bytes: int | None,
+    rows: int | None = None,
+    requested: int | None = None,
+) -> int:
+    """Hash-join partition count for a cluster with ``cpus`` CPUs and
+    ``memory`` bytes of schedulable memory — the rule behind
+    :func:`safe_join`, kept free of Ray so it can be tested alone.
+
+    The width is ``requested`` when the caller pins one, else half the
+    CPUs (one aggregator actor per partition; more aggregators than cores
+    starves a small cluster's map side), cut to one partition per
+    ``_ROWS_PER_JOIN_PARTITION`` known ``rows``, and never below 2.
+
+    Either way it then has to fit the cluster's memory. Ray 2.49's join
+    operator reserves, per aggregator actor, its share of both shuffled
+    inputs (2 blocks), the in-memory Arrow join with 50% overhead (3) and
+    the output of both sides (2) — 7 × ``target_max_block_size`` per
+    partition (``operators/join.py``, ``_estimate_aggregator_memory_
+    allocation``). An actor whose reservation the cluster cannot grant is
+    never scheduled: Ray logs one warning and the job waits forever. So
+    the width shrinks until the reservation fits, and when not even one
+    partition fits this raises, naming both numbers, before a plan is
+    built. ``block_bytes=None`` (no target block size) reserves nothing."""
+    if requested is not None:
+        width = int(requested)
+    else:
+        width = int(cpus) // 2
+        if rows is not None:
+            width = min(width, -(-int(rows) // _ROWS_PER_JOIN_PARTITION))
+        width = max(2, width)
+    per_partition = _RESERVED_BLOCKS_PER_PARTITION * (block_bytes or 0)
+    if per_partition:
+        fits = int(memory // per_partition)
+        if fits < 1:
+            gib = 1 << 30
+            raise RuntimeError(
+                f"hash join needs {per_partition / gib:.2f} GiB of "
+                f"aggregator memory for one partition, but the cluster "
+                f"has {memory / gib:.2f} GiB"
+            )
+        width = min(width, fits)
+    return width
+
+
+def _cluster_join_width(
+    rows: int | None = None, requested: int | None = None
+) -> int:
+    """:func:`join_width` for the running Ray cluster."""
+    from ray.data import DataContext
+
+    res = ray.cluster_resources()
+    return join_width(
+        cpus=res.get("CPU", 0),
+        memory=res.get("memory", 0),
+        block_bytes=DataContext.get_current().target_max_block_size,
+        rows=rows,
+        requested=requested,
+    )
+
+
 def compact_for_join(
-    ds: ray.data.Dataset,
-    num_partitions: int,
-    n_rows: int | None = None,
+    ds: ray.data.Dataset, n_rows: int | None = None
 ) -> ray.data.Dataset:
-    """Make a dataset safe as a ``Dataset.join`` input. Ray 2.49's hash
-    join fails (pyarrow acero: "No match or multiple matches for key field
-    reference …") when an input carries EMPTY blocks: empty partitions of
-    upstream aggregates surface as zero-column blocks, and ``map_batches``
-    skips 0-row blocks entirely (the UDF is never called), re-poisoning
-    anything it forwards. ``repartition`` merges blocks and restores the
-    typed schema; the block count is clamped by the row count so every
-    output block is non-empty. Call on any join input that passed through
-    a groupby/aggregate (directly or via intervening maps). ``n_rows``
-    skips the count when the caller already knows it (metadata-only on a
-    materialized dataset either way)."""
+    """Make a dataset safe as a hash-join input. Ray 2.49's hash join fails
+    (pyarrow acero: "No match or multiple matches for key field reference
+    …") when an input carries EMPTY blocks: empty partitions of upstream
+    aggregates surface as zero-column blocks, and ``map_batches`` skips
+    0-row blocks entirely (the UDF is never called), re-poisoning anything
+    it forwards. ``repartition`` merges blocks and restores the typed
+    schema; the block count is the join width, clamped by the row count so
+    every output block is non-empty. Call on any join input that passed
+    through a groupby/aggregate (directly or via intervening maps).
+    ``n_rows`` skips the count when the caller already knows it
+    (metadata-only on a materialized dataset either way)."""
     n = n_rows if n_rows is not None else ds.count()
-    return ds.repartition(max(1, min(num_partitions, n)))
+    return ds.repartition(max(1, min(_cluster_join_width(n), n)))
 
 
 def safe_join(
@@ -152,37 +222,44 @@ def safe_join(
     right: ray.data.Dataset,
     *,
     on: tuple,
-    num_partitions: int,
     join_type: str = "inner",
     right_on: tuple | None = None,
+    num_partitions: int | None = None,
+    compact: bool = False,
     left_rows: int | None = None,
     right_rows: int | None = None,
+    **suffixes: str,
 ) -> ray.data.Dataset:
-    """``Dataset.join`` with both inputs routed through
-    :func:`compact_for_join` — the safe default for any join whose inputs
-    passed through a groupby/aggregate/filter/join (all of which can emit
-    the zero-column empty blocks that crash Ray 2.49's hash join with
-    ``ArrowInvalid: No match ... FieldRef``). When a side's row count is
-    unknown it is materialized first so the count + repartition don't
-    execute its plan twice; pass ``left_rows``/``right_rows`` for inputs
-    that are already materialized with a known count. Join OUTPUTS are
-    themselves poisoned — chain ``safe_join`` calls rather than calling
-    ``.join`` on a ``safe_join`` result."""
-    if left_rows is None:
-        left = left.materialize()
-        left_rows = left.count()
-    if right_rows is None:
-        right = right.materialize()
-        right_rows = right.count()
-    kw = {}
-    if right_on is not None:
-        kw["right_on"] = right_on
-    return compact_for_join(left, num_partitions, left_rows).join(
-        compact_for_join(right, num_partitions, right_rows),
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=on,
-        **kw,
+    """The one way this package calls ``Dataset.join``: the partition count
+    comes from :func:`join_width` for the running cluster. The larger of
+    ``left_rows``/``right_rows``, when known, sizes it (for a side that is
+    not compacted an upper bound will do); ``num_partitions`` pins it,
+    still subject to the memory fit.
+
+    ``compact=True`` routes both inputs through :func:`compact_for_join` —
+    needed for any join whose inputs passed through a groupby/aggregate/
+    filter/join (all of which can emit the zero-column empty blocks that
+    crash Ray 2.49's hash join with ``ArrowInvalid: No match ...
+    FieldRef``). A side whose row count is unknown is then materialized
+    first so the count + repartition don't execute its plan twice. Join
+    OUTPUTS are themselves poisoned — chain ``compact=True`` calls rather
+    than joining a join result as it is. ``suffixes`` pass
+    ``left_suffix``/``right_suffix`` through."""
+    if compact:
+        if left_rows is None:
+            left = left.materialize()
+            left_rows = left.count()
+        if right_rows is None:
+            right = right.materialize()
+            right_rows = right.count()
+    known = [n for n in (left_rows, right_rows) if n is not None]
+    width = _cluster_join_width(max(known) if known else None, num_partitions)
+    if compact:
+        left = left.repartition(max(1, min(width, left_rows)))
+        right = right.repartition(max(1, min(width, right_rows)))
+    return left.join(
+        right, join_type=join_type, num_partitions=width, on=on,
+        right_on=right_on, **suffixes,
     )
 
 
@@ -319,7 +396,7 @@ def salted_join(
     key: str,
     right_key: str,
     salts: int = 8,
-    num_partitions: int = 16,
+    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Hash join hardened against KEY SKEW: a hot key on the big side lands
     every row in one join partition; salting splits it. The big side gets a
@@ -351,11 +428,8 @@ def salted_join(
 
     big2 = big.map_batches(add_salt, batch_format="pyarrow")
     small2 = small.map_batches(replicate, batch_format="pyarrow")
-    out = big2.join(
-        small2,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(key, "__salt"),
+    out = safe_join(
+        big2, small2, num_partitions=num_partitions, on=(key, "__salt"),
         right_on=(right_key, "__rsalt"),
     )
     drop = [c for c in ("__salt", "__rsalt") if c in out.columns()]
@@ -396,7 +470,7 @@ def auto_join(
     *,
     key: str,
     right_key: str,
-    num_partitions: int = 16,
+    num_partitions: int | None = None,
     hot_share: float = 0.05,
     salts: int = 8,
     sample_rows: int = 100_000,
@@ -417,11 +491,8 @@ def auto_join(
             salts=salts,
             num_partitions=num_partitions,
         )
-    return big.join(
-        small,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(key,),
+    return safe_join(
+        big, small, num_partitions=num_partitions, on=(key,),
         right_on=(right_key,),
     )
 
@@ -471,7 +542,7 @@ def diff_datasets(
     *,
     key: str,
     compare: list[str],
-    num_partitions: int = 16,
+    num_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """Snapshot diff (CDC-style): rows ``added`` (key only in ``right``),
     ``removed`` (only in ``left``), ``modified`` (present in both, any
@@ -489,11 +560,10 @@ def diff_datasets(
 
         return fn
 
-    j = left.map_batches(tag("l"), batch_format="pyarrow").join(
+    j = safe_join(
+        left.map_batches(tag("l"), batch_format="pyarrow"),
         right.map_batches(tag("r"), batch_format="pyarrow"),
-        join_type="full_outer",
-        num_partitions=num_partitions,
-        on=(key,),
+        join_type="full_outer", num_partitions=num_partitions, on=(key,),
     )
 
     def classify(t: pa.Table) -> pa.Table:
@@ -526,7 +596,7 @@ def apply_changes(
     *,
     key: str,
     op_col: str = "op",
-    num_partitions: int = 16,
+    num_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """CDC MERGE/upsert: apply a change feed to a snapshot. ``changes``
     carries ``op_col`` ∈ {'U' update, 'D' delete, 'I' insert} plus the full
@@ -542,11 +612,9 @@ def apply_changes(
         lambda t: pa.Table.from_arrays([t[key]], names=[key]),
         batch_format="pyarrow",
     )
-    untouched = snapshot.join(
-        keys_only,
-        join_type="left_anti",
-        num_partitions=num_partitions,
-        on=(key,),
+    untouched = safe_join(
+        snapshot, keys_only, join_type="left_anti",
+        num_partitions=num_partitions, on=(key,),
     )
     payload_cols = [c for c in snapshot.schema().names]
     upserts = changes.map_batches(

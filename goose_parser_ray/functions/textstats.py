@@ -387,7 +387,10 @@ def tfidf_top_terms(
     import ray as _ray
 
     from goose_parser_ray.functions.dedup import num_shuffle_buckets
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
+    from goose_parser_ray.functions.relational import (
+        pre_aggregated_sum,
+        safe_join,
+    )
 
     def tf_batch(t: pa.Table) -> pa.Table:
         words, parent = _flat_words(t[text_col])
@@ -436,9 +439,8 @@ def tfidf_top_terms(
 
         scored = tfds.map_batches(score_partial, batch_format="pyarrow")
     else:
-        nb_join = join_num_partitions or num_shuffle_buckets(n_docs)
-        joined = tfds.join(
-            dfreq, join_type="inner", num_partitions=nb_join, on=("word",)
+        joined = safe_join(
+            tfds, dfreq, num_partitions=join_num_partitions, on=("word",)
         )
 
         def score_partial_joined(t: pa.Table) -> pa.Table:

@@ -19,7 +19,11 @@ from goose_parser_ray.functions.dedup import (
     simhash_near_dups,
     embedding_near_dups,
 )
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
+from goose_parser_ray.functions.relational import (
+    broadcast_join,
+    pre_aggregated_sum,
+    safe_join,
+)
 from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
@@ -633,11 +637,8 @@ def q_join_full(sf_dir: str):
         count_alias="n_big_orders",
     )
 
-    j = cust.join(
-        big,
-        join_type="full_outer",
-        num_partitions=_dedup._default_join_partitions(),
-        on=("c_custkey",),
+    j = safe_join(
+        cust, big, join_type="full_outer", on=("c_custkey",),
         right_on=("o_custkey",),
     )
 
@@ -682,12 +683,9 @@ def q_join_anti(sf_dir: str):
     ords = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).filter(
         expr="o_totalprice > 400000"
     )
-    j = cust.join(
-        ords.select_columns(["o_custkey"]),
-        join_type="left_anti",
-        num_partitions=_dedup._default_join_partitions(),
-        on=("c_custkey",),
-        right_on=("o_custkey",),
+    j = safe_join(
+        cust, ords.select_columns(["o_custkey"]), join_type="left_anti",
+        on=("c_custkey",), right_on=("o_custkey",),
     )
     return j.map_batches(
         lambda t: pa.Table.from_arrays(

@@ -798,8 +798,7 @@ def q_fk_orphans(sf_dir: str):
     against the parent key column; the per-relation rollup of that join
     is another map-side partial sum, so the driver assembles exactly five
     result rows. No row-proportional collect anywhere."""
-    from goose_parser_ray.functions.dedup import _default_join_partitions
-    from goose_parser_ray.functions.relational import compact_for_join
+    from goose_parser_ray.functions.relational import safe_join
 
     rels = [
         ("lineitem->orders", "lineitem", "l_orderkey", "orders", "o_orderkey"),
@@ -808,7 +807,6 @@ def q_fk_orphans(sf_dir: str):
         ("supplier->nation", "supplier", "s_nationkey", "nation", "n_nationkey"),
         ("lineitem->part", "lineitem", "l_partkey", "part", "p_partkey"),
     ]
-    np_join = _default_join_partitions()
     out = {
         "relationship": [], "n_child": [], "n_orphan_child": [],
         "n_parent": [], "n_childless_parent": [],
@@ -836,9 +834,8 @@ def q_fk_orphans(sf_dir: str):
             ),
             batch_format="pyarrow",
         )
-        joined = compact_for_join(ccnt, np_join).join(
-            compact_for_join(pkeys, np_join),
-            join_type="full_outer", num_partitions=np_join,
+        joined = safe_join(
+            ccnt, pkeys, join_type="full_outer", compact=True,
             on=("k",), right_on=("k",), right_suffix="_p",
         )
 

@@ -310,7 +310,6 @@ def q_rules_oracle(sf_dir: str):
     extract, no shuffle (reference: goose-parser
     parser.parse rule semantics, README 'Parser.parse' /
     test/parser.test.js grid+collection cases)."""
-    from goose_parser_ray.functions import dedup as _dedup
     from goose_parser_ray.pipelines import build_extraction_pipeline
     from goose_parser_ray.spans import DOCUMENTS_SCHEMA, make_span
 
@@ -374,7 +373,6 @@ def q_rules_oracle(sf_dir: str):
     out = build_extraction_pipeline(
         src,
         rules,
-        num_partitions=_dedup._default_join_partitions(),
         salt_threshold=None,
         concurrency=_pool(),
         batch_size=32,

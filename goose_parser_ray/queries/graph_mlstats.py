@@ -13,7 +13,7 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
 from goose_parser_ray.functions.similarity import ann_lsh
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
@@ -728,10 +728,7 @@ def q_lang_entropy(sf_dir: str):
         keys=["source", "lang"], sums={}, count_alias="n",
     ).materialize()
     totals = pre_aggregated_sum(counts, keys=["source"], sums={"n": "tot"})
-    terms = counts.join(
-        totals, join_type="inner",
-        num_partitions=_dedup._default_join_partitions(), on=("source",),
-    ).map_batches(
+    terms = safe_join(counts, totals, on=("source",)).map_batches(
         lambda t: pa.Table.from_pydict(
             {
                 "source": t["source"],
@@ -930,9 +927,8 @@ def q_gapfill(sf_dir: str):
             }
         )
     )
-    return axis.join(
-        counts, join_type="left_outer",
-        num_partitions=_dedup._default_join_partitions(), on=("bucket_s",),
+    return safe_join(
+        axis, counts, join_type="left_outer", on=("bucket_s",),
     ).map_batches(
         lambda t: pa.Table.from_pydict(
             {
@@ -1032,12 +1028,9 @@ def q_pmi_bigrams(sf_dir: str):
         lambda t: pa.Table.from_arrays([t["w1"], t["c"]], names=["w2", "cb"]),
         batch_format="pyarrow",
     )
-    from goose_parser_ray.functions.relational import safe_join
-
-    nparts = _dedup._default_join_partitions()
     joined = safe_join(
-        safe_join(floored, a, num_partitions=nparts, on=("w1",)),
-        b, num_partitions=nparts, on=("w2",),
+        safe_join(floored, a, on=("w1",), compact=True),
+        b, on=("w2",), compact=True,
     )
 
     def pmi(t: pa.Table) -> pa.Table:

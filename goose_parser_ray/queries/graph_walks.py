@@ -9,7 +9,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import (
+    compact_for_join,
+    pre_aggregated_sum,
+    safe_join,
+)
 
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.queries._shared import _cents, _read
@@ -219,26 +223,17 @@ def q_assortativity(sf_dir: str):
         ),
         keys=["u"], sums={}, count_alias="deg",
     ).materialize()
-    npart = _dedup._default_join_partitions()
-    from goose_parser_ray.functions.relational import compact_for_join
-
-    j = (
-        und.join(
-            compact_for_join(deg, npart), join_type="inner",
-            num_partitions=npart, on=("u",),
-        )
-        .join(
-            compact_for_join(
-                deg.map_batches(
-                    lambda t: pa.Table.from_pydict(
-                        {"v": t["u"], "deg_v": t["deg"]}
-                    ),
-                    batch_format="pyarrow",
+    j = safe_join(
+        safe_join(und, compact_for_join(deg), on=("u",)),
+        compact_for_join(
+            deg.map_batches(
+                lambda t: pa.Table.from_pydict(
+                    {"v": t["u"], "deg_v": t["deg"]}
                 ),
-                npart,
+                batch_format="pyarrow",
             ),
-            join_type="inner", num_partitions=npart, on=("v",),
-        )
+        ),
+        on=("v",),
     )
 
     def moments(t: pa.Table) -> pa.Table:
@@ -335,9 +330,6 @@ def q_assoc_rules(sf_dir: str):
         ),
         keys=["p"], sums={}, count_alias="c",
     )
-    npart = _dedup._default_join_partitions()
-    from goose_parser_ray.functions.relational import compact_for_join
-
     co = _basket_pair_counts(dis).map_batches(
         lambda t: t.filter(pc.greater_equal(t["support"], 2)),
         batch_format="pyarrow",
@@ -360,25 +352,21 @@ def q_assoc_rules(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    j = compact_for_join(directed.materialize(), npart).join(
-        compact_for_join(
-            cnt.map_batches(
-                lambda t: pa.Table.from_pydict({"a": t["p"], "ca": t["c"]}),
-                batch_format="pyarrow",
-            ),
-            npart,
+    j = safe_join(
+        directed,
+        cnt.map_batches(
+            lambda t: pa.Table.from_pydict({"a": t["p"], "ca": t["c"]}),
+            batch_format="pyarrow",
         ),
-        join_type="inner", num_partitions=npart, on=("a",),
+        on=("a",), compact=True,
     )
-    j = compact_for_join(j.materialize(), npart).join(
-        compact_for_join(
-            cnt.map_batches(
-                lambda t: pa.Table.from_pydict({"b": t["p"], "cb": t["c"]}),
-                batch_format="pyarrow",
-            ),
-            npart,
+    j = safe_join(
+        j,
+        cnt.map_batches(
+            lambda t: pa.Table.from_pydict({"b": t["p"], "cb": t["c"]}),
+            batch_format="pyarrow",
         ),
-        join_type="inner", num_partitions=npart, on=("b",),
+        on=("b",), compact=True,
     )
 
     def metrics(t: pa.Table) -> pa.Table:

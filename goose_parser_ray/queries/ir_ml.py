@@ -15,7 +15,7 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
 from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
@@ -858,10 +858,7 @@ def q_cdc_apply(sf_dir: str):
     # and the feed derivation) — lazy lineage would re-read per consumer
     snap = snap.materialize()
     changes = snap.map_batches(make_feed, batch_format="pyarrow")
-    return apply_changes(
-        snap, changes, key="c_custkey",
-        num_partitions=_dedup._default_join_partitions(),
-    )
+    return apply_changes(snap, changes, key="c_custkey")
 
 
 SQL_CDC_APPLY = """
@@ -1111,10 +1108,7 @@ def q_interval_join(sf_dir: str):
 
     inc = ds.map_batches(incidents, batch_format="pyarrow")
     clk = ds.map_batches(clicks, batch_format="pyarrow")
-    hits = inc.join(
-        clk, join_type="inner",
-        num_partitions=_dedup._default_join_partitions(), on=("cell",),
-    ).map_batches(
+    hits = safe_join(inc, clk, on=("cell",)).map_batches(
         lambda t: pa.Table.from_pydict(
             {"incident_id": t["incident_id"]}
         ).filter(

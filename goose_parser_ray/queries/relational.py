@@ -11,8 +11,11 @@ import datetime as _dt
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
+from goose_parser_ray.functions.relational import (
+    broadcast_join,
+    pre_aggregated_sum,
+    safe_join,
+)
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
 
@@ -102,10 +105,7 @@ def q_join_hash(sf_dir: str):
     Contrast with q_join_segment's broadcast join (small side)."""
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-    joined = li.join(
-        part, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_partkey",), right_on=("p_partkey",),
-    )
+    joined = safe_join(li, part, on=("l_partkey",), right_on=("p_partkey",))
     joined = joined.map_batches(
         lambda t: t.append_column("qty", pc.cast(t["l_quantity"], pa.int64())),
         batch_format="pyarrow",
@@ -167,7 +167,7 @@ def q_join_salted(sf_dir: str):
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     joined = salted_join(
         li, sup, key="l_suppkey", right_key="s_suppkey",
-        salts=4, num_partitions=_dedup._default_join_partitions(),
+        salts=4,
     )
     joined = joined.map_batches(
         lambda t: t.append_column("qty", pc.cast(t["l_quantity"], pa.int64())),

@@ -14,7 +14,7 @@ import pyarrow.compute as pc
 import ray
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
 
 from goose_parser_ray.queries._shared import _cents, _read
 
@@ -488,9 +488,8 @@ def q_shipping_priority(sf_dir: str):
         ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     ).map_batches(sel_li, batch_format="pyarrow")
 
-    joined = li.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = safe_join(
+        li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     )
     joined = joined.map_batches(
         lambda t: t.select(
@@ -595,9 +594,8 @@ def q_regional_revenue(sf_dir: str):
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(sel_li, batch_format="pyarrow")
 
-    joined = li.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = safe_join(
+        li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     )
 
     def attach_nation(t: pa.Table) -> pa.Table:

@@ -15,7 +15,11 @@ import ray.data
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.dedup import exact_dedup, minhash_dedup_keep
 from goose_parser_ray.functions.multimodal import ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
+from goose_parser_ray.functions.relational import (
+    broadcast_join,
+    pre_aggregated_sum,
+    safe_join,
+)
 from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
 from goose_parser_ray.pipelines import build_extraction_pipeline
 from goose_parser_ray.sources.corpus import wrap_flat_documents
@@ -733,14 +737,7 @@ def q_image_ahash_dedup(sf_dir: str):
         sums={},
         count_alias="group_size",
     )
-    from goose_parser_ray.functions.dedup import _default_join_partitions
-
-    out = hashes.join(
-        counts,
-        join_type="inner",
-        num_partitions=_default_join_partitions(),
-        on=("hash_lo", "hash_hi"),
-    )
+    out = safe_join(hashes, counts, on=("hash_lo", "hash_hi"))
     return out.sort("doc_id")
 
 
@@ -859,7 +856,7 @@ def q_extract_spans(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     ds = ds.map_batches(wrap_flat_documents, batch_format="pyarrow")
     ds = build_extraction_pipeline(
-        ds, num_partitions=_dedup._default_join_partitions(), salt_threshold=None,
+        ds, salt_threshold=None,
         concurrency=_pool(), batch_size=32,
     )
 
@@ -916,7 +913,7 @@ def q_extract_rules(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     ds = ds.map_batches(wrap_flat_documents, batch_format="pyarrow")
     ds = build_extraction_pipeline(
-        ds, rules, num_partitions=_dedup._default_join_partitions(), salt_threshold=None,
+        ds, rules, salt_threshold=None,
         concurrency=_pool(), batch_size=32,
     )
 

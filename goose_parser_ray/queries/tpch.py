@@ -14,7 +14,7 @@ import pyarrow.compute as pc
 import ray
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
 
 from goose_parser_ray.queries._shared import _cents, _read
 
@@ -103,9 +103,8 @@ def q_priority_semi(sf_dir: str):
     ).map_batches(sel_orders, batch_format="pyarrow")
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
-    joined = li.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = safe_join(
+        li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     ).map_batches(
         lambda t: t.filter(
             pc.greater(t["l_shipdate"], t["o_orderdate"])
@@ -185,9 +184,8 @@ def q_returned_customers(sf_dir: str):
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
     ).map_batches(sel_li, batch_format="pyarrow")
 
-    joined = li.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = safe_join(
+        li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     )
     per_cust = pre_aggregated_sum(
         joined.map_batches(
@@ -378,9 +376,8 @@ def q_volume_shipping(sf_dir: str):
         sf_dir, "lineitem",
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
     ).map_batches(sel_li, batch_format="pyarrow")
-    joined = li.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = safe_join(
+        li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     ).map_batches(
         lambda t: t.filter(
             pc.not_equal(t["supp_nation"], t["cust_nation"])
@@ -486,9 +483,8 @@ def q_market_share(sf_dir: str):
         sf_dir, "lineitem",
         ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(sel_li, batch_format="pyarrow")
-    joined = li.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = safe_join(
+        li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     )
     per_year = pre_aggregated_sum(
         joined.map_batches(
@@ -656,9 +652,8 @@ def q_late_priority(sf_dir: str):
             }
         )
 
-    joined = li.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = safe_join(
+        li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     ).map_batches(classify, batch_format="pyarrow")
     return pre_aggregated_sum(
         joined, keys=["l_linestatus"],
@@ -747,9 +742,8 @@ def q_min_cost_supplier(sf_dir: str):
     mins = with_bal.groupby(["l_partkey"]).aggregate(
         Min("bal_cents", alias_name="min_bal")
     )
-    winners = with_bal.join(
-        mins, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_partkey",), right_on=("l_partkey",),
+    winners = safe_join(
+        with_bal, mins, on=("l_partkey",), right_on=("l_partkey",),
     ).map_batches(
         lambda t: t.filter(pc.equal(t["bal_cents"], t["min_bal"])),
         batch_format="pyarrow",
@@ -1060,12 +1054,12 @@ def q_small_qty_revenue(sf_dir: str):
             {"k": pa.array([0] * n, pa.int64()), "price_c2": t["price_c2"]}
         )
 
-    joined = li.join(
+    joined = safe_join(
+        li,
         per_part.map_batches(
             lambda t: t.rename_columns(["pk", "sum_q", "n"]),
             batch_format="pyarrow",
         ),
-        join_type="inner", num_partitions=_dedup._default_join_partitions(),
         on=("l_partkey",), right_on=("pk",),
     ).map_batches(small, batch_format="pyarrow")
     agg = pre_aggregated_sum(
@@ -1150,9 +1144,8 @@ def q_large_volume_customers(sf_dir: str):
         idx = pc.index_in(t["o_custkey"], value_set=ck)
         return t.append_column("c_name", pc.take(cn, idx))
 
-    return per_order.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    return safe_join(
+        per_order, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     ).map_batches(attach_name, batch_format="pyarrow").select_columns(
         ["c_name", "o_custkey", "l_orderkey", "o_orderdate", "totalprice_c2",
          "sum_qty_c2"]
@@ -1327,9 +1320,8 @@ def q_dominant_suppliers(sf_dir: str):
         )
         return t.select(["l_suppkey"])
 
-    winners = per_pair.join(
-        per_part, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_partkey",), right_on=("pk",),
+    winners = safe_join(
+        per_pair, per_part, on=("l_partkey",), right_on=("pk",),
     ).map_batches(dominant, batch_format="pyarrow")
     distinct = pre_aggregated_sum(
         winners, keys=["l_suppkey"], sums={}, count_alias="__n"
@@ -1613,9 +1605,8 @@ def q_local_supplier_volume(sf_dir: str):
         t = t.append_column("n_name", pc.take(nn_, idx))
         return t.select(["n_name", "rev"])
 
-    joined = li.join(
-        orders, join_type="inner", num_partitions=_dedup._default_join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = safe_join(
+        li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     ).map_batches(local_only, batch_format="pyarrow")
     return pre_aggregated_sum(
         joined, keys=["n_name"], sums={"rev": "revenue_c4"}

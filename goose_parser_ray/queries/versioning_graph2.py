@@ -14,7 +14,7 @@ import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.dedup import exact_dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
 
 from goose_parser_ray.queries._shared import _cents, _pool, _read
 from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
@@ -77,11 +77,8 @@ def q_rich_inactive(sf_dir: str):
         ).filter(pc.equal(t["o_orderpriority"], "1-URGENT")),
         batch_format="pyarrow",
     )
-    return rich.join(
-        order_keys,
-        join_type="left_anti",
-        num_partitions=_dedup._default_join_partitions(),
-        on=("c_custkey",),
+    return safe_join(
+        rich, order_keys, join_type="left_anti", on=("c_custkey",)
     )
 
 
@@ -962,7 +959,6 @@ def q_item_cf(sf_dir: str):
         ),
         keys=["p"], sums={}, count_alias="c",
     )
-    npart = _dedup._default_join_partitions()
     co = _basket_pair_counts(dis).map_batches(
         lambda t: pa.Table.from_arrays(
             [t["u"], t["v"], t["support"]], names=["u", "v", "co"]
@@ -977,11 +973,9 @@ def q_item_cf(sf_dir: str):
         lambda t: pa.Table.from_arrays([t["p"], t["c"]], names=["v", "cv"]),
         batch_format="pyarrow",
     )
-    from goose_parser_ray.functions.relational import safe_join
-
     joined = safe_join(
-        safe_join(co, cu, num_partitions=npart, on=("u",)),
-        cv, num_partitions=npart, on=("v",),
+        safe_join(co, cu, on=("u",), compact=True),
+        cv, on=("v",), compact=True,
     )
 
     def cosine(t: pa.Table) -> pa.Table:

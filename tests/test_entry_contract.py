@@ -94,3 +94,78 @@ def test_no_query_or_twin_defined_in_two_modules():
         seen.update(fns | sqls)
     dups = sorted(n for n, c in seen.items() if c > 1)
     assert not dups, f"defined in more than one query module: {dups}"
+
+
+PACKAGE_DIR = QUERY_DIR.parent
+
+
+def test_no_dataset_join_outside_relational():
+    """Every hash join goes through ``relational.safe_join``, the one place
+    that sizes its width from the cluster: no ``.join(..., join_type=...)``
+    call anywhere else in the package."""
+    calls = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls += [
+                (str(path.relative_to(PACKAGE_DIR)), getattr(top, "name", "<module>"))
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join"
+                and any(k.arg == "join_type" for k in node.keywords)
+            ]
+    assert calls == [("functions/relational.py", "safe_join")], (
+        f"Dataset.join outside relational.safe_join: {sorted(set(calls))}"
+    )
+
+
+GiB = 1 << 30
+BLOCK = 128 << 20  # Ray's default DataContext.target_max_block_size
+
+
+def _width(cpus, memory=100 * GiB, block_bytes=BLOCK, **kw):
+    from goose_parser_ray.functions.relational import join_width
+
+    return join_width(cpus=cpus, memory=memory, block_bytes=block_bytes, **kw)
+
+
+def test_join_width_rule():
+    # CPU cap: half the CPUs, never below 2
+    assert [_width(c) for c in (1, 4, 8, 32)] == [2, 2, 4, 16]
+    # rows term: one partition per 100k known rows, inside the CPU cap
+    assert _width(32, rows=10) == 2
+    assert _width(32, rows=250_000) == 3
+    assert _width(32, rows=10**9) == 16
+    # memory fit: 7 × 128 MiB = 0.875 GiB per partition
+    assert _width(32, memory=10.69 * GiB) == 12
+    assert _width(32, memory=2 * GiB) == 2
+    assert _width(32, memory=1 * GiB) == 1
+    # a pinned width still goes through the memory fit
+    assert _width(4, requested=16) == 16
+    assert _width(4, memory=10.69 * GiB, requested=16) == 12
+    # no target block size: Ray reserves nothing, so nothing to fit
+    assert _width(32, memory=0, block_bytes=None) == 16
+
+
+def test_join_width_raises_when_one_partition_does_not_fit():
+    import pytest
+
+    with pytest.raises(RuntimeError, match=r"0\.88 GiB.*0\.50 GiB"):
+        _width(4, memory=512 << 20)
+
+
+def test_join_width_reservation_matches_ray():
+    """The 7-blocks-per-partition figure is Ray's own estimate: fail here,
+    not in a hung join, when a Ray upgrade changes it."""
+    from ray.data._internal.execution.operators.join import JoinOperator
+
+    from goose_parser_ray.functions.relational import (
+        _RESERVED_BLOCKS_PER_PARTITION,
+    )
+
+    for p in (2, 16, 64):
+        per_actor = JoinOperator._estimate_aggregator_memory_allocation(
+            num_aggregators=p, num_partitions=p,
+            partition_byte_size_estimate=BLOCK,
+        )
+        assert per_actor * p == _RESERVED_BLOCKS_PER_PARTITION * BLOCK * p

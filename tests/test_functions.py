@@ -1790,6 +1790,45 @@ def test_diff_datasets_null_safe(ray_session):
     assert out == {1: "removed", 2: "modified", 4: "modified", 7: "added"}
 
 
+def test_diff_datasets_default_width_matches_pandas(ray_session):
+    """diff_datasets with no width argument: the join width comes from the
+    cluster (it used to be a fixed 16, whose aggregator reservation of
+    14 GiB never fit a small host, so the join waited forever)."""
+    import numpy as np
+    import pandas as pd
+
+    from goose_parser_ray.functions.relational import diff_datasets
+
+    rng = np.random.RandomState(11)
+    left = pd.DataFrame({"k": np.arange(0, 300), "v": rng.randint(0, 4, 300)})
+    right = pd.DataFrame(
+        {"k": np.arange(100, 400), "v": rng.randint(0, 4, 300)}
+    )
+    got = (
+        diff_datasets(
+            ray.data.from_pandas(left), ray.data.from_pandas(right),
+            key="k", compare=["v"],
+        )
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    m = left.merge(right, on="k", how="outer", suffixes=("_l", "_r"),
+                   indicator=True)
+    m["change"] = np.select(
+        [m["_merge"] == "left_only", m["_merge"] == "right_only",
+         m["v_l"] != m["v_r"]],
+        ["removed", "added", "modified"], "unchanged",
+    )
+    want = (
+        m.loc[m["change"] != "unchanged", ["k", "change"]]
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    assert len(want) > 100
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_kcore_distributed_matches_bruteforce(ray_session):
     """3 synchronized peel rounds to convergence must match the brute-force
     peel on a graph with a dense core plus pendant chains."""
