@@ -73,11 +73,6 @@ def _subtree_stats(root: Element) -> None:
             el._link = chars if el.tag == "a" else link
 
 
-def _link_text_len(el: Element) -> int:
-    _subtree_stats(el)
-    return el._link
-
-
 def _is_boiler(el: Element) -> bool:
     if el.tag in BOILER_TAGS:
         return True

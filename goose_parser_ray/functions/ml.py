@@ -271,6 +271,14 @@ def pca_fit_project(
     return ds.map_batches(project, batch_format="pyarrow")
 
 
+def _content_key(col):
+    """Sort key on full content: a list cell keys on its float64 bytes (its
+    ``str`` keeps 8 digits and elides long arrays, so distinct cells tie)."""
+    if col.dtype != object:
+        return col
+    return col.map(lambda v: np.asarray(v, np.float64).tobytes())
+
+
 def logreg_fit(
     ds: ray.data.Dataset,
     feature_cols: list[str],
@@ -311,7 +319,7 @@ def logreg_fit(
     # completion order — sort by content so round-off is reproducible
     # (the e4/e6 fixed-point invariant columns downstream hash these).
     mdf = mdf.sort_values(
-        by=["n", "s"], key=lambda c: c.astype(str), kind="mergesort"
+        by=["n", "s", "ss"], key=_content_key, kind="mergesort"
     ).reset_index(drop=True)
     n = float(mdf["n"].sum())
     if n == 0:
@@ -352,7 +360,7 @@ def logreg_fit(
 
         pdf = ds.map_batches(grad_partial, batch_format="pyarrow").to_pandas()
         pdf = pdf.sort_values(
-            by=["loss", "hits", "g"], key=lambda c: c.astype(str),
+            by=["loss", "hits", "g"], key=_content_key,
             kind="mergesort",
         ).reset_index(drop=True)
         g = np.add.reduce([np.asarray(v) for v in pdf["g"]]) / n

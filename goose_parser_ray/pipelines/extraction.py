@@ -4,7 +4,7 @@
 read-side pruning happens in the caller's reader; then
 
   normalize/salt (stateless tasks)
-  → ExtractActor pool (fixed size, DOM parse + rules/boilerplate)
+  → extract tasks (at most ``concurrency``, DOM parse + rules/boilerplate)
 
 Salted mega-docs leave the pipeline as chunks; the write stage
 (``stages.residual.PartitionSink``) merges them back, without a shuffle.
@@ -15,13 +15,11 @@ manifest row per partition, and skips completed partitions on restart
 (SURVEY.md §4.2, FIXTURES.md F6). Each wave is one self-contained Ray Data
 execution: its reads are sized from the input bytes, its sink
 (``stages.residual.PartitionSink``) finishes the salted-chunk merge and
-counts rows/spans/errors per partition, and its actors are released before
-the next wave starts.
+counts rows/spans/errors per partition, and it starts no actors.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import os
 import shutil
@@ -35,13 +33,13 @@ import ray.data
 
 from goose_parser_ray.rules import compile_rules
 from goose_parser_ray.sources.io import read_documents
-from goose_parser_ray.stages.extract import ExtractActor
+from goose_parser_ray.stages.extract import extract_batch
 from goose_parser_ray.stages.normalize import make_normalize_fn
 from goose_parser_ray.stages.residual import PartitionSink
 from goose_parser_ray.state.manifest import Manifest, PartitionRecord
 from goose_parser_ray import __version__ as CODE_VERSION
 
-# Salting protects actor heaps from mega-docs; anything below this span count
+# Salting protects worker heaps from mega-docs; anything below this span count
 # is cheaper to process in place than to split and re-shuffle.
 DEFAULT_SALT_THRESHOLD = 512
 # Input bytes per read block between the floor and the cap of
@@ -76,14 +74,13 @@ def default_pool_size() -> int:
 
 def read_block_count(input_bytes: int, pool: int) -> int:
     """Read blocks for one wave, sized from its input bytes: one per
-    ``READ_BLOCK_BYTES``, at least two per actor (each actor holds one batch
-    and has one queued) and at most 16 per CPU. Every block pays a fixed
-    per-task cost (on 4 CPUs an identity actor-pool job plus write took
-    1.9–2.1 s at 64 blocks and 1.2–1.3 s at 8), while coarse blocks leave
-    actors idle at the drain tail (~1.8 s per actor at ~9k-row blocks). So
-    small inputs get a few blocks and inputs from 16 × CPUs ×
-    ``READ_BLOCK_BYTES`` up keep the 16 blocks per CPU that erased the
-    tail."""
+    ``READ_BLOCK_BYTES``, at least two per concurrent extract task and at
+    most 16 per CPU. Every block pays a fixed per-task cost (on 4 CPUs an
+    identity actor-pool job plus write took 1.9–2.1 s at 64 blocks and
+    1.2–1.3 s at 8), while coarse blocks leave extract slots idle at the
+    drain tail (~1.8 s per slot at ~9k-row blocks). So small inputs get a
+    few blocks and inputs from 16 × CPUs × ``READ_BLOCK_BYTES`` up keep the
+    16 blocks per CPU that erased the tail."""
     cpus = int(ray.cluster_resources().get("CPU", 4))
     return max(2 * pool, min(16 * cpus, math.ceil(input_bytes / READ_BLOCK_BYTES)))
 
@@ -133,20 +130,15 @@ def build_extraction_pipeline(
             batch_format="pyarrow",
         )
     return ds.map_batches(
-        ExtractActor,
-        fn_constructor_kwargs={
+        extract_batch,
+        fn_kwargs={
             "rules": rules,
             "strip_boilerplate": strip_boilerplate,
             "rules_registry": rules_registry,
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        # fixed size: deterministic scaling runs. in_flight=2 keeps one batch
-        # queued per actor (hides dispatch latency); >2 buys nothing measured
-        compute=ray.data.ActorPoolStrategy(
-            size=pool, max_tasks_in_flight_per_actor=2
-        ),
-        num_cpus=1,
+        concurrency=pool,
     )
 
 
@@ -306,15 +298,6 @@ def extract_corpus(
         )
         sink = PartitionSink(str(tmp))
         ds.write_datasink(sink)
-        # Release this wave's actor pool before the next wave asks for CPUs.
-        # Ray Data drops its own handles at shutdown, but every task it
-        # submitted went through `ActorMethod.options()`, which builds a
-        # per-call class whose closure keeps the actor handle. Such a class
-        # is a reference cycle, so only the cyclic GC frees it; until a full
-        # collection runs the actors keep their CPUs and the next wave stalls
-        # until the raylet sends its own GC request (~20 s).
-        del ds
-        gc.collect()
         summary["read_blocks"].append(nb)
         # the sink merged the mega-docs whose chunks crossed write tasks
         # inside the write; book that driver time as the residual phase

@@ -2,9 +2,9 @@
 
 - :mod:`normalize` — stateless tasks: schema check, partition assignment
   (stable hash, no PYTHONHASHSEED dependence), mega-doc salting.
-- :mod:`extract`   — the hot stage: a fixed-size actor pool hosting the DOM
-  parser + compiled rule plan + boilerplate classifier; poison-document
-  quarantine instead of task failure.
+- :mod:`extract`   — the hot stage: capped tasks running the DOM parser +
+  rule plans + boilerplate classifier, the plans compiled once per worker
+  process; poison-document quarantine instead of task failure.
 - :mod:`residual`  — the write stage: a partition-counting parquet sink that
   merges salted chunks back into whole docs in salt order, with no shuffle.
 """

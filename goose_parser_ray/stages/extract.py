@@ -1,11 +1,11 @@
-"""Extract stage — the hot actor pool (SURVEY.md §3.4 stage 4, §4.3).
+"""Extract stage — the hot stage (SURVEY.md §3.4 stage 4, §4.3).
 
-A callable CLASS for ``map_batches(ExtractActor, concurrency=(n, n), ...)``:
-rule-plan compilation happens ONCE per actor in ``__init__`` (the plan JSON
-crosses the process boundary once, as constructor args); ``__call__`` does
-per-batch work only. DOM parsing is inherently per-document — the batch loop
-iterates documents, not characters — and the whole DOM lives and dies inside
-the call (never serialized into Arrow — SURVEY.md §1.2).
+``map_batches(extract_batch, ...)`` runs as plain tasks. Each worker process
+keeps one ``ExtractActor`` (rule plans compiled in ``__init__``) per set of
+arguments, so later batches, waves and jobs on a worker Ray kept idle skip
+the imports and the compile. DOM parsing is per-document, and the whole DOM
+lives and dies inside ``__call__`` (never serialized into Arrow — SURVEY.md
+§1.2).
 
 Poison-document quarantine (SURVEY.md §4.2): a per-row parse/eval error never
 fails the task — the row is emitted with ``error`` set and empty spans, so a
@@ -14,6 +14,9 @@ downstream (``error != ''``).
 """
 
 from __future__ import annotations
+
+import functools
+import json
 
 import pyarrow as pa
 
@@ -108,3 +111,14 @@ class ExtractActor:
             },
             schema=EXTRACT_OUT_SCHEMA,
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _extractor(key: str) -> ExtractActor:
+    return ExtractActor(**json.loads(key))
+
+
+def extract_batch(batch: pa.Table, **args) -> pa.Table:
+    """``ExtractActor(**args)(batch)``, with the actor cached per worker
+    process under the JSON of all its arguments."""
+    return _extractor(json.dumps(args, sort_keys=True))(batch)

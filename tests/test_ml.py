@@ -108,3 +108,34 @@ def test_hashed_text_logreg_matches_numpy_reference(ray_session):
         .sort_values("doc_id")
     )
     assert (scored["pred"].to_numpy() == np.array(ys)).all()
+
+
+def test_logreg_partials_reduce_in_content_order(ray_session):
+    """Per-block partials that agree to 8 digits, and so print alike, must
+    still reduce in one order: the same blocks fed in either order give
+    bit-identical weights and losses."""
+    from ray.data import DataContext
+
+    xs = [1.0000000050543625, 1.0000000050935072, 1.0000000080815854,
+          1.0000000060002738]
+    ys = [0.0, 1.0, 0.0, 1.0]
+    assert len({str(np.array([x])) for x in xs}) == 1
+    # the fold is order-sensitive, so arrival order would show in the bits
+    assert np.add.reduce([np.array([x]) for x in xs]) != np.add.reduce(
+        [np.array([x]) for x in xs[::-1]]
+    )
+    opts = DataContext.get_current().execution_options
+    preserve = opts.preserve_order
+    opts.preserve_order = True  # blocks arrive in the order they are given
+    try:
+        fits = []
+        for order in (list(zip(xs, ys)), list(zip(xs, ys))[::-1]):
+            ds = ray.data.from_pandas(
+                [pd.DataFrame({"f0": [x], "y": [y]}) for x, y in order]
+            )
+            fits.append(logreg_fit(ds, ["f0"], "y", iters=3))
+    finally:
+        opts.preserve_order = preserve
+    (w1, acc1, l1), (w2, acc2, l2) = fits
+    assert w1.tobytes() == w2.tobytes()
+    assert acc1 == acc2 and l1 == l2

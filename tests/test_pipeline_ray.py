@@ -276,6 +276,61 @@ def test_extract_corpus_releases_its_actors(corpus, tmp_path, ray_session):
         gc.enable()
 
 
+def test_cached_plans_never_go_stale(ray_session):
+    """Extract workers keep their compiled plans across jobs; each job in a
+    session must still run with exactly its own rules, registry and
+    boilerplate mode, whatever plans its workers compiled before."""
+    from goose_parser_ray.rules import compile_rules
+    from goose_parser_ray.spans import DOCUMENTS_SCHEMA
+
+    heads = {"collection": [{"name": "heads", "scope": "h1", "type": "array"}]}
+    paras = {"collection": [{"name": "paras", "scope": "p", "type": "array"}]}
+    rows = [
+        {
+            "doc_id": f"d{i}",
+            "source": "site",
+            "spans": [{
+                "kind": "html", "media_ref": "", "offset": 0,
+                "text": f"<html><body><nav><a href='/'>home</a> | menu</nav>"
+                f"<h1>Heading {i}</h1><p>First paragraph of document {i}, "
+                f"long enough to read as the main content of the page.</p>"
+                f"<p>Second paragraph {i} with more words in it.</p>"
+                f"</body></html>",
+            }],
+        }
+        for i in range(32)
+    ]
+    schema = DOCUMENTS_SCHEMA.append(pa.field("source", pa.string()))
+    tbl = pa.Table.from_pylist(rows, schema=schema)
+    blocks = [tbl.slice(i, 4) for i in range(0, len(rows), 4)]
+    jobs = [  # (rules, strip_boilerplate, rules_registry)
+        (None, True, {"site": heads}),
+        (None, True, None),
+        (paras, True, None),
+        (None, False, None),
+        (None, True, {"site": paras}),
+        (None, True, {"site": heads}),
+    ]
+    expected = []
+    for rules, strip, registry in jobs:
+        tree = (registry or {}).get("site", rules)
+        plan = compile_rules(tree) if tree is not None else None
+        expected.append({
+            r["doc_id"]: seq(extract_document(r["doc_id"], r["spans"], plan, strip))
+            for r in rows
+        })
+    # every job differs from the one before it, so a stale plan shows
+    assert all(a != b for a, b in zip(expected, expected[1:]))
+    for (rules, strip, registry), want in zip(jobs, expected):
+        out = build_extraction_pipeline(
+            ray.data.from_arrow(blocks), rules, rules_registry=registry,
+            strip_boilerplate=strip, num_partitions=2, concurrency=4,
+            batch_size=4,
+        ).to_pandas()
+        got = {r["doc_id"]: seq(r["spans"]) for _, r in out.iterrows()}
+        assert got == want, (rules, strip, registry)
+
+
 def test_read_documents_jsonl_csv_roundtrip(ray_session, tmp_path):
     """read_documents: JSONL and CSV ingest paths must yield the same rows
     as the parquet scale path, with format inference from the extension
