@@ -212,6 +212,9 @@ def ridge_fit(
         )
 
     parts = ds.map_batches(gram, batch_format="pyarrow").to_pandas()
+    # fold the partials in content order, not block completion order, so
+    # the float64 round-off is reproducible
+    parts = parts.sort_values(by=["xtx", "xty"], key=_content_key, kind="mergesort")
     xtx = np.add.reduce([np.asarray(v) for v in parts["xtx"]]).reshape(
         d + 1, d + 1
     )
@@ -247,6 +250,9 @@ def pca_fit_project(
         )
 
     parts = ds.map_batches(moments, batch_format="pyarrow").to_pandas()
+    parts = parts.sort_values(
+        by=["n", "s", "ss"], key=_content_key, kind="mergesort"
+    )
     n = int(parts["n"].sum())
     s = np.add.reduce([np.asarray(v) for v in parts["s"]])
     d = len(s)

@@ -1,10 +1,10 @@
 """The flagship extraction pipeline (SURVEY.md §3.4, north_rule).
 
 ``build_extraction_pipeline``: lazy Dataset → Dataset —
-read-side pruning happens in the caller's reader; then
+read-side pruning happens in the caller's reader; then ONE map whose task
+takes a block and, slice by slice,
 
-  normalize/salt (stateless tasks)
-  → extract tasks (at most ``concurrency``, DOM parse + rules/boilerplate)
+  normalize/salt → partition filter → extract (DOM parse + rules/boilerplate)
 
 Salted mega-docs leave the pipeline as chunks; the write stage
 (``stages.residual.PartitionSink``) merges them back, without a shuffle.
@@ -13,9 +13,12 @@ Salted mega-docs leave the pipeline as chunks; the write stage
 waves, commits each partition's output directory atomically, records a
 manifest row per partition, and skips completed partitions on restart
 (SURVEY.md §4.2, FIXTURES.md F6). Each wave is one self-contained Ray Data
-execution: its reads are sized from the input bytes, its sink
-(``stages.residual.PartitionSink``) finishes the salted-chunk merge and
-counts rows/spans/errors per partition, and it starts no actors.
+execution. With no ``concurrency`` from the caller and no input file split
+across read blocks, it is one physical operator: every task reads a block,
+extracts it and writes it through the sink
+(``stages.residual.PartitionSink``), which finishes the salted-chunk merge
+and counts rows/spans/errors per partition. Its reads are sized from the
+input bytes, and it starts no actors.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 import os
 import shutil
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 import pyarrow as pa
@@ -63,24 +67,31 @@ class ErrorBudgetExceeded(RuntimeError):
 
 
 def default_pool_size() -> int:
-    """Deterministic pool sizing (autoscaling disabled per BASELINE.json:6):
-    all CPUs minus ~1/5 reserved for read/merge/write tasks. Measured
-    (2M-doc bench corpus, this host): pool=24 → 82.8k docs/s, pool=26-28 →
-    90-99k, pool=30 thrashes (76k) — the write stage needs ~6 free slots at
-    32 CPUs or it starves and the streaming overlap is lost."""
+    """All CPUs minus ~1/5, deterministic (autoscaling disabled per
+    BASELINE.json:6). ``extract_corpus`` sizes a wave's reads for this many
+    slots when the caller sets no ``concurrency`` (see
+    ``read_block_count``); it caps no task. It was the extract cap while
+    read, extract and write ran as separate stages, measured then on the
+    2M-doc bench corpus at 32 CPUs: pool=24 → 82.8k docs/s, pool=26-28 →
+    90-99k, pool=30 thrashed (76k), as the write starved without ~6 free
+    slots. The uncapped default has been measured on 4 CPUs only, where it
+    beat this cap also on waves whose read stays separate."""
     cpus = int(ray.cluster_resources().get("CPU", 4))
     return max(1, cpus - max(2, round(cpus / 5)))
 
 
 def read_block_count(input_bytes: int, pool: int) -> int:
     """Read blocks for one wave, sized from its input bytes: one per
-    ``READ_BLOCK_BYTES``, at least two per concurrent extract task and at
-    most 16 per CPU. Every block pays a fixed per-task cost (on 4 CPUs an
-    identity actor-pool job plus write took 1.9–2.1 s at 64 blocks and
-    1.2–1.3 s at 8), while coarse blocks leave extract slots idle at the
-    drain tail (~1.8 s per slot at ~9k-row blocks). So small inputs get a
-    few blocks and inputs from 16 × CPUs × ``READ_BLOCK_BYTES`` up keep the
-    16 blocks per CPU that erased the tail."""
+    ``READ_BLOCK_BYTES``, at least two per ``pool`` slot (the caller's
+    ``concurrency``, else ``default_pool_size()``) and at most 16 per CPU.
+    Every block is one extract task and pays a fixed per-task cost (on 4
+    CPUs an identity actor-pool job plus write took 1.9–2.1 s at 64 blocks
+    and 1.2–1.3 s at 8), while coarse blocks leave CPUs idle at the end of
+    a wave (~1.8 s per slot at ~9k-row blocks). So small inputs get a few
+    blocks and inputs from 16 × CPUs × ``READ_BLOCK_BYTES`` up keep 16
+    blocks per CPU. Ray Data fuses a parquet read into the extract task
+    only when the wave has at least as many files as blocks; otherwise the
+    read splits files and stays a separate operator."""
     cpus = int(ray.cluster_resources().get("CPU", 4))
     return max(2 * pool, min(16 * cpus, math.ceil(input_bytes / READ_BLOCK_BYTES)))
 
@@ -105,40 +116,53 @@ def build_extraction_pipeline(
     partition_filter: "set[int] | None" = None,
     partition_source: str = "hash",
 ) -> ray.data.Dataset:
-    """Wire the stages onto ``ds`` (lazy — nothing executes here).
+    """Wire the stages onto ``ds`` as ONE ``map_batches`` (lazy — nothing
+    executes here).
+
+    Each task takes a whole block and cuts it into ``batch_size``-row
+    slices; every slice is normalized, filtered and extracted before the
+    next, so the salting row loop only ever sees the slice that holds a
+    mega-doc. The map has no ``batch_size`` of its own, so Ray Data fuses it
+    with the read and the maps before it and with the write after it: a
+    block is read, extracted and written in one task. ``concurrency`` caps
+    the concurrent tasks (``None``: no cap, one per CPU). Ray 2.49 fuses
+    task maps only when their caps are equal, so under a cap the read and
+    the write stay separate operators.
 
     ``partition_filter``: restrict the job to these partition_ids — applied
-    right after normalize, BEFORE the expensive extract stage (resume/wave
-    runs must not re-extract skipped partitions).
+    right after normalize, BEFORE the expensive extract (resume/wave runs
+    must not re-extract skipped partitions).
 
     ``salt_threshold``: split docs with more spans than this into salted
     chunks (``None``, the default, disables salting). The returned stream
     then keeps those chunks, so salted output must be written through
     ``stages.residual.PartitionSink``, which merges them back into whole
     docs; ``extract_corpus`` does that."""
-    pool = concurrency if concurrency is not None else default_pool_size()
-    threshold = salt_threshold if salt_threshold is not None else 1 << 30
-    ds = ds.map_batches(
-        make_normalize_fn(num_partitions, threshold, partition_source),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+    normalize = make_normalize_fn(
+        num_partitions,
+        salt_threshold if salt_threshold is not None else 1 << 30,
+        partition_source,
     )
-    if partition_filter is not None:
-        keep = pa.array(sorted(partition_filter), pa.int32())
-        ds = ds.map_batches(
-            lambda t, k=keep: t.filter(pc.is_in(t["partition_id"], k)),
-            batch_format="pyarrow",
-        )
+    keep = (
+        pa.array(sorted(partition_filter), pa.int32())
+        if partition_filter is not None
+        else None
+    )
+    args = {
+        "rules": rules,
+        "strip_boilerplate": strip_boilerplate,
+        "rules_registry": rules_registry,
+    }
+
+    def extract_block(block: pa.Table) -> Iterator[pa.Table]:
+        for off in range(0, block.num_rows, batch_size):
+            t = normalize(block.slice(off, batch_size))
+            if keep is not None:
+                t = t.filter(pc.is_in(t["partition_id"], keep))
+            yield extract_batch(t, **args)
+
     return ds.map_batches(
-        extract_batch,
-        fn_kwargs={
-            "rules": rules,
-            "strip_boilerplate": strip_boilerplate,
-            "rules_registry": rules_registry,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=pool,
+        extract_block, batch_format="pyarrow", concurrency=concurrency
     )
 
 
@@ -180,6 +204,9 @@ def extract_corpus(
     ``partition_mode``:
     - 'hash' (default): partition_id = stable_hash(doc_id) % num_partitions.
       Works for any input layout; waves re-scan the input and filter.
+      Each read task writes its own file to every partition it holds rows
+      of, so a partition gets up to one file per read block
+      (``compact_partitions`` merges them).
     - 'fragment': partition = INPUT FILE (the Lance-fragment alignment of
       the north rule — the corpus arrives hash-partitioned into
       size-balanced fragments, so fragment id IS the doc-hash partition).
@@ -188,7 +215,12 @@ def extract_corpus(
       one partition, so the hive write emits one file per block instead of
       P splits per block (measured: 8192 -> 512 output files, and the
       per-wave full-corpus re-read disappears). ``num_partitions`` is
-      derived from the file count."""
+      derived from the file count.
+
+    ``concurrency``: cap on the concurrent extract tasks; ``None`` (the
+    default) sets none. A wave whose read fuses (no input file split across
+    read blocks) is then one read-extract-write operator; any other wave
+    keeps its read as a separate operator."""
     out = Path(output_path)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(output_path)
@@ -290,12 +322,20 @@ def extract_corpus(
             rules_registry=rules_registry,
             num_partitions=num_partitions,
             salt_threshold=salt_threshold,
-            concurrency=pool,
+            concurrency=concurrency,
             batch_size=batch_size,
             strip_boilerplate=strip_boilerplate,
             partition_filter=pipeline_filter,
             partition_source=partition_source,
         )
+        # Until a task returns, Ray Data books each running task for two
+        # blocks of target_max_block_size (128 MiB by default); on a small
+        # object store that holds the wave to one task until its first task
+        # ends. None drops that booking for this wave only (ds.context is
+        # its own copy) and with it Ray's splitting of blocks above 128 MiB:
+        # read_block_count's blocks reach that only in waves of more than
+        # 16 × CPUs × 128 MiB of decoded rows.
+        ds.context.target_max_block_size = None
         sink = PartitionSink(str(tmp))
         ds.write_datasink(sink)
         summary["read_blocks"].append(nb)

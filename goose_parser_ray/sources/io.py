@@ -36,11 +36,11 @@ def read_documents(
     ship unused columns through the object store). JSONL/CSV are ingest
     formats: rows are parsed distributed (one read task per file/block)
     but pruning happens post-parse, so convert to parquet before repeated
-    scans. ``num_blocks`` controls block granularity: finer blocks balance
-    the extract pool's drain tail (measured: coarse ~9k-row blocks cost
-    ~1.8s of tail imbalance per actor), but every block pays a fixed
-    per-task cost, so ``extract_corpus`` sizes it from the input bytes
-    (``pipelines.extraction.read_block_count``)."""
+    scans. ``num_blocks`` controls block granularity: finer blocks keep
+    every CPU busy to the end of an extraction wave (measured: coarse
+    ~9k-row blocks left each slot ~1.8s idle at the end), but every block
+    pays a fixed per-task cost, so ``extract_corpus`` sizes it from the
+    input bytes (``pipelines.extraction.read_block_count``)."""
     if fmt is None:
         low = path.lower()
         if low.endswith((".jsonl", ".json", ".ndjson")):

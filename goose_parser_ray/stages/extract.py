@@ -1,11 +1,13 @@
 """Extract stage — the hot stage (SURVEY.md §3.4 stage 4, §4.3).
 
-``map_batches(extract_batch, ...)`` runs as plain tasks. Each worker process
-keeps one ``ExtractActor`` (rule plans compiled in ``__init__``) per set of
-arguments, so later batches, waves and jobs on a worker Ray kept idle skip
-the imports and the compile. DOM parsing is per-document, and the whole DOM
-lives and dies inside ``__call__`` (never serialized into Arrow — SURVEY.md
-§1.2).
+``extract_batch`` is called on each normalized slice inside the one map
+task per block (``pipelines.extraction.build_extraction_pipeline``), which
+with no ``concurrency`` cap also writes that block, and reads it when no
+input file is split. Each worker process keeps one ``ExtractActor`` (rule
+plans compiled in ``__init__``) per set of arguments, so later slices,
+waves and jobs on a worker Ray kept idle skip the imports and the compile.
+DOM parsing is per-document, and the whole DOM lives and dies inside
+``__call__`` (never serialized into Arrow — SURVEY.md §1.2).
 
 Poison-document quarantine (SURVEY.md §4.2): a per-row parse/eval error never
 fails the task — the row is emitted with ``error`` set and empty spans, so a

@@ -1,5 +1,6 @@
-"""Normalize + salt stage — stateless ``map_batches`` tasks (SURVEY.md §3.4
-stage 3, §4.2 "salting").
+"""Normalize + salt stage — a stateless function the pipeline's one map
+task applies to each slice of its block before extracting it (SURVEY.md
+§3.4 stage 3, §4.2 "salting").
 
 Adds ``partition_id = stable_hash(doc_id) % P`` (the ONE partitioning key,
 reused by the write layout and the manifest — SURVEY.md §2.6 S3) and splits
@@ -74,7 +75,7 @@ def make_normalize_fn(
     partition_source: str = "hash",
 ):
     """Build the stage fn (compile-time params captured once; the returned fn
-    is a plain function → stateless Ray tasks).
+    is a plain, stateless function).
 
     ``salt_threshold`` must be ≥ 1 (it is both the split trigger and the
     chunk size — 0 would mean zero-span chunks). Callers that want "no

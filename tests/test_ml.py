@@ -139,3 +139,44 @@ def test_logreg_partials_reduce_in_content_order(ray_session):
     (w1, acc1, l1), (w2, acc2, l2) = fits
     assert w1.tobytes() == w2.tobytes()
     assert acc1 == acc2 and l1 == l2
+
+
+def test_ridge_and_pca_partials_reduce_in_content_order(ray_session):
+    """ridge_fit and pca_fit_project fold one partial per block; the same
+    blocks fed in either order must give bit-identical results."""
+    from ray.data import DataContext
+
+    from goose_parser_ray.functions.ml import pca_fit_project, ridge_fit
+
+    pts = [(1e4, 0.7), (0.7, 0.2), (1e-3, 0.9), (3.3, 0.7)]
+    # both folds are order-sensitive, so arrival order would show in the
+    # bits: ridge's x*x in float64, PCA's outer products of the float32
+    # embeddings
+    sq = [np.array([a * a, b * b]) for a, b in pts]
+    assert np.add.reduce(sq).tobytes() != np.add.reduce(sq[::-1]).tobytes()
+    emb = np.array(pts, np.float32).astype(np.float64)
+    ss = [np.outer(v, v).ravel() for v in emb]
+    assert np.add.reduce(ss).tobytes() != np.add.reduce(ss[::-1]).tobytes()
+    rows = list(enumerate(pts))
+    opts = DataContext.get_current().execution_options
+    preserve = opts.preserve_order
+    opts.preserve_order = True  # blocks arrive in the order they are given
+    try:
+        fits = []
+        for order in (rows, rows[::-1]):
+            ds = ray.data.from_pandas(
+                [
+                    pd.DataFrame(
+                        {"vec_id": [i], "f0": [a], "y": [b], "embedding": [[a, b]]}
+                    )
+                    for i, (a, b) in order
+                ]
+            )
+            proj = pca_fit_project(ds, k=2).to_pandas().sort_values("vec_id")
+            fits.append((ridge_fit(ds, ["f0"], "y"), proj))
+    finally:
+        opts.preserve_order = preserve
+    (w1, p1), (w2, p2) = fits
+    assert w1.tobytes() == w2.tobytes()
+    for c in ("pc1", "pc2"):
+        assert p1[c].to_numpy().tobytes() == p2[c].to_numpy().tobytes()

@@ -1,6 +1,7 @@
 """Ray pipeline tests: pipeline == oracle, salting round-trip identity,
 poison quarantine, manifest resume (SURVEY.md §5.2-2/3, FIXTURES.md F6)."""
 
+import logging
 import shutil
 from pathlib import Path
 
@@ -276,6 +277,54 @@ def test_extract_corpus_releases_its_actors(corpus, tmp_path, ray_session):
         gc.enable()
 
 
+class _PlanLog(logging.Handler):
+    """Collects the physical plan of every Ray Data execution, as logged on
+    its "Execution plan of Dataset ..." line."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.INFO)
+        self.plans: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        msg = record.getMessage()
+        if msg.startswith("Execution plan of Dataset"):
+            self.plans.append(msg.split(": ", 1)[1])
+
+
+@pytest.mark.parametrize("mode", ["fragment", "hash"])
+def test_default_wave_runs_as_one_operator(corpus, tmp_path, mode):
+    """With no concurrency cap, every wave is one physical operator: each
+    task reads a block, extracts it and writes it without handing it on."""
+    path, _ = corpus
+    tbl = pq.read_table(path)
+    frag_dir = tmp_path / "frags"
+    frag_dir.mkdir()
+    for i in range(8):
+        pq.write_table(tbl.slice(i * 5, 5), frag_dir / f"shard-{i:02d}.parquet")
+
+    log = _PlanLog()
+    logger = logging.getLogger("ray.data._internal.execution.streaming_executor")
+    level = logger.level
+    logger.addHandler(log)
+    logger.setLevel(logging.INFO)
+    try:
+        s = extract_corpus(
+            str(frag_dir), str(tmp_path / "out"), num_partitions=8, waves=2,
+            salt_threshold=64, partition_mode=mode,
+        )
+    finally:
+        logger.removeHandler(log)
+        logger.setLevel(level)
+    assert s["processed"] == 8 and s["rows"] == 40
+    assert len(log.plans) == 2, log.plans  # one execution per wave
+    for plan in log.plans:
+        source, *ops = plan.split(" -> ")
+        assert source == "InputDataBuffer[Input]", plan
+        assert len(ops) == 1, plan
+        assert ops[0].startswith("TaskPoolMapOperator[ReadParquet->"), plan
+        assert ops[0].endswith("->Write]"), plan
+
+
 def test_cached_plans_never_go_stale(ray_session):
     """Extract workers keep their compiled plans across jobs; each job in a
     session must still run with exactly its own rules, registry and
@@ -477,6 +526,9 @@ def test_compact_verification_guard(corpus, tmp_path):
         str(path), str(out_dir), num_partitions=2, waves=1,
         salt_threshold=64, concurrency=2,
     )
+    # precondition: every partition is down to one verified file, so the
+    # corrupted partition 0 below is the only compaction candidate
+    assert compact_partitions(str(out_dir))["files_after"] == 2
     # fragment partition 0 so it is a compaction candidate, then corrupt
     # its recorded row_count
     pdir = out_dir / "partition_id=0"
