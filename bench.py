@@ -213,8 +213,7 @@ def run_bench() -> dict:
     shutil.rmtree("/tmp/bench_warm", ignore_errors=True)
     extract_corpus(
         os.path.join(corpus_dir, "shard-0000.parquet"), "/tmp/bench_warm",
-        num_partitions=16, waves=1, salt_threshold=512,
-        concurrency=None, batch_size=2048,
+        num_partitions=16, waves=1, salt_threshold=512, batch_size=2048,
     )
     shutil.rmtree("/tmp/bench_warm", ignore_errors=True)
 
@@ -224,7 +223,7 @@ def run_bench() -> dict:
         out_dir,
         waves=1,
         salt_threshold=512,
-        concurrency=None,  # no cap; 32 shards < read blocks, so the read
+        # Ray sizes the extract tasks; 32 shards < read blocks, so the read
         # stays a separate operator (uncapped: unmeasured at 32 CPUs)
         batch_size=2048,   # measured: 512 -> 2048 buys ~15% at 32 CPUs
         partition_mode="fragment",  # partition = input shard: reader-level

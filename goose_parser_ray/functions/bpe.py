@@ -27,6 +27,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from goose_parser_ray.stages.extract import cached_kernel
+
 
 def word_frequency_table(
     ds: ray.data.Dataset, col: str = "text"
@@ -151,12 +153,13 @@ class BpeEncodeActor:
     APPLICATION step (the per-document op a training-data pipeline runs at
     corpus scale; ``bpe_train`` runs once, this runs over everything).
 
-    Scale shape: the merge list is vocab-bounded and tiny — it ships to
-    each actor ONCE via ``__init__`` (actor-pool ``map_batches``), where it
-    is indexed into a rank dict; per batch, each DISTINCT word is encoded
-    once and memoized in a persistent per-actor cache (natural-language
-    corpora repeat words heavily, so the cache converges to the vocabulary
-    and steady-state batches do dict lookups, not merge loops). Encoding
+    Scale shape: the merge list is vocab-bounded and tiny — it is built
+    ONCE per worker process via ``__init__``, and
+    ``stages.extract.cached_kernel`` keeps the instance across batches;
+    per batch, each DISTINCT word is encoded once and memoized in the
+    instance's persistent cache (natural-language corpora repeat words
+    heavily, so the cache converges to the vocabulary and steady-state
+    batches do dict lookups, not merge loops). Encoding
     applies merges in learned order, leftmost-first within a word —
     exactly the training-time semantics, so encoding the training corpus
     with its own merges reproduces the final training symbol table.
@@ -238,16 +241,14 @@ def bpe_encode(
     merges: list[tuple[str, str]] | list[tuple[str, str, int]],
     *,
     col: str = "text",
-    concurrency=(2, 8),
     batch_size: int = 512,
 ) -> ray.data.Dataset:
     """Corpus → per-doc token stats under a trained merge table (see
-    :class:`BpeEncodeActor`). Pure map — no shuffle; merges ride the actor
-    constructor (broadcast once per actor, never per batch)."""
+    :class:`BpeEncodeActor`). Pure map — no shuffle; merges ride the
+    kernel's constructor (built once per worker process, never per
+    batch)."""
     return ds.map_batches(
-        BpeEncodeActor,
-        fn_constructor_args=(list(merges), col),
+        cached_kernel(BpeEncodeActor, merges=list(merges), col=col),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )

@@ -39,6 +39,7 @@ from goose_parser_ray.functions.relational import (
     pre_aggregated_sum,
     safe_join,
 )
+from goose_parser_ray.stages.extract import cached_kernel
 
 
 def _crc(s: str) -> int:
@@ -190,8 +191,8 @@ _MERSENNE = (1 << 61) - 1
 
 class MinHashActor:
     """Per-doc minhash signature + banded LSH keys. Permutation parameters
-    are generated ONCE per actor from a fixed seed (deterministic across the
-    pool — SURVEY.md §7.6-7)."""
+    are generated ONCE per instance from a fixed seed (deterministic across
+    workers — SURVEY.md §7.6-7)."""
 
     def __init__(
         self,
@@ -380,11 +381,10 @@ def minhash_lsh_candidates(
     num_perm: int = 64,
     bands: int = 16,
     shingle: int = 3,
-    concurrency: int = 4,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
-    """Candidate near-dup pairs: shingle→minhash→band (actor pool, map-only)
-    → bucket groupby → pairs → distinct.
+    """Candidate near-dup pairs: shingle→minhash→band (cached-kernel task,
+    map-only) → bucket groupby → pairs → distinct.
 
     ``num_buckets`` defaults to data-proportional sizing from the banded row
     count (docs × bands, via a metadata-only ``ds.count()`` on the usual
@@ -393,16 +393,11 @@ def minhash_lsh_candidates(
     if num_buckets is None:
         num_buckets = num_shuffle_buckets(ds.count() * bands)
     banded = ds.map_batches(
-        MinHashActor,
-        fn_constructor_kwargs={
-            "col": col,
-            "id_col": id_col,
-            "num_perm": num_perm,
-            "bands": bands,
-            "shingle": shingle,
-        },
+        cached_kernel(
+            MinHashActor, col=col, id_col=id_col,
+            num_perm=num_perm, bands=bands, shingle=shingle,
+        ),
         batch_format="pyarrow",
-        concurrency=(concurrency, concurrency),
     )
     banded = banded.map_batches(
         lambda t: add_coarse_bucket(t, ["band", "key"], num_buckets),
@@ -521,17 +516,14 @@ def simhash_near_dups(
     col: str = "text",
     id_col: str = "doc_id",
     max_hamming: int = 3,
-    concurrency: int = 4,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     if num_buckets is None:
         # 4 band rows per doc; metadata-only count on fresh parquet reads
         num_buckets = num_shuffle_buckets(ds.count() * 4)
     banded = ds.map_batches(
-        SimHashActor,
-        fn_constructor_kwargs={"col": col, "id_col": id_col},
+        cached_kernel(SimHashActor, col=col, id_col=id_col),
         batch_format="pyarrow",
-        concurrency=(concurrency, concurrency),
     )
     banded = banded.map_batches(
         lambda t: add_coarse_bucket(t, ["table_id", "band_key"], num_buckets),
@@ -858,19 +850,16 @@ def embedding_near_dups(
     threshold: float = 0.95,
     n_planes: int = 12,
     n_tables: int = 4,
-    concurrency: int = 4,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     if num_buckets is None:
         num_buckets = num_shuffle_buckets(ds.count() * n_tables)
     bucketed = ds.map_batches(
-        HyperplaneBucketActor,
-        fn_constructor_kwargs={
-            "dim": dim, "id_col": id_col, "col": col,
-            "n_planes": n_planes, "n_tables": n_tables,
-        },
+        cached_kernel(
+            HyperplaneBucketActor, dim=dim, id_col=id_col, col=col,
+            n_planes=n_planes, n_tables=n_tables,
+        ),
         batch_format="pyarrow",
-        concurrency=(concurrency, concurrency),
     )
     bucketed = bucketed.map_batches(
         lambda t: add_coarse_bucket(t, ["table_id", "bucket"], num_buckets),
@@ -1175,7 +1164,6 @@ def minhash_dedup_keep(
     jaccard_threshold: float | None = None,
     docs_lookup: dict | None = None,
     docs: ray.data.Dataset | None = None,
-    concurrency: int = 4,
     driver_pair_guard: int = DRIVER_PAIR_GUARD,
     num_partitions: int | None = None,
     **minhash_kwargs,
@@ -1193,8 +1181,8 @@ def minhash_dedup_keep(
     - corpus filter: broadcast ``is_in`` for small drop sets, ``left_anti``
       join past that (see :func:`filter_out_ids`)."""
     pairs = minhash_lsh_candidates(
-        ds, col=col, id_col=id_col, concurrency=concurrency, **minhash_kwargs
-    ).materialize()  # tiny vs corpus; also frees the actor pool before joins
+        ds, col=col, id_col=id_col, **minhash_kwargs
+    ).materialize()  # tiny vs corpus
     if jaccard_threshold is not None:
         if docs is not None:
             pairs = verify_candidates_jaccard_distributed(
@@ -1542,7 +1530,7 @@ def dedup_incremental(
     ``new`` is preserved (the dedup union itself carries only id + text).
     Base docs are never dropped (they are simply not emitted — the base
     corpus is immutable). Requires non-negative ids; ``keep_kwargs``
-    forward to minhash_dedup_keep (jaccard_threshold, concurrency, ...)."""
+    forward to minhash_dedup_keep (jaccard_threshold, docs, ...)."""
     mx = base.max(id_col)
     offset = int(mx) + 1 if mx is not None else 0
 
@@ -2559,8 +2547,8 @@ def winnow_dedup_pairs(
     if n <= broadcast_guard:
         # ONE stateless task stage attaches BOTH endpoint counts from a
         # single broadcast (id, nfp) table via two pc.index_in takes —
-        # chained fixed-size broadcast-join actor pools would reserve
-        # 2×concurrency CPUs and starve the upstream shuffle tasks on a
+        # two chained fixed-size broadcast-join actor pools would reserve
+        # their CPUs and starve the upstream shuffle tasks on a
         # small cluster (observed deadlock at num_cpus=4 in the test
         # fixture), and a task pool needs no reservation at all.
         nfp_tbl = pa.Table.from_pandas(nfp.to_pandas(), preserve_index=False)

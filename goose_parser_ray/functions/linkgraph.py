@@ -8,8 +8,8 @@ goose-parser evaluates CSS-scoped rules against a parsed DOM — SURVEY.md
 the (src, dst) edges stream out as a normal Arrow table — feed them to
 ``functions.graph.pagerank_distributed`` / ``triangle_count`` downstream.
 
-Scale shape: one fixed actor pool, selector compiled once per actor in
-``__init__``, per-batch work is the DOM parse kernel (inherently per-
+Scale shape: plain tasks, each batch compiling the selector once (micro-
+seconds); per-batch work is the DOM parse kernel (inherently per-
 document, same kernel as the extraction flagship) plus vectorized Arrow
 string assembly/escaping around it. No shuffle — the edge list is map-only;
 the in-degree rollup downstream uses the partial/combiner pattern so the
@@ -106,23 +106,14 @@ class LinkExtractActor:
         )
 
 
-def extract_links(
-    ds: ray.data.Dataset, concurrency: int | None = None
-) -> ray.data.Dataset:
+def extract_links(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Corpus → (src, dst) hyperlink edge list via the real DOM engine.
 
     Task pool, not actor pool: the stage's only state is one compiled
     selector (microseconds), so actor spin-up costs more than it saves
-    (media_png measurement — stage wall 3.0s → 1.4s at sf0.1/32 CPUs);
-    ``concurrency`` caps concurrent tasks when given."""
-    kwargs = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
+    (media_png measurement — stage wall 3.0s → 1.4s at sf0.1/32 CPUs)."""
     return ds.map_batches(
-        lambda t: LinkExtractActor()(t),
-        batch_format="pyarrow",
-        batch_size=512,
-        **kwargs,
+        lambda t: LinkExtractActor()(t), batch_format="pyarrow", batch_size=512
     )
 
 
@@ -181,19 +172,11 @@ class MetaExtractActor:
         )
 
 
-def extract_meta(
-    ds: ray.data.Dataset, concurrency: int | None = None
-) -> ray.data.Dataset:
+def extract_meta(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Corpus → (doc_id, title, description, og_type) via the DOM engine.
     Task pool (selector-compile init is microseconds — see extract_links)."""
-    kwargs = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
     return ds.map_batches(
-        lambda t: MetaExtractActor()(t),
-        batch_format="pyarrow",
-        batch_size=512,
-        **kwargs,
+        lambda t: MetaExtractActor()(t), batch_format="pyarrow", batch_size=512
     )
 
 

@@ -8,8 +8,8 @@ signature, batch sizing, output layout — is real and tested
 without touching pipeline code.
 
 Batch-size note (guide "Memory-aware"): binary payloads are wide — callers
-should pass small ``batch_size`` (e.g. 16) for these stages so
-batch × concurrency fits worker heaps.
+should pass small ``batch_size`` (e.g. 16) for these stages so each
+batch fits a worker heap.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ def broadcast_join(
     key: str,
     *,
     how: str = "inner",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Join ``ds`` against a small side WITHOUT a shuffle.
 
@@ -75,13 +74,10 @@ def broadcast_join(
     # task pool, not actor pool: per-task "init" is a zero-copy plasma get
     # (the Arrow buffers live once per node in shared memory) plus three
     # attribute binds — actor spin-up costs more than it saves on short
-    # stages (media_png measurement); ``concurrency`` (optional) caps
-    # concurrent tasks
-    kwargs = {"concurrency": concurrency} if concurrency is not None else {}
+    # stages (media_png measurement)
     return ds.map_batches(
         lambda t: _BroadcastJoiner(small_ref=ref, key=key, how=how)(t),
         batch_format="pyarrow",
-        **kwargs,
     )
 
 
@@ -327,17 +323,21 @@ def weighted_sample(
     rows per block survive), tiny global merge — no full-data shuffle.
     Deterministic for a given (seed, ids, weights): reruns and resumes
     produce the identical sample. The uniform comes from the Knuth
-    multiplicative hash on the integer id (seed-salted) — cross-engine
-    exact integer arithmetic, so a SQL oracle can restate the draw
-    (``(id*(2654435761+2*seed)) % 2^32``, then ``(h+0.5)/2^32``)."""
+    multiplicative hash on the integer id (seed-salted) through the
+    ``dedup._mix64`` avalanche, so ids that differ only in their high bits
+    still draw different uniforms. It is cross-engine exact integer
+    arithmetic, so a SQL oracle can restate the draw: ``h = mix64((id *
+    (2654435761+2*seed)) % 2^64) >> 32``, then ``(h+0.5)/2^32``."""
     import numpy as np
+
+    from goose_parser_ray.functions.dedup import _mix64
 
     def local_topk(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return t.append_column("__sk", pa.array([], pa.float64()))
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        mult = np.int64(2654435761 + 2 * seed)
-        h = (ids * mult) & np.int64(0xFFFFFFFF)
+        mult = np.uint64(2654435761 + 2 * seed)
+        h = _mix64(ids.astype(np.uint64) * mult) >> np.uint64(32)
         # exact uniform in (0, 1): (h + 0.5) / 2^32, exact in float64
         u = (h.astype(np.float64) + 0.5) / float(1 << 32)
         w = t[weight_col].to_numpy(zero_copy_only=False).astype(np.float64)

@@ -142,24 +142,25 @@ def ann_lsh(
     At 100 TB the bucket filter is a vectorized ``is_in`` against a
     driver-broadcast probe set — the matmul only ever sees candidates.
     Approximate by construction: recall < 1 for far neighbors (tune
-    ``n_planes`` down / ``n_tables`` up for higher recall)."""
+    ``n_planes`` down / ``n_tables`` up for higher recall). ``concurrency``
+    sizes the rerank's :func:`ann_bruteforce` actor pool; the bucketer is a
+    cached-kernel task."""
     from goose_parser_ray.functions.dedup import (
         HyperplaneBucketActor,
         num_shuffle_buckets,
     )
+    from goose_parser_ray.stages.extract import cached_kernel
 
     if num_buckets is None:
         # upper-bound the candidate distinct stage by corpus × tables
         # (metadata-only count on fresh parquet reads)
         num_buckets = num_shuffle_buckets(ds.count() * n_tables)
     bucketed = ds.map_batches(
-        HyperplaneBucketActor,
-        fn_constructor_kwargs={
-            "dim": dim, "id_col": id_col, "col": col,
-            "n_planes": n_planes, "n_tables": n_tables, "seed": seed,
-        },
+        cached_kernel(
+            HyperplaneBucketActor, dim=dim, id_col=id_col, col=col,
+            n_planes=n_planes, n_tables=n_tables, seed=seed,
+        ),
         batch_format="pyarrow",
-        concurrency=(concurrency, concurrency),
     )
     # query buckets, computed driver-side with the identical plane matrix
     rng = np.random.RandomState(seed)

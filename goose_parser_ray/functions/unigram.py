@@ -26,6 +26,7 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions.bpe import word_frequency_table
+from goose_parser_ray.stages.extract import cached_kernel
 
 
 def _viterbi_pieces(word: str, logp: dict) -> list[str]:
@@ -207,8 +208,9 @@ def unigram_train(
 class UnigramEncodeActor:
     """Corpus-wide Viterbi encoding under a trained piece vocabulary
     (tokenizer APPLICATION — the sibling of ``bpe.BpeEncodeActor``, same
-    actor-pool shape: vocab ships once via ``__init__``, per-actor
-    word→pieces memo). Emits per-doc n_pieces / n_chars / roundtrip_ok."""
+    shape: vocab ships once per worker process via ``__init__``, and the
+    cached instance keeps its word→pieces memo across batches). Emits
+    per-doc n_pieces / n_chars / roundtrip_ok."""
 
     def __init__(self, vocab: list, col: str = "text"):
         self._logp = {p: lp / 1e6 for p, _, lp in vocab}
@@ -245,15 +247,12 @@ def unigram_encode(
     vocab: list,
     *,
     col: str = "text",
-    concurrency=(2, 8),
     batch_size: int = 512,
 ) -> ray.data.Dataset:
     """Corpus → per-doc piece stats under a trained unigram vocabulary
     (pure map, no shuffle; see :class:`UnigramEncodeActor`)."""
     return ds.map_batches(
-        UnigramEncodeActor,
-        fn_constructor_args=(list(vocab), col),
+        cached_kernel(UnigramEncodeActor, vocab=list(vocab), col=col),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )

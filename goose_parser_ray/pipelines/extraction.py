@@ -13,12 +13,11 @@ Salted mega-docs leave the pipeline as chunks; the write stage
 waves, commits each partition's output directory atomically, records a
 manifest row per partition, and skips completed partitions on restart
 (SURVEY.md §4.2, FIXTURES.md F6). Each wave is one self-contained Ray Data
-execution. With no ``concurrency`` from the caller and no input file split
-across read blocks, it is one physical operator: every task reads a block,
-extracts it and writes it through the sink
-(``stages.residual.PartitionSink``), which finishes the salted-chunk merge
-and counts rows/spans/errors per partition. Its reads are sized from the
-input bytes, and it starts no actors.
+execution. With no input file split across read blocks, it is one physical
+operator: every task reads a block, extracts it and writes it through the
+sink (``stages.residual.PartitionSink``), which finishes the salted-chunk
+merge and counts rows/spans/errors per partition. Its reads are sized from
+the input bytes, Ray sizes its tasks, and it starts no actors.
 """
 
 from __future__ import annotations
@@ -69,8 +68,8 @@ class ErrorBudgetExceeded(RuntimeError):
 def default_pool_size() -> int:
     """All CPUs minus ~1/5, deterministic (autoscaling disabled per
     BASELINE.json:6). ``extract_corpus`` sizes a wave's reads for this many
-    slots when the caller sets no ``concurrency`` (see
-    ``read_block_count``); it caps no task. It was the extract cap while
+    slots (see ``read_block_count``); it caps no task. It was the extract
+    cap while
     read, extract and write ran as separate stages, measured then on the
     2M-doc bench corpus at 32 CPUs: pool=24 → 82.8k docs/s, pool=26-28 →
     90-99k, pool=30 thrashed (76k), as the write starved without ~6 free
@@ -82,8 +81,8 @@ def default_pool_size() -> int:
 
 def read_block_count(input_bytes: int, pool: int) -> int:
     """Read blocks for one wave, sized from its input bytes: one per
-    ``READ_BLOCK_BYTES``, at least two per ``pool`` slot (the caller's
-    ``concurrency``, else ``default_pool_size()``) and at most 16 per CPU.
+    ``READ_BLOCK_BYTES``, at least two per ``pool`` slot
+    (``default_pool_size()``) and at most 16 per CPU.
     Every block is one extract task and pays a fixed per-task cost (on 4
     CPUs an identity actor-pool job plus write took 1.9–2.1 s at 64 blocks
     and 1.2–1.3 s at 8), while coarse blocks leave CPUs idle at the end of
@@ -110,7 +109,6 @@ def build_extraction_pipeline(
     rules_registry: dict[str, dict] | None = None,
     num_partitions: int = 64,
     salt_threshold: int | None = None,
-    concurrency: int | None = None,
     batch_size: int = 256,
     strip_boilerplate: bool = True,
     partition_filter: "set[int] | None" = None,
@@ -124,10 +122,8 @@ def build_extraction_pipeline(
     next, so the salting row loop only ever sees the slice that holds a
     mega-doc. The map has no ``batch_size`` of its own, so Ray Data fuses it
     with the read and the maps before it and with the write after it: a
-    block is read, extracted and written in one task. ``concurrency`` caps
-    the concurrent tasks (``None``: no cap, one per CPU). Ray 2.49 fuses
-    task maps only when their caps are equal, so under a cap the read and
-    the write stay separate operators.
+    block is read, extracted and written in one task, and Ray runs one such
+    task per CPU.
 
     ``partition_filter``: restrict the job to these partition_ids — applied
     right after normalize, BEFORE the expensive extract (resume/wave runs
@@ -161,9 +157,7 @@ def build_extraction_pipeline(
                 t = t.filter(pc.is_in(t["partition_id"], keep))
             yield extract_batch(t, **args)
 
-    return ds.map_batches(
-        extract_block, batch_format="pyarrow", concurrency=concurrency
-    )
+    return ds.map_batches(extract_block, batch_format="pyarrow")
 
 
 def _chunk(seq: list[int], n_chunks: int) -> list[list[int]]:
@@ -180,7 +174,6 @@ def extract_corpus(
     num_partitions: int = 16,
     waves: int = 4,
     salt_threshold: int | None = DEFAULT_SALT_THRESHOLD,
-    concurrency: int | None = None,
     batch_size: int = 256,
     strip_boilerplate: bool = True,
     partition_mode: str = "hash",
@@ -217,10 +210,9 @@ def extract_corpus(
       per-wave full-corpus re-read disappears). ``num_partitions`` is
       derived from the file count.
 
-    ``concurrency``: cap on the concurrent extract tasks; ``None`` (the
-    default) sets none. A wave whose read fuses (no input file split across
-    read blocks) is then one read-extract-write operator; any other wave
-    keeps its read as a separate operator."""
+    No cap is set on the extract tasks. A wave whose read fuses (no input
+    file split across read blocks) is one read-extract-write operator; any
+    other wave keeps its read as a separate operator."""
     out = Path(output_path)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(output_path)
@@ -272,7 +264,7 @@ def extract_corpus(
 
     summary["phase_s"] = {"pipeline": 0.0, "residual": 0.0, "commit_metrics": 0.0}
     summary["read_blocks"] = []
-    pool = concurrency if concurrency is not None else default_pool_size()
+    pool = default_pool_size()
     for wave_ids in _chunk(pending, waves):
         t0 = time.monotonic()
         wave_set = set(wave_ids)
@@ -322,7 +314,6 @@ def extract_corpus(
             rules_registry=rules_registry,
             num_partitions=num_partitions,
             salt_threshold=salt_threshold,
-            concurrency=concurrency,
             batch_size=batch_size,
             strip_boilerplate=strip_boilerplate,
             partition_filter=pipeline_filter,

@@ -51,12 +51,12 @@ SELECT MIN(doc_id) AS doc_id, text FROM documents GROUP BY text
 
 def q_dedup_minhash(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return minhash_lsh_candidates(ds, concurrency=_pool())
+    return minhash_lsh_candidates(ds)
 
 
 def q_dedup_simhash(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return simhash_near_dups(ds, concurrency=_pool())
+    return simhash_near_dups(ds)
 
 
 def q_dedup_minhash_verified(sf_dir: str):
@@ -68,7 +68,7 @@ def q_dedup_minhash_verified(sf_dir: str):
     )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    cands = minhash_lsh_candidates(ds, concurrency=_pool())
+    cands = minhash_lsh_candidates(ds)
     return verify_candidates_jaccard_distributed(
         cands, _read(sf_dir, "documents", ["doc_id", "text"]), threshold=0.5
     )
@@ -87,7 +87,7 @@ def q_dedup_precision(sf_dir: str):
     )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    cands = minhash_lsh_candidates(ds, concurrency=_pool()).materialize()
+    cands = minhash_lsh_candidates(ds).materialize()
     n_cand = cands.count()
     n_ver = (
         verify_candidates_jaccard_distributed(
@@ -142,7 +142,7 @@ def q_dedup_embedding(sf_dir: str):
     # planes) purely to exercise the full bucket→verify path end-to-end
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return embedding_near_dups(
-        ds, dim=64, threshold=0.45, n_planes=6, concurrency=_pool()
+        ds, dim=64, threshold=0.45, n_planes=6
     )
 
 
@@ -156,7 +156,6 @@ def q_dedup_keep(sf_dir: str):
         ds,
         jaccard_threshold=0.8,
         docs=_read(sf_dir, "documents", ["doc_id", "text"]),
-        concurrency=_pool(),
     )
     return kept.select_columns(["doc_id"])
 
@@ -413,7 +412,7 @@ def q_quantiles_cont(sf_dir: str):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     ).rename_columns(["c_custkey", "segment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    joined = broadcast_join(orders, cust, key="o_custkey", concurrency=_pool())
+    joined = broadcast_join(orders, cust, key="o_custkey")
     joined = joined.map_batches(
         lambda t: pa.Table.from_arrays(
             [t["segment"], _cents(t["o_totalprice"])],
@@ -930,7 +929,7 @@ def q_ann_recall(sf_dir: str):
             "lsh",
             ann_lsh(
                 ds, qids, qmat, k=k, dim=64, n_planes=4, n_tables=8,
-                concurrency=max(1, _pool() // 2),
+                concurrency=_pool(),
             ).to_pandas(),
         ),
         (

@@ -374,7 +374,6 @@ def q_rules_oracle(sf_dir: str):
         src,
         rules,
         salt_threshold=None,
-        concurrency=_pool(),
         batch_size=32,
     )
 

@@ -1267,16 +1267,13 @@ def q_ann_lsh(sf_dir: str):
     qids = head["vec_id"].to_pylist()
     qmat = np.array(head["embedding"].to_pylist(), dtype=np.float32)
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    # ann_lsh chains TWO fixed actor pools (bucketer + reranker); each gets
-    # half the budget or their reservations can't coexist and the streaming
-    # pipeline deadlocks.
     # knobs measured on this near-random synthetic embedding table (the
     # LSH-hostile case — no cluster structure): 4 planes × 8 tables gives
     # recall@5 min 0.80 / mean 0.97 vs the oracle-checked brute force (the
     # old 6×4 sat at mean 0.48); floors asserted in tests/test_recall.py
     out = ann_lsh(
         ds, qids, qmat, k=5, dim=64, n_planes=4, n_tables=8,
-        concurrency=max(1, _pool() // 2),
+        concurrency=_pool(),
     )
     return out.select_columns(["query_id", "vec_id", "rank"])
 
@@ -1294,7 +1291,7 @@ def q_communities_lpa(sf_dir: str):
     from goose_parser_ray.functions.linkgraph import extract_links
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    edges = extract_links(ds, concurrency=_pool())
+    edges = extract_links(ds)
     return label_propagation(edges, rounds=3).sort("node")
 
 

@@ -17,7 +17,7 @@ import ray.data
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
 
 
@@ -429,9 +429,7 @@ def q_bpe_encode(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     merges = bpe_train(ds, "text", n_merges=5)
-    return bpe_encode(
-        ds, merges, concurrency=(2, max(2, _pool() // 2))
-    ).sort("doc_id")
+    return bpe_encode(ds, merges).sort("doc_id")
 
 
 def q_unigram_vocab(sf_dir: str):
@@ -459,17 +457,16 @@ def q_unigram_vocab(sf_dir: str):
 
 def q_unigram_encode(sf_dir: str):
     """Unigram tokenizer APPLICATION (sibling of q_bpe_encode): Viterbi-
-    segment every document under the trained vocabulary (actor pool,
-    vocab broadcast once, per-actor word→pieces memo, no shuffle).
+    segment every document under the trained vocabulary (cached-kernel
+    task: vocab built once per worker process with its word→pieces memo,
+    no shuffle).
     Self-verifying: ``roundtrip_ok`` must be 1 on every row (piece
     concatenation rebuilds each word) and ``n_pieces ≤ n_chars``."""
     from goose_parser_ray.functions.unigram import unigram_encode, unigram_train
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     vocab = unigram_train(ds, "text", vocab_size=48, em_iters=3)
-    return unigram_encode(
-        ds, vocab, concurrency=(2, max(2, _pool() // 2))
-    ).sort("doc_id")
+    return unigram_encode(ds, vocab).sort("doc_id")
 
 
 _BM25_TERMS = ("vector", "hash", "latency")

@@ -14,7 +14,7 @@ import ray
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.relational import pre_aggregated_sum
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 def q_line_dedup(sf_dir: str):
@@ -1213,7 +1213,7 @@ def q_adamic_adar(sf_dir: str):
     from goose_parser_ray.functions.linkgraph import extract_links
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    edges = extract_links(ds, concurrency=_pool())
+    edges = extract_links(ds)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(

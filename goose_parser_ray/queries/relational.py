@@ -17,7 +17,7 @@ from goose_parser_ray.functions.relational import (
     safe_join,
 )
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def q_join_segment(sf_dir: str):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     ).rename_columns(["c_custkey", "segment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    joined = broadcast_join(orders, cust, key="o_custkey", concurrency=_pool())
+    joined = broadcast_join(orders, cust, key="o_custkey")
     joined = joined.map_batches(
         lambda t: t.append_column("total_cents", _cents(t["o_totalprice"])),
         batch_format="pyarrow",
@@ -141,7 +141,7 @@ def q_join_left(sf_dir: str):
     }
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     joined = broadcast_join(
-        cust, small, key="c_nationkey", how="left", concurrency=_pool()
+        cust, small, key="c_nationkey", how="left"
     )
     return joined.select_columns(["c_custkey", "nation_name"])
 

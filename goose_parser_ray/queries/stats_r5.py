@@ -27,12 +27,13 @@ def q_spearman(sf_dir: str):
     whitespace token count, ORACLE-CHECKED with exact integers: ranks are
     tie-aware DOUBLED ranks r2 = min_rank + max_rank (always integral),
     computed distributed from the bounded value-count tables (one tiny
-    aggregation per variable, cum-sum on the driver, dict broadcast into
-    a single map pass emitting int64 moment partials). Emitted columns
-    are the exact Pearson-on-ranks building blocks — numerator
-    n·Σxy − Σx·Σy and both denominator squares — which determine ρ but
-    stay integers. Scale shape: two bounded-domain aggregations + one
-    map pass; no row-level shuffle."""
+    aggregation per variable, cum-sum in the caller, the sorted distinct
+    values and their ranks broadcast into a single map pass that looks
+    them up with ``np.searchsorted`` and emits int64 moment partials).
+    Emitted columns are the exact Pearson-on-ranks building blocks —
+    numerator n·Σxy − Σx·Σy and both denominator squares — which
+    determine ρ but stay integers. Scale shape: two bounded-domain
+    aggregations + one map pass; no row-level shuffle."""
     import pandas as pd
 
     ds = _read(sf_dir, "documents", ["n_chars", "text"])
@@ -47,7 +48,8 @@ def q_spearman(sf_dir: str):
 
     base = ds.map_batches(vals, batch_format="pyarrow").materialize()
 
-    def rank2_map(col: str) -> dict:
+    def rank2_table(col: str) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted distinct values, their doubled ranks)."""
         vc = (
             pre_aggregated_sum(
                 base.select_columns([col]), keys=[col], sums={},
@@ -58,15 +60,17 @@ def q_spearman(sf_dir: str):
         )
         cum = vc["n"].cumsum().to_numpy()
         lo = np.concatenate(([0], cum[:-1])) + 1  # min rank
-        return dict(zip(vc[col].to_numpy(), (lo + cum).astype(np.int64)))
+        return vc[col].to_numpy(np.int64), (lo + cum).astype(np.int64)
 
-    r2x_ref = ray.put(rank2_map("x"))
-    r2y_ref = ray.put(rank2_map("y"))
+    r2x_ref = ray.put(rank2_table("x"))
+    r2y_ref = ray.put(rank2_table("y"))
+
+    def ranks(col: pa.ChunkedArray, ref) -> np.ndarray:
+        values, r2 = ray.get(ref)
+        return r2[np.searchsorted(values, col.to_numpy())]
 
     def moments(t: pa.Table) -> pa.Table:
-        mx, my = ray.get(r2x_ref), ray.get(r2y_ref)
-        x = np.array([mx[v] for v in t["x"].to_pylist()], np.int64)
-        y = np.array([my[v] for v in t["y"].to_pylist()], np.int64)
+        x, y = ranks(t["x"], r2x_ref), ranks(t["y"], r2y_ref)
         return pa.Table.from_pydict(
             {
                 "n": [len(x)],

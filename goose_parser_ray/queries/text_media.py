@@ -23,8 +23,9 @@ from goose_parser_ray.functions.relational import (
 from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
 from goose_parser_ray.pipelines import build_extraction_pipeline
 from goose_parser_ray.sources.corpus import wrap_flat_documents
+from goose_parser_ray.stages.extract import cached_kernel
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +202,9 @@ def q_media_decode(sf_dir: str):
 
     ds = ds.map_batches(to_payload, batch_format="pyarrow")
     ds = ds.map_batches(
-        ImageDecodeActor,
+        cached_kernel(ImageDecodeActor),
         batch_format="pyarrow",
         batch_size=16,  # binary payloads: small batches (memory-aware)
-        concurrency=(_pool(), _pool()),
     )
 
     def flatten(t: pa.Table) -> pa.Table:
@@ -223,10 +223,10 @@ def q_media_decode(sf_dir: str):
 
 
 def q_media_pipeline(sf_dir: str):
-    """Full multimodal actor chain: payload → decode → resize → frame-sample
+    """Full multimodal kernel chain: payload → decode → resize → frame-sample
     → audio features (all stubs deterministic; the Ray plumbing — chained
-    actor pools, small batches, list/struct schemas — is the real artifact).
-    Rows-only by nature."""
+    cached-kernel tasks, small batches, list/struct schemas — is the real
+    artifact). Rows-only by nature."""
     from goose_parser_ray.functions.multimodal import (
         AudioFeatureActor,
         FrameSampleActor,
@@ -242,24 +242,13 @@ def q_media_pipeline(sf_dir: str):
             names=["doc_id", "payload"],
         )
 
-    pool = max(1, _pool() // 4)  # four chained fixed pools must coexist
     ds = ds.map_batches(to_payload, batch_format="pyarrow")
-    ds = ds.map_batches(
-        ImageDecodeActor, batch_format="pyarrow", batch_size=16,
-        concurrency=(pool, pool),
-    )
-    ds = ds.map_batches(
-        ImageResizeActor, batch_format="pyarrow", batch_size=16,
-        concurrency=(pool, pool),
-    )
-    ds = ds.map_batches(
-        FrameSampleActor, batch_format="pyarrow", batch_size=16,
-        concurrency=(pool, pool),
-    )
-    ds = ds.map_batches(
-        AudioFeatureActor, batch_format="pyarrow", batch_size=16,
-        concurrency=(pool, pool),
-    )
+    for kernel in (
+        ImageDecodeActor, ImageResizeActor, FrameSampleActor, AudioFeatureActor
+    ):
+        ds = ds.map_batches(
+            cached_kernel(kernel), batch_format="pyarrow", batch_size=16
+        )
 
     def project(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -377,7 +366,6 @@ def q_data_pipeline(sf_dir: str, checkpoint_dir: "str | None" = None):
         ds,
         jaccard_threshold=0.8,
         docs=ds,
-        concurrency=_pool(),
     )
 
     def stats(t: pa.Table) -> pa.Table:
@@ -790,7 +778,7 @@ def q_lang_centroids(sf_dir: str):
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
     )
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    joined = broadcast_join(emb, docs, key="vec_id", concurrency=_pool())
+    joined = broadcast_join(emb, docs, key="vec_id")
 
     def partial(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -856,8 +844,7 @@ def q_extract_spans(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     ds = ds.map_batches(wrap_flat_documents, batch_format="pyarrow")
     ds = build_extraction_pipeline(
-        ds, salt_threshold=None,
-        concurrency=_pool(), batch_size=32,
+        ds, salt_threshold=None, batch_size=32,
     )
 
     def flatten(t: pa.Table) -> pa.Table:
@@ -913,8 +900,7 @@ def q_extract_rules(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     ds = ds.map_batches(wrap_flat_documents, batch_format="pyarrow")
     ds = build_extraction_pipeline(
-        ds, rules, salt_threshold=None,
-        concurrency=_pool(), batch_size=32,
+        ds, rules, salt_threshold=None, batch_size=32,
     )
 
     def flatten(t: pa.Table) -> pa.Table:
@@ -949,7 +935,7 @@ def q_link_graph(sf_dir: str):
     from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    edges = extract_links(ds, concurrency=_pool())
+    edges = extract_links(ds)
     deg = pre_aggregated_sum(edges, ["dst"], {}, count_alias="in_degree")
     return deg.sort("dst")
 

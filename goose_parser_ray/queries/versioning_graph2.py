@@ -15,8 +15,9 @@ import ray.data
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.dedup import exact_dedup
 from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
+from goose_parser_ray.stages.extract import cached_kernel
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
 from goose_parser_ray.queries.text_media import _quality_sql
 
@@ -1097,11 +1098,11 @@ def q_meta_extract(sf_dir: str):
     recover them through the full DOM stack — tokenizer → tree builder →
     compiled ``title`` / ``meta[name=…]`` / ``meta[property=…]`` selectors
     → text/attribute reads, with the description round-tripping entity
-    escaping. Map-only (actor pool), zero shuffle."""
+    escaping. Map-only, zero shuffle."""
     from goose_parser_ray.functions.linkgraph import extract_meta
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    return extract_meta(ds, concurrency=_pool())
+    return extract_meta(ds)
 
 
 SQL_META_EXTRACT = """
@@ -1309,6 +1310,49 @@ FROM o GROUP BY 1
 SQL_TRAINING_SHARDS = _training_shards_sql()
 
 
+class TableExtract:
+    """``q_html_table``'s kernel: one compiled row selector per instance."""
+
+    def __init__(self) -> None:
+        from goose_parser_ray.css.selector import compile_selector
+
+        self._rows = compile_selector("table#data tr")
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        from goose_parser_ray.css.selector import select
+        from goose_parser_ray.html import parse_html
+
+        ids = t["doc_id"].to_pylist()
+        out_id: list[int] = []
+        out_k: list[int] = []
+        out_v: list[int] = []
+        for doc_id in ids:
+            n = doc_id % 4 + 1
+            body = "".join(
+                f"<tr><td>{k}</td><td>{(doc_id * k) % 101}</td></tr>"
+                for k in range(1, n + 1)
+            )
+            page = (
+                f'<html><body><table id="data">{body}</table>'
+                f"</body></html>"
+            )
+            doc = parse_html(page)
+            for r in select(self._rows, doc):
+                cells = [
+                    c.text() for c in r.child_elements() if c.tag == "td"
+                ]
+                out_id.append(doc_id)
+                out_k.append(int(cells[0]))
+                out_v.append(int(cells[1]))
+        return pa.Table.from_pydict(
+            {
+                "doc_id": pa.array(out_id, pa.int64()),
+                "row_idx": pa.array(out_k, pa.int64()),
+                "val": pa.array(out_v, pa.int64()),
+            }
+        )
+
+
 def q_html_table(sf_dir: str):
     """HTML <table> extraction to relational rows (the tabular-scrape op:
     goose-parser grid rules over real markup), ORACLE-CHECKED: each doc
@@ -1317,52 +1361,9 @@ def q_html_table(sf_dir: str):
     real DOM stack — tree builder (including implicit tbody handling) →
     ``table#data tr`` descendant selector → td child traversal — while
     the SQL twin states the expected rows in closed form (LATERAL
-    generate_series). Map-only actor pool."""
-
-    class TableExtract:
-        def __init__(self) -> None:
-            from goose_parser_ray.css.selector import compile_selector
-
-            self._rows = compile_selector("table#data tr")
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            from goose_parser_ray.css.selector import select
-            from goose_parser_ray.html import parse_html
-
-            ids = t["doc_id"].to_pylist()
-            out_id: list[int] = []
-            out_k: list[int] = []
-            out_v: list[int] = []
-            for doc_id in ids:
-                n = doc_id % 4 + 1
-                body = "".join(
-                    f"<tr><td>{k}</td><td>{(doc_id * k) % 101}</td></tr>"
-                    for k in range(1, n + 1)
-                )
-                page = (
-                    f'<html><body><table id="data">{body}</table>'
-                    f"</body></html>"
-                )
-                doc = parse_html(page)
-                for r in select(self._rows, doc):
-                    cells = [
-                        c.text() for c in r.child_elements() if c.tag == "td"
-                    ]
-                    out_id.append(doc_id)
-                    out_k.append(int(cells[0]))
-                    out_v.append(int(cells[1]))
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array(out_id, pa.int64()),
-                    "row_idx": pa.array(out_k, pa.int64()),
-                    "val": pa.array(out_v, pa.int64()),
-                }
-            )
-
+    generate_series). Map-only cached-kernel task."""
     ds = _read(sf_dir, "documents", ["doc_id"])
-    return ds.map_batches(
-        TableExtract, batch_format="pyarrow", concurrency=_pool()
-    )
+    return ds.map_batches(cached_kernel(TableExtract), batch_format="pyarrow")
 
 
 SQL_HTML_TABLE = """

@@ -19,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from goose_parser_ray.functions.relational import pre_aggregated_sum
-from goose_parser_ray.queries._shared import _pool, _read
+from goose_parser_ray.queries._shared import _read
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def q_crawl_frontier(sf_dir: str):
     from goose_parser_ray.functions.linkgraph import extract_links
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    edges = extract_links(ds, concurrency=_pool())
+    edges = extract_links(ds)
 
     def uncrawled(t: pa.Table) -> pa.Table:
         dst = t["dst"]

@@ -14,7 +14,7 @@ import ray
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 def q_cube_agg(sf_dir: str):
@@ -371,7 +371,7 @@ def q_topn_per_group(sf_dir: str):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     ).rename_columns(["c_custkey", "segment"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    joined = broadcast_join(orders, cust, key="o_custkey", concurrency=_pool())
+    joined = broadcast_join(orders, cust, key="o_custkey")
     joined = joined.map_batches(
         lambda t: pa.Table.from_arrays(
             [t["o_orderkey"], t["segment"], _cents(t["o_totalprice"])],
@@ -569,7 +569,7 @@ def q_quantiles(sf_dir: str):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     ).rename_columns(["c_custkey", "segment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    joined = broadcast_join(orders, cust, key="o_custkey", concurrency=_pool())
+    joined = broadcast_join(orders, cust, key="o_custkey")
     joined = joined.map_batches(
         lambda t: pa.Table.from_arrays(
             [t["segment"], _cents(t["o_totalprice"])],
@@ -917,9 +917,10 @@ def q_sample_weighted(sf_dir: str):
     ORACLE-CHECKED (r5: converted from rows-only): 50 documents drawn
     with probability ∝ n_chars — map-side local top-k of the u^(1/w)
     scores, tiny merge. The uniform u is the Knuth multiplicative hash
-    (exact int64 both engines, then an exact float64 (h+0.5)/2^32), so
-    the SQL twin recomputes the identical scores and top-k membership.
-    Exact parity vs a driver-side reference is also pinned in tests."""
+    through the mix64 avalanche (exact 64-bit integers both engines, then
+    an exact float64 (h+0.5)/2^32), so the SQL twin recomputes the
+    identical scores and top-k membership. Exact parity vs a single-process
+    reference is also pinned in tests."""
     from goose_parser_ray.functions.relational import weighted_sample
 
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
@@ -929,16 +930,25 @@ def q_sample_weighted(sf_dir: str):
     )
 
 
-SQL_SAMPLE_WEIGHTED = """
+def _sample_weighted_sql() -> str:
+    from goose_parser_ray.queries.versioning_graph2 import _sql_mix64
+
+    h = _sql_mix64(
+        "(CAST(doc_id AS HUGEINT) * (2654435761 + 2 * 42))"
+        " % 18446744073709551616"
+    )
+    return f"""
 WITH s AS (
   SELECT doc_id, n_chars,
-         POWER((((doc_id * (2654435761 + 2 * 42)) % 4294967296) + 0.5)
-                 / 4294967296.0,
+         POWER((CAST(({h}) // 4294967296 AS DOUBLE) + 0.5) / 4294967296.0,
                1.0 / GREATEST(CAST(n_chars AS DOUBLE), 1e-12)) AS sk
   FROM documents
 )
 SELECT doc_id, n_chars FROM s ORDER BY sk DESC, doc_id LIMIT 50
 """
+
+
+SQL_SAMPLE_WEIGHTED = _sample_weighted_sql()
 
 
 def q_sample_stratified(sf_dir: str):
@@ -998,7 +1008,7 @@ def q_ntile_orders(sf_dir: str):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     ).rename_columns(["c_custkey", "segment"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    joined = broadcast_join(orders, cust, key="o_custkey", concurrency=_pool())
+    joined = broadcast_join(orders, cust, key="o_custkey")
     joined = joined.map_batches(
         lambda t: pa.Table.from_arrays(
             [t["o_orderkey"], t["segment"], _cents(t["o_totalprice"])],
@@ -1047,7 +1057,7 @@ def q_grouped_quantile_sketch(sf_dir: str):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     ).rename_columns(["c_custkey", "segment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    joined = broadcast_join(orders, cust, key="o_custkey", concurrency=_pool())
+    joined = broadcast_join(orders, cust, key="o_custkey")
     df = grouped_sketch_quantiles(
         joined, "segment", "o_totalprice", [0.5, 0.95], return_bins=True
     )

@@ -2,7 +2,7 @@
 
     python -m goose_parser_ray.run --input <table-dir-or-file> --output <dir>
         [--rules rules.json] [--registry rules_registry.json]
-        [--partitions 64] [--waves 4] [--concurrency N] [--batch-size 64]
+        [--partitions 64] [--waves 4] [--batch-size 64]
         [--salt-threshold 512] [--num-cpus N]
 
 Replaces the reference's ``goose-parser <url> '<rules json>'`` (one URL per
@@ -25,7 +25,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--registry", help="per-source rules registry JSON file (G8)")
     p.add_argument("--partitions", type=int, default=64)
     p.add_argument("--waves", type=int, default=4)
-    p.add_argument("--concurrency", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument(
         "--salt-threshold",
@@ -99,7 +98,6 @@ def main(argv: list[str] | None = None) -> int:
             salt_threshold=(
                 args.salt_threshold if args.salt_threshold > 0 else None
             ),
-            concurrency=args.concurrency,
             batch_size=args.batch_size,
             partition_mode=args.partition_mode,
             max_error_fraction=args.max_error_fraction,

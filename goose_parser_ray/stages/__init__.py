@@ -9,8 +9,8 @@
   merges salted chunks back into whole docs in salt order, with no shuffle.
 
 The pipeline runs normalize and extract slice by slice inside one map task
-per block; with no ``concurrency`` cap, Ray Data fuses it with the write,
-and with the read when no input file is split (``pipelines.extraction``).
+per block; Ray Data fuses it with the write, and with the read when no
+input file is split (``pipelines.extraction``).
 """
 
 from goose_parser_ray.stages.normalize import make_normalize_fn, stable_hash

@@ -2,10 +2,12 @@
 
 ``extract_batch`` is called on each normalized slice inside the one map
 task per block (``pipelines.extraction.build_extraction_pipeline``), which
-with no ``concurrency`` cap also writes that block, and reads it when no
-input file is split. Each worker process keeps one ``ExtractActor`` (rule
-plans compiled in ``__init__``) per set of arguments, so later slices,
-waves and jobs on a worker Ray kept idle skip the imports and the compile.
+also writes that block, and reads it when no input file is split. Each
+worker process keeps one ``ExtractActor`` (rule plans compiled in
+``__init__``) per set of arguments, so later slices, waves and jobs on a
+worker Ray kept idle skip the imports and the compile. The same per-process
+cache runs every other constant-state batch kernel of the package
+(:func:`cached_kernel`).
 DOM parsing is per-document, and the whole DOM lives and dies inside
 ``__call__`` (never serialized into Arrow — SURVEY.md §1.2).
 
@@ -116,11 +118,31 @@ class ExtractActor:
 
 
 @functools.lru_cache(maxsize=8)
-def _extractor(key: str) -> ExtractActor:
-    return ExtractActor(**json.loads(key))
+def _kernel(cls: type, key: str):
+    return cls(**json.loads(key))
+
+
+def _run_kernel(batch, *, cls: type, key: str):
+    return _kernel(cls, key)(batch)
+
+
+def cached_kernel(cls: type, **args):
+    """The package's one way to run a batch kernel whose state is built
+    from constant arguments: ``ds.map_batches(cached_kernel(cls, **args))``
+    runs ``cls(**args)(batch)`` as a plain task, so Ray sizes the stage and
+    reuses idle workers. Each worker process keeps the instance, under its
+    class and the JSON of all its arguments, for later batches, stages and
+    jobs (at most 8 instances per process). ``cls`` must be a module-level
+    class, so that every task unpickles the same class object, and its
+    arguments must survive a JSON round trip (tuples come back as lists).
+    A kernel that ``ray.get``s a per-call ObjectRef stays an actor pool: a
+    cache would pin that object after its query ends."""
+    return functools.partial(
+        _run_kernel, cls=cls, key=json.dumps(args, sort_keys=True)
+    )
 
 
 def extract_batch(batch: pa.Table, **args) -> pa.Table:
     """``ExtractActor(**args)(batch)``, with the actor cached per worker
-    process under the JSON of all its arguments."""
-    return _extractor(json.dumps(args, sort_keys=True))(batch)
+    process as :func:`cached_kernel` caches any kernel."""
+    return _kernel(ExtractActor, json.dumps(args, sort_keys=True))(batch)

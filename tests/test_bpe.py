@@ -76,7 +76,7 @@ def test_bpe_encode_roundtrip_and_reference(ray_session):
     ds = ray.data.from_pandas(df).repartition(3)
     merges = bpe_train(ds, "text", n_merges=4)
     out = (
-        bpe_encode(ds, merges, concurrency=2, batch_size=2)
+        bpe_encode(ds, merges, batch_size=2)
         .sort("doc_id")
         .to_pandas()
     )
@@ -107,7 +107,7 @@ def test_bpe_encode_roundtrip_and_reference(ray_session):
     assert (out["n_tokens"] < out["n_chars"]).any()
     # determinism: same input, second run → identical checksums
     out2 = (
-        bpe_encode(ds, merges, concurrency=2, batch_size=3)
+        bpe_encode(ds, merges, batch_size=3)
         .sort("doc_id")
         .to_pandas()
     )
@@ -117,7 +117,7 @@ def test_bpe_encode_roundtrip_and_reference(ray_session):
 def test_bpe_encode_empty_and_no_merges(ray_session):
     df = pd.DataFrame({"doc_id": [0, 1], "text": ["", "ab ab"]})
     ds = ray.data.from_pandas(df)
-    out = bpe_encode(ds, [], concurrency=1).sort("doc_id").to_pandas()
+    out = bpe_encode(ds, []).sort("doc_id").to_pandas()
     # no merges → tokens are single chars
     assert out["n_tokens"].tolist() == [0, 4]
     assert out["roundtrip_ok"].tolist() == [1, 1]
@@ -163,9 +163,7 @@ def test_unigram_train_and_encode(ray_session):
     )
 
     out = (
-        unigram_encode(
-            ray.data.from_pandas(df).repartition(3), v3, concurrency=2
-        )
+        unigram_encode(ray.data.from_pandas(df).repartition(3), v3)
         .sort("doc_id")
         .to_pandas()
     )

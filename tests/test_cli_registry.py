@@ -45,7 +45,7 @@ def test_registry_dispatch(ray_session):
     ds = ray.data.from_arrow(_docs_table())
     out = build_extraction_pipeline(
         ds, rules_registry=registry, num_partitions=2,
-        salt_threshold=None, concurrency=1, batch_size=8,
+        salt_threshold=None, batch_size=8,
     ).to_pandas()
     by_doc = {
         r["doc_id"]: [s["text"] for s in r["spans"]] for _, r in out.iterrows()
@@ -69,7 +69,7 @@ def test_cli_end_to_end(ray_session, tmp_path):
             sys.executable, "-m", "goose_parser_ray.run",
             "--input", str(inp), "--output", str(outdir),
             "--rules", str(rules), "--partitions", "2", "--waves", "1",
-            "--concurrency", "1", "--num-cpus", "2",
+            "--num-cpus", "2",
         ],
         capture_output=True, text=True, cwd=REPO, timeout=180,
     )
@@ -91,7 +91,7 @@ def test_cli_compact_mode(ray_session, tmp_path):
             sys.executable, "-m", "goose_parser_ray.run",
             "--input", str(inp), "--output", str(outdir),
             "--partitions", "2", "--waves", "1",
-            "--concurrency", "1", "--num-cpus", "2",
+            "--num-cpus", "2",
         ],
         capture_output=True, text=True, cwd=REPO, timeout=180,
     )

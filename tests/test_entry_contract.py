@@ -119,6 +119,60 @@ def test_no_dataset_join_outside_relational():
     )
 
 
+# Kernels whose constructor ``ray.get``s a per-call ObjectRef: a per-process
+# cache would pin that object after its query ends, so they stay actor pools.
+OBJECTREF_KERNELS = {
+    "BruteForceTopK",  # ann_bruteforce, and ann_lsh's rerank
+    "AssignFilter",  # ann_ivf
+    "_PQEncoder",  # pq_encode
+    "_AssignEncodeFilter",  # ann_ivfpq
+    "_ADCTopK",  # ann_ivfpq
+    "MultiPatternActor",  # multi_pattern_counts
+    "_HardNegTopK",  # q_hard_negatives
+}
+
+
+def test_only_objectref_kernels_run_as_actor_pools():
+    """Every other batch kernel runs as a plain task through
+    ``stages.extract.cached_kernel``: the only classes handed to
+    ``map_batches`` are the ObjectRef kernels above, and the functions
+    that wrap cached kernels take no ``concurrency`` to size a pool with."""
+    import inspect
+
+    from goose_parser_ray.functions import bpe, dedup, linkgraph, relational, unigram
+    from goose_parser_ray.pipelines import extraction
+
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.rglob("*.py"))]
+    classes = {
+        n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.ClassDef)
+    }
+    pooled = {
+        node.args[0].id
+        for t in trees
+        for node in ast.walk(t)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_batches"
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id in classes
+    }
+    assert pooled == OBJECTREF_KERNELS, sorted(pooled ^ OBJECTREF_KERNELS)
+    converted = [
+        dedup.minhash_lsh_candidates, dedup.simhash_near_dups,
+        dedup.embedding_near_dups, dedup.minhash_dedup_keep,
+        bpe.bpe_encode, unigram.unigram_encode,
+        linkgraph.extract_links, linkgraph.extract_meta,
+        relational.broadcast_join,
+        extraction.build_extraction_pipeline, extraction.extract_corpus,
+    ]
+    takes = [
+        f.__name__ for f in converted
+        if "concurrency" in inspect.signature(f).parameters
+    ]
+    assert not takes, takes
+
+
 GiB = 1 << 30
 BLOCK = 128 << 20  # Ray's default DataContext.target_max_block_size
 

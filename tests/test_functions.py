@@ -57,7 +57,7 @@ def test_exact_dedup_first_wins(docs_ds):
 
 
 def test_minhash_finds_planted_neardups(docs_ds):
-    pairs = minhash_lsh_candidates(docs_ds, concurrency=2).to_pandas()
+    pairs = minhash_lsh_candidates(docs_ds).to_pandas()
     got = {tuple(sorted((a, b))) for a, b in zip(pairs["doc_a"], pairs["doc_b"])}
     assert (100, 101) in got
     assert (100, 102) in got
@@ -84,7 +84,7 @@ def test_simhash_hamming_small_for_neardups(docs_ds):
     h2 = SimHashActor.simhash(BASE + " tail two")
     h3 = SimHashActor.simhash("completely different words entirely here")
     assert bin(h1 ^ h2).count("1") < bin(h1 ^ h3).count("1")
-    pairs = simhash_near_dups(docs_ds, max_hamming=6, concurrency=2).to_pandas()
+    pairs = simhash_near_dups(docs_ds, max_hamming=6).to_pandas()
     got = {tuple(sorted((a, b))) for a, b in zip(pairs["doc_a"], pairs["doc_b"])}
     assert (100, 102) in got  # identical text → identical simhash
 
@@ -103,9 +103,7 @@ def test_embedding_near_dups(ray_session):
         ),
     )
     ds = ray.data.from_arrow(tbl)
-    pairs = embedding_near_dups(
-        ds, dim=16, threshold=0.99, concurrency=2
-    ).to_pandas()
+    pairs = embedding_near_dups(ds, dim=16, threshold=0.99).to_pandas()
     got = {tuple(sorted((a, b))) for a, b in zip(pairs["vec_a"], pairs["vec_b"])}
     assert (3, 5) in got
 
@@ -299,7 +297,7 @@ def test_minhash_dedup_keep_end_to_end(docs_ds):
         r["doc_id"]: r["text"] for r in docs_table().to_pylist()
     }
     kept = minhash_dedup_keep(
-        docs_ds, jaccard_threshold=0.8, docs_lookup=lookup, concurrency=2
+        docs_ds, jaccard_threshold=0.8, docs_lookup=lookup
     ).to_pandas()
     ids = set(kept["doc_id"])
     # every doc except 103 shares the BASE text (jaccard ≥ 0.8 pairwise), so
@@ -425,7 +423,6 @@ def test_minhash_dedup_keep_distributed_paths(docs_ds):
         docs_ds,
         jaccard_threshold=0.8,
         docs=docs,
-        concurrency=2,
         driver_pair_guard=0,  # force min-label propagation
         num_partitions=2,
     ).to_pandas()
@@ -447,7 +444,7 @@ def test_jaccard_verify_join_path_matches_broadcast(docs_ds):
     )
 
     docs = ray.data.from_arrow(docs_table())
-    pairs = minhash_lsh_candidates(docs_ds, concurrency=2).materialize()
+    pairs = minhash_lsh_candidates(docs_ds).materialize()
     via_join = verify_candidates_jaccard_distributed(
         pairs, docs, threshold=0.5, broadcast_bytes=0, num_partitions=2
     ).to_pandas()
@@ -566,11 +563,11 @@ def test_minhash_pairs_invariant_to_bucket_count(docs_ds):
     key = lambda df: sorted(
         tuple(sorted((a, b))) for a, b in zip(df["doc_a"], df["doc_b"])
     )
-    base = key(minhash_lsh_candidates(docs_ds, concurrency=2).to_pandas())
+    base = key(minhash_lsh_candidates(docs_ds).to_pandas())
     for nb in (1, 4, 512):
         got = key(
             minhash_lsh_candidates(
-                docs_ds, concurrency=2, num_buckets=nb
+                docs_ds, num_buckets=nb
             ).to_pandas()
         )
         assert got == base, nb
@@ -666,7 +663,7 @@ def test_jaccard_verify_semi_join_gate_paths(docs_ds):
     )
 
     docs = ray.data.from_arrow(docs_table())
-    pairs = minhash_lsh_candidates(docs_ds, concurrency=2).materialize()
+    pairs = minhash_lsh_candidates(docs_ds).materialize()
     via_bcast = verify_candidates_jaccard_distributed(
         pairs, docs, threshold=0.5
     ).to_pandas()
@@ -964,16 +961,40 @@ def test_weighted_sample_matches_driver_reference(ray_session):
     got = weighted_sample(ds, 25, id_col="id", weight_col="w", seed=5)
     got_ids = sorted(got.to_pandas()["id"].tolist())
 
-    h = (df["id"].to_numpy(np.int64) * np.int64(2654435761 + 2 * 5)) & np.int64(
-        0xFFFFFFFF
-    )
-    u = (h.astype(np.float64) + 0.5) / float(1 << 32)
-    score = np.power(u, 1.0 / np.maximum(df["w"].to_numpy(np.float64), 1e-12))
-    want_ids = sorted(df["id"].to_numpy()[np.argsort(-score)[:25]].tolist())
-    assert got_ids == want_ids
+    assert got_ids == _weighted_sample_reference(df["id"], df["w"], 25, seed=5)
     # heavier rows are (statistically) favored: mean weight of the sample
     # should exceed the population mean on this draw
     assert df[df["id"].isin(got_ids)]["w"].mean() > df["w"].mean()
+
+
+def _weighted_sample_reference(ids, w, k, seed):
+    """Single-process A-ES in one pass: the same mixed Knuth hash per id."""
+    from goose_parser_ray.functions.dedup import _mix64
+
+    ids = np.asarray(ids, np.int64)
+    h = _mix64(ids.astype(np.uint64) * np.uint64(2654435761 + 2 * seed))
+    u = ((h >> np.uint64(32)).astype(np.float64) + 0.5) / float(1 << 32)
+    score = np.power(u, 1.0 / np.maximum(np.asarray(w, np.float64), 1e-12))
+    return sorted(ids[np.argsort(-score, kind="stable")[:k]].tolist())
+
+
+def test_weighted_sample_draws_from_high_id_bits(ray_session):
+    """Ids that differ only above bit 31 must still draw different
+    uniforms. Without the avalanche they all draw the same one, so with
+    equal weights every score ties and the sample depends on the block
+    layout instead of matching the single-process reference."""
+    import pandas as pd
+
+    from goose_parser_ray.functions.relational import weighted_sample
+
+    ids = np.arange(1000, dtype=np.int64) << 32
+    df = pd.DataFrame({"id": ids, "w": np.ones(1000, np.int64)})
+    got = weighted_sample(
+        ray.data.from_pandas(df).repartition(5), 50, id_col="id", weight_col="w"
+    )
+    got_ids = sorted(got.to_pandas()["id"].tolist())
+    assert got_ids == _weighted_sample_reference(ids, df["w"], 50, seed=42)
+    assert min(got_ids) < ids[500] < max(got_ids)
 
 
 def test_salted_join_matches_unsalted_on_skewed_keys(ray_session):
@@ -1385,7 +1406,7 @@ def test_dedup_incremental_base_wins(ray_session):
         )
     )
     kept = sorted(
-        dedup_incremental(new, base, col="text", id_col="doc_id", concurrency=2)
+        dedup_incremental(new, base, col="text", id_col="doc_id")
         .to_pandas()["doc_id"]
         .tolist()
     )

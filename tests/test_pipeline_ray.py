@@ -39,7 +39,7 @@ def test_pipeline_matches_oracle_with_salting(corpus, tmp_path):
     path, oracle = corpus
     extract_corpus(
         path, str(tmp_path / "out"), num_partitions=8, waves=1,
-        salt_threshold=64, concurrency=2, batch_size=16,
+        salt_threshold=64, batch_size=16,
     )
     res = ray.data.read_parquet(str(tmp_path / "out")).to_pandas()
     assert len(res) == len(oracle)
@@ -56,7 +56,7 @@ def test_pipeline_no_salting_fast_path(corpus):
     path, oracle = corpus
     ds = ray.data.read_parquet(path)
     out = build_extraction_pipeline(
-        ds, num_partitions=8, salt_threshold=None, concurrency=2, batch_size=16
+        ds, num_partitions=8, salt_threshold=None, batch_size=16
     )
     res = out.to_pandas()
     for _, row in res.iterrows():
@@ -68,7 +68,7 @@ def test_rules_mode_through_pipeline(corpus, tmp_path):
     rules = {"collection": [{"name": "heads", "scope": "h1", "type": "array"}]}
     extract_corpus(
         path, str(tmp_path / "out"), rules, num_partitions=4, waves=1,
-        salt_threshold=64, concurrency=2, batch_size=16,
+        salt_threshold=64, batch_size=16,
     )
     res = ray.data.read_parquet(str(tmp_path / "out")).to_pandas()
     assert (res["error"] != "").sum() == 0
@@ -93,7 +93,7 @@ def test_poison_document_quarantine(ray_session, tmp_path):
     tbl = pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
     ds = ray.data.from_arrow(tbl)
     out = build_extraction_pipeline(
-        ds, num_partitions=2, salt_threshold=None, concurrency=1, batch_size=8
+        ds, num_partitions=2, salt_threshold=None, batch_size=8
     ).to_pandas()
     assert len(out) == 2
     ok = out[out["doc_id"] == "ok-1"].iloc[0]
@@ -129,7 +129,7 @@ def test_foreign_span_schema_coerced_at_ingest(ray_session):
     )
     ds = ray.data.from_arrow(tbl)
     out = build_extraction_pipeline(
-        ds, num_partitions=2, salt_threshold=None, concurrency=1, batch_size=8
+        ds, num_partitions=2, salt_threshold=None, batch_size=8
     ).to_pandas()
     assert len(out) == 2
     assert (out["error"] == "").all()
@@ -143,7 +143,7 @@ def test_extract_corpus_resume_exactness(corpus, tmp_path):
     # full run
     s1 = extract_corpus(
         str(path), str(out_dir), num_partitions=8, waves=2,
-        salt_threshold=64, concurrency=2,
+        salt_threshold=64,
     )
     assert s1["processed"] == 8 and s1["rows"] == 40
 
@@ -158,7 +158,7 @@ def test_extract_corpus_resume_exactness(corpus, tmp_path):
 
     s2 = extract_corpus(
         str(path), str(out_dir), num_partitions=8, waves=2,
-        salt_threshold=64, concurrency=2,
+        salt_threshold=64,
     )
     assert s2["skipped"] == 3 and s2["processed"] == 5
 
@@ -171,7 +171,7 @@ def test_extract_corpus_resume_exactness(corpus, tmp_path):
     # third run: everything skipped
     s3 = extract_corpus(
         str(path), str(out_dir), num_partitions=8, waves=2,
-        salt_threshold=64, concurrency=2,
+        salt_threshold=64,
     )
     assert s3["skipped"] == 8 and s3["processed"] == 0
 
@@ -189,9 +189,9 @@ def test_changed_rules_invalidate_manifest(corpus, tmp_path):
     r1 = {"collection": [{"name": "h", "scope": "h1"}]}
     r2 = {"collection": [{"name": "h", "scope": "h2"}]}
     extract_corpus(str(path), str(out_dir), rules=r1, num_partitions=4,
-                   waves=1, salt_threshold=None, concurrency=2)
+                   waves=1, salt_threshold=None)
     s = extract_corpus(str(path), str(out_dir), rules=r2, num_partitions=4,
-                       waves=1, salt_threshold=None, concurrency=2)
+                       waves=1, salt_threshold=None)
     assert s["skipped"] == 0 and s["processed"] == 4
 
 
@@ -213,7 +213,7 @@ def test_extract_corpus_fragment_mode_resume(corpus, tmp_path, ray_session):
     out_dir = tmp_path / "out_frag"
     s1 = extract_corpus(
         str(frag_dir), str(out_dir), waves=2, salt_threshold=64,
-        concurrency=2, partition_mode="fragment",
+        partition_mode="fragment",
     )
     assert s1["processed"] == 4 and s1["rows"] == 40 and s1["errors"] == 0
 
@@ -229,7 +229,7 @@ def test_extract_corpus_fragment_mode_resume(corpus, tmp_path, ray_session):
         (manifest.dir / f"partition-{pid:05d}.json").unlink()
     s2 = extract_corpus(
         str(frag_dir), str(out_dir), waves=2, salt_threshold=64,
-        concurrency=2, partition_mode="fragment",
+        partition_mode="fragment",
     )
     assert s2["skipped"] == 2 and s2["processed"] == 2
     resumed = ray.data.read_parquet(str(out_dir)).to_pandas()
@@ -268,7 +268,7 @@ def test_extract_corpus_releases_its_actors(corpus, tmp_path, ray_session):
     try:
         s = extract_corpus(
             str(frag_dir), str(tmp_path / "out"), waves=2, salt_threshold=64,
-            concurrency=2, partition_mode="fragment",
+            partition_mode="fragment",
         )
         assert s["processed"] == 4 and s["rows"] == 40
         assert s["read_blocks"] == [4, 4]  # two per actor, each wave
@@ -373,8 +373,7 @@ def test_cached_plans_never_go_stale(ray_session):
     for (rules, strip, registry), want in zip(jobs, expected):
         out = build_extraction_pipeline(
             ray.data.from_arrow(blocks), rules, rules_registry=registry,
-            strip_boilerplate=strip, num_partitions=2, concurrency=4,
-            batch_size=4,
+            strip_boilerplate=strip, num_partitions=2, batch_size=4,
         ).to_pandas()
         got = {r["doc_id"]: seq(r["spans"]) for _, r in out.iterrows()}
         assert got == want, (rules, strip, registry)
@@ -450,7 +449,7 @@ def test_compact_partitions_preserves_rows_and_resume(corpus, tmp_path):
     out_dir = tmp_path / "out"
     extract_corpus(
         str(path), str(out_dir), num_partitions=6, waves=3,
-        salt_threshold=64, concurrency=2,
+        salt_threshold=64,
     )
     before = ray.data.read_parquet(str(out_dir)).to_pandas()
 
@@ -480,7 +479,7 @@ def test_compact_partitions_preserves_rows_and_resume(corpus, tmp_path):
     # manifest still complete: resume skips all partitions
     s2 = extract_corpus(
         str(path), str(out_dir), num_partitions=6, waves=3,
-        salt_threshold=64, concurrency=2,
+        salt_threshold=64,
     )
     assert s2["skipped"] == 6 and s2["processed"] == 0
 
@@ -524,7 +523,7 @@ def test_compact_verification_guard(corpus, tmp_path):
     out_dir = tmp_path / "out"
     extract_corpus(
         str(path), str(out_dir), num_partitions=2, waves=1,
-        salt_threshold=64, concurrency=2,
+        salt_threshold=64,
     )
     # precondition: every partition is down to one verified file, so the
     # corrupted partition 0 below is the only compaction candidate
@@ -568,7 +567,7 @@ def test_fragment_mode_incremental_shard_arrival(corpus, tmp_path, ray_session):
     out_dir = tmp_path / "out"
     s1 = extract_corpus(
         str(frag_dir), str(out_dir), waves=1, salt_threshold=64,
-        concurrency=2, partition_mode="fragment",
+        partition_mode="fragment",
     )
     assert s1["processed"] == 3 and s1["rows"] == 30
 
@@ -576,7 +575,7 @@ def test_fragment_mode_incremental_shard_arrival(corpus, tmp_path, ray_session):
     pq.write_table(tbl.slice(3 * per, per), frag_dir / "shard-03.parquet")
     s2 = extract_corpus(
         str(frag_dir), str(out_dir), waves=1, salt_threshold=64,
-        concurrency=2, partition_mode="fragment",
+        partition_mode="fragment",
     )
     assert s2["skipped"] == 3 and s2["processed"] == 1 and s2["rows"] == 10
     full = ray.data.read_parquet(str(out_dir)).to_pandas()
@@ -591,7 +590,7 @@ def test_fragment_mode_incremental_shard_arrival(corpus, tmp_path, ray_session):
     pq.write_table(sub, frag_dir / "shard-01a.parquet")
     s3 = extract_corpus(
         str(frag_dir), str(out_dir), waves=1, salt_threshold=64,
-        concurrency=2, partition_mode="fragment",
+        partition_mode="fragment",
     )
     assert s3["skipped"] == 2  # shard-00, shard-01 keep their ids
     assert s3["processed"] == 3  # shard-01a (new) + shifted 02, 03
@@ -608,7 +607,7 @@ def test_fragment_mode_incremental_shard_arrival(corpus, tmp_path, ray_session):
     )
     s4 = extract_corpus(
         str(frag_dir), str(out_dir), waves=1, salt_threshold=64,
-        concurrency=2, partition_mode="fragment",
+        partition_mode="fragment",
     )
     assert s4["skipped"] == 4 and s4["processed"] == 1
     assert s4["rows"] == 11  # the re-uploaded shard's new content
@@ -642,7 +641,7 @@ def test_error_budget_trips_then_resume_completes(ray_session, tmp_path):
     with pytest.raises(ErrorBudgetExceeded) as exc:
         extract_corpus(
             str(src), str(out_dir), num_partitions=8, waves=4,
-            salt_threshold=None, concurrency=2,
+            salt_threshold=None,
             max_error_fraction=0.5,
         )
     tripped = exc.value.summary
@@ -652,7 +651,7 @@ def test_error_budget_trips_then_resume_completes(ray_session, tmp_path):
     # unchanged rerun without a budget resumes from the committed waves
     s2 = extract_corpus(
         str(src), str(out_dir), num_partitions=8, waves=4,
-        salt_threshold=None, concurrency=2,
+        salt_threshold=None,
     )
     assert s2["skipped"] == tripped["processed"]
     assert s2["skipped"] + s2["processed"] == 8

@@ -68,9 +68,8 @@ def test_ann_lsh_recall_floor(exact_topk):
     from goose_parser_ray.functions.similarity import ann_lsh
 
     qids, qmat, exact = exact_topk
-    # concurrency=1: ann_lsh chains TWO fixed actor pools — at the 4-CPU
-    # test fixture, 2+2 reserved actors starve the groupby reduce tasks and
-    # the streaming pipeline deadlocks (same budget rule as q_ann_lsh)
+    # concurrency=1 sizes the rerank's actor pool, the one fixed pool
+    # ann_lsh starts; its bucketer runs as plain tasks
     approx = ann_lsh(
         _emb_ds(), qids, qmat, k=5, dim=64, n_planes=4, n_tables=8,
         concurrency=1,
@@ -122,7 +121,6 @@ def test_minhash_candidate_recall_vs_exact_jaccard(ray_session):
         ray.data.read_parquet(
             f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]
         ),
-        concurrency=2,  # 4-CPU fixture: leave slots for the shuffle tasks
     ).to_pandas()
     cset = {tuple(sorted((a, b))) for a, b in zip(cand["doc_a"], cand["doc_b"])}
     recall = len(truth & cset) / len(truth)
