@@ -35,7 +35,7 @@ import ray
 import ray.data
 
 from goose_parser_ray.rules import compile_rules
-from goose_parser_ray.sources.io import read_documents
+from goose_parser_ray.sources.io import READ_BLOCK_BYTES, read_documents
 from goose_parser_ray.stages.extract import extract_batch
 from goose_parser_ray.stages.normalize import make_normalize_fn
 from goose_parser_ray.stages.residual import PartitionSink
@@ -45,9 +45,6 @@ from goose_parser_ray import __version__ as CODE_VERSION
 # Salting protects worker heaps from mega-docs; anything below this span count
 # is cheaper to process in place than to split and re-shuffle.
 DEFAULT_SALT_THRESHOLD = 512
-# Input bytes per read block between the floor and the cap of
-# read_block_count: ~900 wrapped docs or ~2.3k rule-carrying case docs.
-READ_BLOCK_BYTES = 128 << 10
 
 
 class ErrorBudgetExceeded(RuntimeError):

@@ -16,10 +16,14 @@ Ray never calls ``ray.init`` here — the driver owns the session.
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+from goose_parser_ray.sources.io import READ_BLOCK_BYTES
 
 
 def _pool() -> int:
@@ -33,40 +37,32 @@ def _pool() -> int:
     protocol pins the SAME pool fraction at both parallelism levels
     (the floor would give the small leg proportionally more actors and
     bias the efficiency ratio); autoscaling stays off either way."""
-    import os as _os
-
-    env = _os.environ.get("GRAFT_POOL_SIZE")
+    env = os.environ.get("GRAFT_POOL_SIZE")
     if env:
         return max(1, int(env))
     cpus = int(ray.cluster_resources().get("CPU", 4))
     return max(1, min(cpus - 2, max(8, cpus // 2)))
 
 
-def _read(
-    sf_dir: str,
-    table: str,
-    columns: list[str] | None = None,
-    blocks_per_cpu: int | None = None,
-):
-    """Column-pruned parquet read with a SMALL-INPUT anti-over-split guard:
-    Ray's default parallelism splits a 5k-row file into ~2×CPU tiny blocks,
-    and every downstream all-to-all then pays per-task overhead × blocks
-    (measured: dedup_minhash 5.4s → 3.7s at sf0.1 just from 64 → 8 read
-    blocks). Under 1M rows we cap blocks near the actor-pool size; at real
-    corpus scale the guard never triggers and Ray's native block sizing
-    (target_max_block_size against file fragments) governs.
-
-    ``blocks_per_cpu``: CODEC-BOUND map-only queries (per-doc encode/decode
-    kernels, no downstream shuffle) pass 2 — for them more, smaller blocks
-    is pure load-balance win (measured: media_png 3.2s → 1.7s stage wall at
-    sf0.1/32 CPUs), while shuffle-bound queries keep the tight default."""
+def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+    """Column-pruned parquet read with a SMALL-INPUT anti-over-split guard.
+    Every read block becomes a task in each downstream map and a piece in
+    every shuffle, and each pays a fixed cost whatever its size (measured:
+    dedup_minhash 5.4s → 3.7s at sf0.1 just from 64 → 8 read blocks; on 4
+    CPUs an identity groupby over 800 rows took 0.37s at 8 blocks and 64
+    groups, 0.12s at 1 block and 4 groups). Under 1M rows a file therefore gets one block
+    per ``READ_BLOCK_BYTES`` of parquet, capped at ``max(8, _pool())``: a
+    97 KB table reads as 1 block, sf0.1's 595 KB ``documents`` as 5. At
+    real corpus scale the guard never triggers and Ray's native block
+    sizing (target_max_block_size against file fragments) governs."""
     path = f"{sf_dir}/{table}.parquet"
     nb = None
     try:
         import pyarrow.parquet as pq
 
         if pq.read_metadata(path).num_rows < 1_000_000:
-            nb = max(8, _pool() * (blocks_per_cpu or 1))
+            by_bytes = -(-os.path.getsize(path) // READ_BLOCK_BYTES)
+            nb = min(max(8, _pool()), max(1, by_bytes))
     except Exception:
         pass
     return ray.data.read_parquet(path, columns=columns, override_num_blocks=nb)

@@ -1743,7 +1743,11 @@ WHERE cum_after // step - cum_before // step > 0
 
 
 def _sql_mix64(x: str) -> str:
-    """SQL expression computing functions/dedup._mix64 over HUGEINT."""
+    """SQL expression computing functions/dedup._mix64 over HUGEINT.
+
+    Each step reads its input 2-3 times, so each step binds it once to a
+    lambda variable (``list_transform([e], v -> ...)[1]``); pasting the
+    input instead grows the SQL 72-fold, and DuckDB evaluates every copy."""
 
     def modmul(e: str, c: int) -> str:
         cl, ch = c & 0xFFFFFFFF, c >> 32
@@ -1760,17 +1764,23 @@ def _sql_mix64(x: str) -> str:
             f"CAST(({e}) AS UBIGINT) >> 33) AS HUGEINT)"
         )
 
-    e = xsh(f"CAST(({x}) AS HUGEINT)")
-    e = modmul(e, 0xFF51AFD7ED558CCD)
-    e = xsh(e)
-    e = modmul(e, 0xC4CEB9FE1A85EC53)
-    e = xsh(e)
+    steps = (
+        xsh,
+        lambda v: modmul(v, 0xFF51AFD7ED558CCD),
+        xsh,
+        lambda v: modmul(v, 0xC4CEB9FE1A85EC53),
+        xsh,
+    )
+    e = f"CAST(({x}) AS HUGEINT)"
+    for i, step in enumerate(steps):
+        e = f"list_transform([{e}], m{i} -> {step(f'm{i}')})[1]"
     return e
 
 
 def _sql_pois1_weight(u: str) -> str:
     """Poisson(1) draw = searchsorted(CDF, u) = #thresholds strictly < u,
-    thresholds embedded as the EXACT doubles numpy uses."""
+    thresholds embedded as the EXACT doubles numpy uses. ``u`` is bound
+    once to a lambda variable, as in :func:`_sql_mix64`."""
     import math as _m
 
     cdf = []
@@ -1778,9 +1788,8 @@ def _sql_pois1_weight(u: str) -> str:
     for k in range(9):
         acc += _m.exp(-1.0) / _m.factorial(k)
         cdf.append(acc)
-    return "(" + " + ".join(
-        f"(CASE WHEN ({u}) > {t!r} THEN 1 ELSE 0 END)" for t in cdf
-    ) + ")"
+    draw = " + ".join(f"(CASE WHEN u > {t!r} THEN 1 ELSE 0 END)" for t in cdf)
+    return f"list_transform([{u}], u -> {draw})[1]"
 
 
 def _bootstrap_ci_sql() -> str:

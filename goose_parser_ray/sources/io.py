@@ -10,6 +10,13 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
+# Input bytes per read block, for extraction waves
+# (``pipelines.extraction.read_block_count``) and for small query tables
+# (``queries._shared._read``): ~900 wrapped docs or ~2.3k rule-carrying case
+# docs. Every block pays a fixed per-task cost downstream, so a block should
+# carry enough bytes to amortize it.
+READ_BLOCK_BYTES = 128 << 10
+
 
 def _lance_available() -> bool:
     try:  # pragma: no cover - sandbox has no pylance

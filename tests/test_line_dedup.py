@@ -52,3 +52,21 @@ def test_fully_duplicated_doc_rewrites_to_empty(ray_session, tmp_path):
     assert out["clean_text"][1] == ""
     assert out["n_removed"].tolist() == [2, 2, 0]
     assert out["clean_text"][2] == "solo doc here"
+
+
+def test_output_invariant_to_bucket_count(ray_session, tmp_path, monkeypatch):
+    """Both shuffles only partition work: the rewritten docs are identical
+    whatever bucket count ``num_shuffle_buckets`` hands the query."""
+    from goose_parser_ray.functions import dedup
+
+    shared = "a b c d e f g h"
+    texts = [f"{shared} doc {i} " + " ".join(f"w{i}_{j}" for j in range(20))
+             for i in range(30)]
+    texts += ["solo doc here", texts[3]]
+    outs = []
+    for nb in (1, 4, 64):
+        monkeypatch.setattr(dedup, "num_shuffle_buckets", lambda n, nb=nb: nb)
+        outs.append(_run(tmp_path, texts))
+    for out in outs[1:]:
+        assert out.equals(outs[0])
+    assert outs[0]["n_removed"].sum() > 0
