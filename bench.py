@@ -390,10 +390,6 @@ def run_scaling() -> dict:
         )
         if job:
             env["GRAFT_BENCH_JOB"] = job
-            # same pool FRACTION at both levels (autoscaling off): the
-            # _pool() floor of 8 would hand the 8-CPU leg 6/8 of the host
-            # as actors vs 16/32 at the big leg and bias the ratio
-            env["GRAFT_POOL_SIZE"] = str(max(1, ncpu // 2))
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__)],
             env=env,

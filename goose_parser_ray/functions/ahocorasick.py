@@ -3,10 +3,9 @@
 The scale op: blocklist / taxonomy / keyword-dictionary matching over a
 corpus where the dictionary has 10^4–10^6 terms. A per-term scan is
 O(terms × corpus); the automaton is one pass per document regardless of
-dictionary size. The dictionary ships once per node via ``ray.put`` (a
-zero-copy plasma get per actor/task init — the broadcast_join pattern),
-the automaton is built once per actor in ``__init__``, and each batch is
-a pure scan.
+dictionary size. The dictionary rides in the task's arguments, the
+automaton is built once per worker process (``stages.extract.cached_kernel``),
+and each batch is a pure scan.
 
 Counts are ALL (overlapping) match occurrences per pattern — the standard
 automaton semantics. For patterns with no proper border (no prefix that is
@@ -21,7 +20,6 @@ from collections import deque
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data
 
 
@@ -83,13 +81,10 @@ class AhoCorasick:
 
 
 class MultiPatternActor:
-    """Actor/task-pool stage: automaton built once per init from the
-    broadcast dictionary, per-batch scan emits (id, term, n_matches>0)."""
+    """Batch kernel: automaton built once per init from the dictionary,
+    per-batch scan emits (id, term, n_matches>0)."""
 
-    def __init__(self, patterns_ref, id_col: str, text_col: str) -> None:
-        patterns = ray.get(patterns_ref) if not isinstance(
-            patterns_ref, list
-        ) else patterns_ref
+    def __init__(self, patterns: list[str], id_col: str, text_col: str) -> None:
         self._ac = AhoCorasick(patterns)
         self._id = id_col
         self._text = text_col
@@ -123,19 +118,15 @@ def multi_pattern_counts(
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Per-(doc, term) overlapping occurrence counts (terms with 0 matches
-    are not emitted). Map-only — dictionary broadcast once, no shuffle."""
-    ref = ray.put(list(patterns))
-    kwargs = dict(
-        fn_constructor_kwargs={
-            "patterns_ref": ref,
-            "id_col": id_col,
-            "text_col": text_col,
-        },
+    are not emitted). Map-only, no shuffle."""
+    from goose_parser_ray.stages.extract import cached_kernel
+
+    return ds.map_batches(
+        cached_kernel(
+            MultiPatternActor, patterns=list(patterns), id_col=id_col,
+            text_col=text_col,
+        ),
         batch_format="pyarrow",
     )
-    if concurrency is not None:
-        kwargs["concurrency"] = (concurrency, concurrency)
-    return ds.map_batches(MultiPatternActor, **kwargs)

@@ -86,6 +86,20 @@ def num_shuffle_buckets(n_rows: int, target: int = _TARGET_ROWS_PER_BUCKET) -> i
     return 1 << (need - 1).bit_length()
 
 
+def split_for_groupby(
+    ds: ray.data.Dataset, n_rows: int, num_buckets: int
+) -> ray.data.Dataset:
+    """Split ``ds``'s blocks so that a fan-out map and the bucketed groupby
+    after it run as ``min(num_buckets, CPUs)`` tasks. Ray 2.49's sort-shuffle
+    groupby runs one reduce task per INPUT block, so a one-block read would
+    run every bucket's Python in a single task (sf0.01, 8-CPU session:
+    ``editdist2_pairs`` took 12.7 s on its one-block ``customer`` read, 6.5 s
+    split). Only blocks above ``n_rows / ways`` rows split; at corpus scale
+    the read's own blocks are smaller and pass through."""
+    ways = min(num_buckets, int(ray.cluster_resources().get("CPU", 1)))
+    return ds.repartition(target_num_rows_per_block=max(1, -(-int(n_rows) // ways)))
+
+
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64-style avalanche over a uint64 array — low bits become
     uniform, so ``% num_buckets`` distributes structured keys evenly."""
@@ -1917,9 +1931,10 @@ def set_similarity_join(
              "token": pa.array(df["token"], pa.string())}
         )
 
-    tokens = ds.map_batches(
-        distinct_tokens, batch_format="pyarrow"
-    ).materialize()
+    n_docs = ds.count()
+    tokens = split_for_groupby(
+        ds, n_docs, num_shuffle_buckets(n_docs)
+    ).map_batches(distinct_tokens, batch_format="pyarrow").materialize()
     n_tok_rows = tokens.count()
 
     # token document frequencies (map-side partial counts → one aggregate)
@@ -2484,6 +2499,7 @@ def winnow_dedup_pairs(
 
     n = n_rows if n_rows is not None else ds.count()
     nb = num_shuffle_buckets(max(1, n) * fp_per_doc_hint)
+    ds = split_for_groupby(ds, n, nb)
 
     def fp_batch(t: pa.Table) -> pa.Table:
         ids, hs = winnow_hash_rows(

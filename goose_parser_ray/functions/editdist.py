@@ -31,6 +31,7 @@ import ray.data
 from goose_parser_ray.functions.dedup import (
     add_hash_bucket,
     num_shuffle_buckets,
+    split_for_groupby,
 )
 
 _PAIR_CAP = 256  # per-variant star cap, same constant family as LSH buckets
@@ -367,6 +368,7 @@ def edit2_pairs(
         n_rows = ds.count()
     # variants per row ≈ 1 + L + L(L-1)/2 with L ≈ 18 → ~170
     nb = num_shuffle_buckets(n_rows * 170)
+    ds = split_for_groupby(ds, n_rows, nb)
 
     def variants(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_pylist()

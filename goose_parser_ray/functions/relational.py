@@ -85,15 +85,21 @@ def distinct_rows(
     ds: ray.data.Dataset,
     cols: list[str],
     *,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Distinct over ``cols`` at scale: map-side local drop_duplicates (a
     value repeated M times across B blocks ships ≤B rows), then ONE bucketed
     groupby — shuffle groups are coarse hash buckets, never per-value, so
     group count stays ~``num_buckets`` at any value cardinality (size it
-    data-proportionally via ``dedup.num_shuffle_buckets``)."""
+    data-proportionally via ``dedup.num_shuffle_buckets``; the default is
+    that function's cluster floor, which counts nothing)."""
     import numpy as np
     import pandas as pd
+
+    if num_buckets is None:
+        from goose_parser_ray.functions.dedup import num_shuffle_buckets
+
+        num_buckets = num_shuffle_buckets(0)
 
     def local(t: pa.Table) -> pa.Table:
         df = t.select(cols).to_pandas().drop_duplicates()

@@ -1,9 +1,13 @@
 """Similarity search over an embedding column (``list<float>``).
 
-Baseline: brute-force cosine top-k — a numpy matmul per batch against a
-broadcast query matrix (``ray.put`` once), per-batch LOCAL top-k, then one
-small groupby merges partials into the global top-k per query. The shuffle
-moves ``n_queries × k`` rows per batch, never the corpus.
+Baseline: brute-force cosine top-k — a numpy matmul per batch against the
+query matrix, per-batch LOCAL top-k, then one small groupby merges partials
+into the global top-k per query. The shuffle moves ``n_queries × k`` rows
+per batch, never the corpus.
+
+Every kernel here holds only small per-call state (queries, centroids,
+codebooks), built once on the driver: the caller hands the instance to
+``map_batches``, Ray ships it with the operator and runs it as plain tasks.
 
 Scale path: the LSH-bucketed variant probes only the buckets the query lands
 in (buckets from :class:`~goose_parser_ray.functions.dedup.HyperplaneBucketActor`).
@@ -14,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
 
@@ -51,14 +54,15 @@ def _list_col_to_matrix(col) -> np.ndarray:
 
 
 class BruteForceTopK:
-    """Actor stage: query matrix fetched from plasma once per actor."""
+    """Batch kernel: per-batch local top-k cosine against the normalized
+    query matrix."""
 
     def __init__(
-        self, queries_ref, k: int, id_col: str = "vec_id", col: str = "embedding"
+        self, query_ids: list, query_matrix: np.ndarray, k: int,
+        id_col: str = "vec_id", col: str = "embedding",
     ) -> None:
-        q = ray.get(queries_ref)
-        self.query_ids = q["ids"]
-        self.queries = _normalize(np.asarray(q["matrix"], dtype=np.float32))
+        self.query_ids = list(query_ids)
+        self.queries = _normalize(np.asarray(query_matrix, dtype=np.float32))
         self.k, self.id_col, self.col = k, id_col, col
 
     _SCHEMA = pa.schema(
@@ -132,7 +136,6 @@ def ann_lsh(
     id_col: str = "vec_id",
     col: str = "embedding",
     exclude_self: bool = True,
-    concurrency: int = 4,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Scale-path ANN: random-hyperplane LSH bucketing (same construction as
@@ -142,9 +145,7 @@ def ann_lsh(
     At 100 TB the bucket filter is a vectorized ``is_in`` against a
     driver-broadcast probe set — the matmul only ever sees candidates.
     Approximate by construction: recall < 1 for far neighbors (tune
-    ``n_planes`` down / ``n_tables`` up for higher recall). ``concurrency``
-    sizes the rerank's :func:`ann_bruteforce` actor pool; the bucketer is a
-    cached-kernel task."""
+    ``n_planes`` down / ``n_tables`` up for higher recall)."""
     from goose_parser_ray.functions.dedup import (
         HyperplaneBucketActor,
         num_shuffle_buckets,
@@ -203,7 +204,6 @@ def ann_lsh(
     return ann_bruteforce(
         candidates, list(query_ids), query_matrix, k,
         id_col=id_col, col=col, exclude_self=exclude_self,
-        concurrency=concurrency,
     )
 
 
@@ -244,7 +244,6 @@ def ann_ivf(
     id_col: str = "vec_id",
     col: str = "embedding",
     exclude_self: bool = True,
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """IVF-style ANN: a spherical-k-means coarse quantizer (trained on a
     bounded driver-side SAMPLE — the only driver materialization, capped at
@@ -273,7 +272,6 @@ def ann_ivf(
     )
     sample = np.array(sample_pd[col].to_list(), dtype=np.float32)
     centroids = _kmeans_cosine(sample, n_centroids, seed)
-    cref = ray.put(centroids)
 
     q = _normalize(np.asarray(query_matrix, dtype=np.float32))
     qsims = q @ centroids.T
@@ -282,34 +280,21 @@ def ann_ivf(
     )
     probe_arr = pa.array(probe.astype(np.int32), pa.int32())
 
-    class AssignFilter:
-        """Assign cluster ids and keep only probed cells (fused stage:
-        centroids fetched once per actor)."""
-
-        def __init__(self, cref, probe_arr) -> None:
-            self.c = ray.get(cref)
-            self.probe = probe_arr
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return batch
-            emb = _normalize(_list_col_to_matrix(batch[col]))
-            assign = (emb @ self.c.T).argmax(axis=1).astype(np.int32)
-            batch = batch.append_column("__cell", pa.array(assign, pa.int32()))
-            import pyarrow.compute as pc
-
-            return batch.filter(pc.is_in(batch["__cell"], value_set=self.probe))
+    def assign_filter(batch: pa.Table) -> pa.Table:
+        """Assign cluster ids and keep only probed cells."""
+        if batch.num_rows == 0:
+            return batch
+        emb = _normalize(_list_col_to_matrix(batch[col]))
+        assign = (emb @ centroids.T).argmax(axis=1).astype(np.int32)
+        batch = batch.append_column("__cell", pa.array(assign, pa.int32()))
+        return batch.filter(pa.compute.is_in(batch["__cell"], value_set=probe_arr))
 
     candidates = ds.map_batches(
-        AssignFilter,
-        fn_constructor_kwargs={"cref": cref, "probe_arr": probe_arr},
-        batch_format="pyarrow",
-        concurrency=(max(1, concurrency // 2), max(1, concurrency // 2)),
+        assign_filter, batch_format="pyarrow"
     ).drop_columns(["__cell"])
     return ann_bruteforce(
         candidates, list(query_ids), query_matrix, k,
         id_col=id_col, col=col, exclude_self=exclude_self,
-        concurrency=max(1, concurrency // 2),
     )
 
 
@@ -322,16 +307,14 @@ def ann_bruteforce(
     id_col: str = "vec_id",
     col: str = "embedding",
     exclude_self: bool = True,
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """Global top-k cosine neighbors for each query vector."""
-    ref = ray.put({"ids": list(query_ids), "matrix": query_matrix})
     partial = ds.map_batches(
-        BruteForceTopK,
-        fn_constructor_kwargs={"queries_ref": ref, "k": k + (1 if exclude_self else 0),
-                               "id_col": id_col, "col": col},
+        BruteForceTopK(
+            query_ids, query_matrix, k + (1 if exclude_self else 0),
+            id_col=id_col, col=col,
+        ),
         batch_format="pyarrow",
-        concurrency=(concurrency, concurrency),
     )
     merged = partial.groupby("query_id").map_groups(
         _merge_topk(k + (1 if exclude_self else 0)), batch_format="pandas"
@@ -366,8 +349,8 @@ def kmeans_distributed(
 ):
     """Full distributed Lloyd k-means (Euclidean) over an embedding column
     — the iterative-algorithm pattern the one-step ``q_lang_centroids``
-    update demonstrates, run to convergence: centroids broadcast each
-    round (``ray.put``), ONE streaming pass per round emits a single small
+    update demonstrates, run to convergence: centroids ship with each
+    round's map, ONE streaming pass per round emits a single small
     partial row per batch (k×d float64 sum matrix + k counts + the batch
     SSE — never the points), the ≤num_batches-row partial stream reduces
     driver-side, centroids update, loop ends when the max centroid shift
@@ -384,8 +367,6 @@ def kmeans_distributed(
     re-executes the upstream read — slower per round, zero pinned bytes
     (the write_parquet-checkpoint-then-read-back pattern gives the best of
     both when a stage boundary is available)."""
-    import ray as _ray
-
     # Count + init sample run BEFORE the pin so both pin modes draw the
     # SAME seeded Bernoulli sample: random_sample's per-block seeding
     # depends on block layout, and materialize() changes it.
@@ -460,11 +441,10 @@ def kmeans_distributed(
     counts = np.zeros(kk, dtype=np.int64)
     history: list[float] = []
     for _ in range(max_iters):
-        cref = _ray.put(cent.astype(np.float32))
+        c = cent.astype(np.float32)
 
         def partials(t: pa.Table) -> pa.Table:
             m = _list_col_to_matrix(t[col])
-            c = _ray.get(cref)
             if m.shape[0] == 0:
                 sums = np.zeros((kk, dim), np.float64)
                 cnt = np.zeros(kk, np.int64)
@@ -580,12 +560,11 @@ def pq_train(
 
 
 class _PQEncoder:
-    """Actor stage: codebooks fetched from plasma once per actor; each
-    batch is encoded with one (n, k) distance matrix per subspace —
-    all matmul, no per-row Python."""
+    """Batch kernel: each batch is encoded with one (n, k) distance matrix
+    per subspace — all matmul, no per-row Python."""
 
-    def __init__(self, cref, col: str, id_col: str) -> None:
-        self.books: np.ndarray = ray.get(cref)  # (m, k, sub)
+    def __init__(self, codebooks: np.ndarray, col: str, id_col: str) -> None:
+        self.books = np.ascontiguousarray(codebooks, dtype=np.float32)  # (m, k, sub)
         self.col, self.id_col = col, id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -619,17 +598,11 @@ def pq_encode(
     *,
     col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """Encode every vector to its per-subspace nearest-centroid codes plus
-    the exact squared reconstruction error. Codebooks ride plasma
-    (ray.put once, fetched once per actor)."""
-    ref = ray.put(np.ascontiguousarray(codebooks, dtype=np.float32))
+    the exact squared reconstruction error."""
     return ds.map_batches(
-        _PQEncoder,
-        fn_constructor_kwargs={"cref": ref, "col": col, "id_col": id_col},
-        batch_format="pyarrow",
-        concurrency=(min(2, concurrency), concurrency),
+        _PQEncoder(codebooks, col, id_col), batch_format="pyarrow"
     )
 
 
@@ -645,15 +618,17 @@ def _int_list_col_to_matrix(col, m: int) -> np.ndarray:
 
 
 class _AssignEncodeFilter:
-    """Fused IVF-PQ ingest stage (actor: quantizers fetched once per
-    actor): normalize, assign coarse cell, drop cells no query probes,
-    PQ-encode the RESIDUAL (x − centroid[cell]) — emits only
-    (vec_id, cell, codes), i.e. the compressed representation the search
-    stage scores; the raw vector never leaves this stage."""
+    """Fused IVF-PQ ingest stage: normalize, assign coarse cell, drop
+    cells no query probes, PQ-encode the RESIDUAL (x − centroid[cell]) —
+    emits only (vec_id, cell, codes), i.e. the compressed representation
+    the search stage scores; the raw vector never leaves this stage."""
 
-    def __init__(self, cref, bref, probe_arr, id_col: str, col: str) -> None:
-        self.c: np.ndarray = ray.get(cref)          # (C, dim) unit
-        self.books: np.ndarray = ray.get(bref)      # (m, k, sub)
+    def __init__(
+        self, centroids: np.ndarray, books: np.ndarray, probe_arr,
+        id_col: str, col: str,
+    ) -> None:
+        self.c = centroids          # (C, dim) unit
+        self.books = books          # (m, k, sub)
         self.probe = probe_arr
         self.id_col, self.col = id_col, col
 
@@ -700,20 +675,20 @@ class _AssignEncodeFilter:
 
 
 class _ADCTopK:
-    """IVF-PQ search stage (actor): per-query lookup tables built ONCE per
-    actor — sim(q, x) ≈ q·centroid[cell] + Σⱼ LUT[q, j, codeⱼ] (asymmetric
+    """IVF-PQ search stage: per-query lookup tables built ONCE on the
+    driver — sim(q, x) ≈ q·centroid[cell] + Σⱼ LUT[q, j, codeⱼ] (asymmetric
     distance computation, Jégou et al. 2011, inner-product form). Per
     batch: two fancy-indexing gathers + a sum over m — no per-row Python.
     Candidates outside a query's own probed cells are masked to −inf so
     per-query probe semantics survive the shared union filter."""
 
-    def __init__(self, queries_ref, cref, bref, k: int, nprobe: int) -> None:
-        q = ray.get(queries_ref)
-        self.query_ids = q["ids"]
-        Q = _normalize(np.asarray(q["matrix"], dtype=np.float32))
-        c: np.ndarray = ray.get(cref)
-        books: np.ndarray = ray.get(bref)       # (m, pk, sub)
-        m, pk, sub = books.shape
+    def __init__(
+        self, query_ids: list, query_matrix: np.ndarray, c: np.ndarray,
+        books: np.ndarray, k: int, nprobe: int,
+    ) -> None:
+        self.query_ids = list(query_ids)
+        Q = _normalize(np.asarray(query_matrix, dtype=np.float32))
+        m, pk, sub = books.shape                # (m, pk, sub)
         self.m = m
         self.qc = Q @ c.T                        # (n_q, C)
         # LUT[qi, j, code] = Q_sub[qi, j] · books[j, code]
@@ -774,7 +749,6 @@ def ann_ivfpq(
     id_col: str = "vec_id",
     col: str = "embedding",
     exclude_self: bool = True,
-    concurrency: int = 4,
     rerank: int = 0,
 ) -> ray.data.Dataset:
     """IVF-PQ ANN (Jégou et al. 2011 — the billion-scale production path
@@ -783,7 +757,7 @@ def ann_ivfpq(
     scores the CODES via per-query lookup tables (ADC) — the full pipeline
     a 100 TB embedding store runs, where raw float vectors are too big to
     keep hot. Both quantizers train on ONE bounded seeded Bernoulli sample
-    (the ann_ivf template); centroids + codebooks broadcast via plasma.
+    (the ann_ivf template); centroids + codebooks ship with the kernels.
 
     ``rerank > 0`` adds the standard exact-refinement tail: top-``rerank``
     ADC candidates per query are re-scored against their raw vectors (one
@@ -816,7 +790,6 @@ def ann_ivfpq(
             for j in range(m)
         ]
     ).astype(np.float32)
-    cref, bref = ray.put(centroids), ray.put(books)
 
     q = _normalize(np.asarray(query_matrix, dtype=np.float32))
     qsims = q @ centroids.T
@@ -824,27 +797,16 @@ def ann_ivfpq(
         np.argsort(-qsims, axis=1)[:, : min(nprobe, centroids.shape[0])]
     )
     probe_arr = pa.array(probe_union.astype(np.int32), pa.int32())
-    qref = ray.put({"ids": list(query_ids), "matrix": query_matrix})
 
     extra = 1 if exclude_self else 0
     encoded = ds.map_batches(
-        _AssignEncodeFilter,
-        fn_constructor_kwargs={
-            "cref": cref, "bref": bref, "probe_arr": probe_arr,
-            "id_col": id_col, "col": col,
-        },
+        _AssignEncodeFilter(centroids, books, probe_arr, id_col, col),
         batch_format="pyarrow",
-        concurrency=(max(1, concurrency // 2), max(1, concurrency // 2)),
     )
     adc_k = (rerank if rerank else k) + extra
     partial = encoded.map_batches(
-        _ADCTopK,
-        fn_constructor_kwargs={
-            "queries_ref": qref, "cref": cref, "bref": bref,
-            "k": adc_k, "nprobe": nprobe,
-        },
+        _ADCTopK(query_ids, query_matrix, centroids, books, adc_k, nprobe),
         batch_format="pyarrow",
-        concurrency=(max(1, concurrency // 2), max(1, concurrency // 2)),
     )
     merged = partial.groupby("query_id").map_groups(
         _merge_topk(adc_k), batch_format="pandas"
@@ -877,12 +839,10 @@ def ann_ivfpq(
             pa.compute.is_in(t[id_col], value_set=_c)
         ),
         batch_format="pyarrow",
-        concurrency=max(1, concurrency // 2),
     )
     return ann_bruteforce(
         sliver, list(query_ids), query_matrix, k,
         id_col=id_col, col=col, exclude_self=exclude_self,
-        concurrency=max(1, concurrency // 2),
     )
 
 
@@ -920,10 +880,8 @@ def sq8_encode(
     mx = np.max([np.asarray(r["mx"]) for r in rows], axis=0)
     scale = (mx - mn) / 255.0
     const = scale == 0.0
-    ref = ray.put((mn, scale, const))
 
     def encode(t: pa.Table) -> pa.Table:
-        mn_, scale_, const_ = ray.get(ref)
         m = _list_col_to_matrix(t[col]).astype(np.float64)
         if m.size == 0:
             return pa.Table.from_pydict(
@@ -933,8 +891,8 @@ def sq8_encode(
                  "code_max": pa.array([], pa.int64()),
                  "n_dims": pa.array([], pa.int64())}
             )
-        q = (m - mn_) / np.where(const_, 1.0, scale_)
-        q[:, const_] = 0.0
+        q = (m - mn) / np.where(const, 1.0, scale)
+        q[:, const] = 0.0
         # DuckDB ROUND is half-away-from-zero; values are ≥ 0 here, so the
         # pyarrow kernel with half_towards_infinity matches exactly
         codes = pc.cast(

@@ -26,24 +26,6 @@ import ray.data
 from goose_parser_ray.sources.io import READ_BLOCK_BYTES
 
 
-def _pool() -> int:
-    """Actor-pool size for query stages: CPU-proportional (half the
-    cluster, floor 8) rather than a fixed cap — a fixed 8 starves a big
-    cluster's actor stages; the floor keeps spin-up overhead bounded on
-    small hosts. Measured at 32 CPUs/sf0.1: 8→16 left the pure-map
-    queries flat and shaved the actor-pool-heavy ones (see commit).
-
-    ``GRAFT_POOL_SIZE`` overrides with an exact count — the scaling
-    protocol pins the SAME pool fraction at both parallelism levels
-    (the floor would give the small leg proportionally more actors and
-    bias the efficiency ratio); autoscaling stays off either way."""
-    env = os.environ.get("GRAFT_POOL_SIZE")
-    if env:
-        return max(1, int(env))
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return max(1, min(cpus - 2, max(8, cpus // 2)))
-
-
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     """Column-pruned parquet read with a SMALL-INPUT anti-over-split guard.
     Every read block becomes a task in each downstream map and a piece in
@@ -51,7 +33,7 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     dedup_minhash 5.4s → 3.7s at sf0.1 just from 64 → 8 read blocks; on 4
     CPUs an identity groupby over 800 rows took 0.37s at 8 blocks and 64
     groups, 0.12s at 1 block and 4 groups). Under 1M rows a file therefore gets one block
-    per ``READ_BLOCK_BYTES`` of parquet, capped at ``max(8, _pool())``: a
+    per ``READ_BLOCK_BYTES`` of parquet, capped at ``max(8, CPUs // 2)``: a
     97 KB table reads as 1 block, sf0.1's 595 KB ``documents`` as 5. At
     real corpus scale the guard never triggers and Ray's native block
     sizing (target_max_block_size against file fragments) governs."""
@@ -62,7 +44,8 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
 
         if pq.read_metadata(path).num_rows < 1_000_000:
             by_bytes = -(-os.path.getsize(path) // READ_BLOCK_BYTES)
-            nb = min(max(8, _pool()), max(1, by_bytes))
+            cpus = int(ray.cluster_resources().get("CPU", 4))
+            nb = min(max(8, cpus // 2), max(1, by_bytes))
     except Exception:
         pass
     return ray.data.read_parquet(path, columns=columns, override_num_blocks=nb)

@@ -26,7 +26,7 @@ from goose_parser_ray.functions.relational import (
 )
 from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def q_ann_bruteforce(sf_dir: str):
     qids = head["vec_id"].to_pylist()
     qmat = np.array(head["embedding"].to_pylist(), dtype=np.float32)
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = ann_bruteforce(ds, qids, qmat, k=5, concurrency=_pool())
+    out = ann_bruteforce(ds, qids, qmat, k=5)
     return out.select_columns(["query_id", "vec_id", "rank"])
 
 
@@ -920,7 +920,7 @@ def q_ann_recall(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     k = 5
 
-    bf = ann_bruteforce(ds, qids, qmat, k=k, concurrency=_pool()).to_pandas()
+    bf = ann_bruteforce(ds, qids, qmat, k=k).to_pandas()
     truth = bf.groupby("query_id")["vec_id"].apply(set).to_dict()
 
     rows = []
@@ -929,21 +929,19 @@ def q_ann_recall(sf_dir: str):
             "lsh",
             ann_lsh(
                 ds, qids, qmat, k=k, dim=64, n_planes=4, n_tables=8,
-                concurrency=_pool(),
             ).to_pandas(),
         ),
         (
             "ivf",
             ann_ivf(
                 ds, qids, qmat, k=k, n_centroids=16, nprobe=6,
-                concurrency=max(2, _pool() // 2),
             ).to_pandas(),
         ),
         (
             "ivfpq_adc",
             ann_ivfpq(
                 ds, qids, qmat, k=k, n_centroids=16, nprobe=6,
-                m=16, pq_k=32, concurrency=max(2, _pool() // 2),
+                m=16, pq_k=32,
             ).to_pandas(),
         ),
         (
@@ -954,7 +952,6 @@ def q_ann_recall(sf_dir: str):
             ann_ivfpq(
                 ds, qids, qmat, k=k, n_centroids=16, nprobe=12,
                 m=16, pq_k=32, rerank=20 * k,
-                concurrency=max(2, _pool() // 2),
             ).to_pandas(),
         ),
     ):

@@ -14,7 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from goose_parser_ray.queries._shared import _pool, _read
+from goose_parser_ray.queries._shared import _read
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +118,12 @@ ORDER BY id_a, id_b
 
 class _HardNegTopK:
     """Per-batch local top-k cosine over rows whose label differs from the
-    query's label (broadcast query matrix + labels, ray.put once)."""
+    query's label (query matrix normalized once on the driver)."""
 
-    def __init__(self, queries_ref, k: int) -> None:
-        import ray as _ray
-
-        q = _ray.get(queries_ref)
-        self._ids = q["ids"]
-        self._labels = np.asarray(q["labels"])
-        m = np.asarray(q["matrix"], dtype=np.float32)
-        self._m = m / np.linalg.norm(m, axis=1, keepdims=True)
+    def __init__(self, ids: list, labels: list, matrix: np.ndarray, k: int) -> None:
+        self._ids = ids
+        self._labels = np.asarray(labels)
+        self._m = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
         self._k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -183,11 +179,10 @@ def q_hard_negatives(sf_dir: str):
     smallest vec_ids, the top-5 cosine neighbors whose LABEL DIFFERS from
     the query's — the nearest wrong-class examples a contrastive trainer
     pairs against each anchor. Scale shape identical to ann_bruteforce
-    (broadcast query matrix via ray.put, per-batch local top-k matmul,
+    (query matrix shipped with the kernel, per-batch local top-k matmul,
     one small grouped merge); float32-vs-float64 rank safety per the
     ann_bruteforce gap measurement. Returns (query_id, vec_id, rank)."""
     import pyarrow.parquet as pq
-    import ray
 
     emb = pq.read_table(
         f"{sf_dir}/embeddings.parquet",
@@ -195,22 +190,14 @@ def q_hard_negatives(sf_dir: str):
     )
     order = pc.array_sort_indices(emb["vec_id"].combine_chunks())[:8]
     head = emb.take(order)
-    ref = ray.put(
-        {
-            "ids": head["vec_id"].to_pylist(),
-            "labels": head["label"].to_pylist(),
-            "matrix": np.array(
-                head["embedding"].to_pylist(), dtype=np.float32
-            ),
-        }
+    kernel = _HardNegTopK(
+        head["vec_id"].to_pylist(),
+        head["label"].to_pylist(),
+        np.array(head["embedding"].to_pylist(), dtype=np.float32),
+        k=5,
     )
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-    partial = ds.map_batches(
-        _HardNegTopK,
-        fn_constructor_kwargs={"queries_ref": ref, "k": 5},
-        batch_format="pyarrow",
-        concurrency=(_pool(), _pool()),
-    )
+    partial = ds.map_batches(kernel, batch_format="pyarrow")
     merged = partial.groupby("query_id").map_groups(
         _merge_hardneg(5), batch_format="pandas"
     )

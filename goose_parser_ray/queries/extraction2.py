@@ -15,7 +15,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from goose_parser_ray.queries._shared import _pool, _read
+from goose_parser_ray.queries._shared import _read
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +255,14 @@ def q_multi_pattern_match(sf_dir: str):
     """Aho–Corasick dictionary matching, ORACLE-CHECKED: per-(doc, term)
     occurrence counts for a 10-term dictionary in ONE automaton pass per
     document (the 10^6-term blocklist/taxonomy scale path — per-term scans
-    are O(terms × corpus)). Dictionary broadcast once via ray.put; counts
+    are O(terms × corpus)). Automaton built once per worker process; counts
     include phrase terms spanning token boundaries. SQL certifies every
     count through replace()-length arithmetic (terms are border-free, see
     MATCH_TERMS). Map-only, zero shuffle."""
     from goose_parser_ray.functions.ahocorasick import multi_pattern_counts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = multi_pattern_counts(
-        ds, MATCH_TERMS, id_col="doc_id", text_col="text",
-        concurrency=_pool(),
-    )
+    out = multi_pattern_counts(ds, MATCH_TERMS, id_col="doc_id", text_col="text")
     return out.sort(["doc_id", "term"])
 
 

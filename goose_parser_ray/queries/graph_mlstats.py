@@ -16,7 +16,7 @@ from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
 from goose_parser_ray.functions.similarity import ann_lsh
 
-from goose_parser_ray.queries._shared import _cents, _pool, _read
+from goose_parser_ray.queries._shared import _cents, _read
 
 
 def q_regr_by_flag(sf_dir: str):
@@ -1185,11 +1185,7 @@ def q_pq_codes(sf_dir: str):
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     books = pq_train(ds, m=4, k=16, sample_size=2000, seed=7)
-    out = pq_encode(
-        _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
-        books,
-        concurrency=max(2, _pool() // 2),
-    )
+    out = pq_encode(_read(sf_dir, "embeddings", ["vec_id", "embedding"]), books)
     return out.map_batches(
         lambda t: pa.Table.from_pydict(
             {
@@ -1251,10 +1247,7 @@ def q_ann_ivf(sf_dir: str):
     qids = head["vec_id"].to_pylist()
     qmat = np.array(head["embedding"].to_pylist(), dtype=np.float32)
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = ann_ivf(
-        ds, qids, qmat, k=5, n_centroids=16, nprobe=6,
-        concurrency=max(2, _pool() // 2),
-    )
+    out = ann_ivf(ds, qids, qmat, k=5, n_centroids=16, nprobe=6)
     return out.select_columns(["query_id", "vec_id", "rank"])
 
 
@@ -1271,10 +1264,7 @@ def q_ann_lsh(sf_dir: str):
     # LSH-hostile case — no cluster structure): 4 planes × 8 tables gives
     # recall@5 min 0.80 / mean 0.97 vs the oracle-checked brute force (the
     # old 6×4 sat at mean 0.48); floors asserted in tests/test_recall.py
-    out = ann_lsh(
-        ds, qids, qmat, k=5, dim=64, n_planes=4, n_tables=8,
-        concurrency=_pool(),
-    )
+    out = ann_lsh(ds, qids, qmat, k=5, dim=64, n_planes=4, n_tables=8)
     return out.select_columns(["query_id", "vec_id", "rank"])
 
 

@@ -135,8 +135,10 @@ def cached_kernel(cls: type, **args):
     jobs (at most 8 instances per process). ``cls`` must be a module-level
     class, so that every task unpickles the same class object, and its
     arguments must survive a JSON round trip (tuples come back as lists).
-    A kernel that ``ray.get``s a per-call ObjectRef stays an actor pool: a
-    cache would pin that object after its query ends."""
+    A kernel built from per-call arrays (query matrices, centroids) is
+    instead built once on the driver and its instance handed to
+    ``map_batches``: Ray ships it with the operator and frees it when the
+    execution ends, so no cache holds it."""
     return functools.partial(
         _run_kernel, cls=cls, key=json.dumps(args, sort_keys=True)
     )

@@ -119,58 +119,40 @@ def test_no_dataset_join_outside_relational():
     )
 
 
-# Kernels whose constructor ``ray.get``s a per-call ObjectRef: a per-process
-# cache would pin that object after its query ends, so they stay actor pools.
-OBJECTREF_KERNELS = {
-    "BruteForceTopK",  # ann_bruteforce, and ann_lsh's rerank
-    "AssignFilter",  # ann_ivf
-    "_PQEncoder",  # pq_encode
-    "_AssignEncodeFilter",  # ann_ivfpq
-    "_ADCTopK",  # ann_ivfpq
-    "MultiPatternActor",  # multi_pattern_counts
-    "_HardNegTopK",  # q_hard_negatives
-}
-
-
-def test_only_objectref_kernels_run_as_actor_pools():
-    """Every other batch kernel runs as a plain task through
-    ``stages.extract.cached_kernel``: the only classes handed to
-    ``map_batches`` are the ObjectRef kernels above, and the functions
-    that wrap cached kernels take no ``concurrency`` to size a pool with."""
-    import inspect
-
-    from goose_parser_ray.functions import bpe, dedup, linkgraph, relational, unigram
-    from goose_parser_ray.pipelines import extraction
-
+def test_no_query_starts_an_actor():
+    """Every batch kernel runs as plain tasks: a kernel with constant
+    arguments through ``stages.extract.cached_kernel``, one with per-call
+    arrays as an instance built on the driver. No class is handed to
+    ``map_batches`` anywhere in the package, and nothing takes or passes a
+    ``concurrency`` to size a pool with."""
     trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.rglob("*.py"))]
     classes = {
         n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.ClassDef)
     }
+    calls = [n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)]
     pooled = {
         node.args[0].id
-        for t in trees
-        for node in ast.walk(t)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
+        for node in calls
+        if isinstance(node.func, ast.Attribute)
         and node.func.attr == "map_batches"
         and node.args
         and isinstance(node.args[0], ast.Name)
         and node.args[0].id in classes
     }
-    assert pooled == OBJECTREF_KERNELS, sorted(pooled ^ OBJECTREF_KERNELS)
-    converted = [
-        dedup.minhash_lsh_candidates, dedup.simhash_near_dups,
-        dedup.embedding_near_dups, dedup.minhash_dedup_keep,
-        bpe.bpe_encode, unigram.unigram_encode,
-        linkgraph.extract_links, linkgraph.extract_meta,
-        relational.broadcast_join,
-        extraction.build_extraction_pipeline, extraction.extract_corpus,
-    ]
-    takes = [
-        f.__name__ for f in converted
-        if "concurrency" in inspect.signature(f).parameters
-    ]
+    assert pooled == set(), sorted(pooled)
+    takes = sorted(
+        n.name
+        for t in trees
+        for n in ast.walk(t)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            a.arg == "concurrency"
+            for a in n.args.args + n.args.kwonlyargs + n.args.posonlyargs
+        )
+    )
     assert not takes, takes
+    passes = [n.lineno for n in calls if any(k.arg == "concurrency" for k in n.keywords)]
+    assert not passes, passes
 
 
 GiB = 1 << 30

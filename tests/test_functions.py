@@ -119,7 +119,7 @@ def test_ann_bruteforce_matches_numpy_oracle(ray_session):
     )
     ds = ray.data.from_arrow(tbl)
     qids = [0, 1, 2]
-    out = ann_bruteforce(ds, qids, m[qids], k=5, concurrency=2).to_pandas()
+    out = ann_bruteforce(ds, qids, m[qids], k=5).to_pandas()
 
     norm = m / np.linalg.norm(m, axis=1, keepdims=True)
     sims = norm[qids] @ norm.T
@@ -282,9 +282,7 @@ def test_ann_lsh_finds_planted_neighbor(ray_session):
     from goose_parser_ray.functions.similarity import ann_lsh
 
     ds = ray.data.from_arrow(tbl)
-    out = ann_lsh(
-        ds, [0], m[[0]], k=3, dim=16, n_planes=6, concurrency=1
-    ).to_pandas()
+    out = ann_lsh(ds, [0], m[[0]], k=3, dim=16, n_planes=6).to_pandas()
     got = out.sort_values("rank")["vec_id"].tolist()
     assert got[0] == 7  # the planted near-duplicate survives bucket pruning
     assert 0 not in got  # self excluded
@@ -458,24 +456,20 @@ def test_jaccard_verify_join_path_matches_broadcast(docs_ds):
 
 def test_multimodal_chain_resize_audio(ray_session):
     """Decode → resize → audio chain: schemas and deterministic stub values
-    survive the actor plumbing."""
+    survive the cached-kernel plumbing."""
     from goose_parser_ray.functions.multimodal import (
         AudioFeatureActor,
         ImageDecodeActor,
         ImageResizeActor,
     )
+    from goose_parser_ray.stages.extract import cached_kernel
 
     t = pa.Table.from_pydict(
         {"doc_id": [1, 2], "payload": [b"abc", b"defgh"]}
     )
     ds = ray.data.from_arrow(t)
-    ds = ds.map_batches(ImageDecodeActor, batch_format="pyarrow", concurrency=(1, 1))
-    ds = ds.map_batches(
-        ImageResizeActor, batch_format="pyarrow", concurrency=(1, 1)
-    )
-    ds = ds.map_batches(
-        AudioFeatureActor, batch_format="pyarrow", concurrency=(1, 1)
-    )
+    for kernel in (ImageDecodeActor, ImageResizeActor, AudioFeatureActor):
+        ds = ds.map_batches(cached_kernel(kernel), batch_format="pyarrow")
     out = ds.to_pandas().sort_values("doc_id")
     assert list(out.columns) == [
         "doc_id", "payload", "features", "meta", "audio_features"
@@ -588,6 +582,28 @@ def test_exact_dedup_invariant_to_bucket_count(docs_ds):
     for out in outs[1:]:
         pdt.assert_frame_equal(out, outs[0])
     assert len(outs[0]) == 23
+
+
+def test_distinct_rows_invariant_to_bucket_count(ray_session):
+    """The shuffle bucket count only partitions work: distinct_rows keeps
+    the same rows at 1, 4 and 64 buckets and at its cluster default."""
+    import pandas as pd
+    import pandas.testing as pdt
+
+    from goose_parser_ray.functions.relational import distinct_rows
+
+    rng = np.random.default_rng(3)
+    ds = ray.data.from_pandas(
+        pd.DataFrame({"a": rng.integers(0, 20, 600), "b": rng.integers(0, 3, 600)})
+    ).repartition(5)
+    outs = [
+        distinct_rows(ds, ["a", "b"], **kw)
+        .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
+        for kw in ({"num_buckets": 1}, {"num_buckets": 4}, {"num_buckets": 64}, {})
+    ]
+    for out in outs[1:]:
+        pdt.assert_frame_equal(out, outs[0])
+    assert len(outs[0]) == 60
 
 
 def test_coarse_bucket_payload_bounded(docs_ds):
@@ -716,10 +732,9 @@ def test_ann_ivf_unbiased_sample_on_clustered_layout(ray_session):
     # queries: one from each of the LAST three clusters (ids 300, 400, 500)
     qids = [300, 400, 500]
     qmat = vecs[qids]
-    exact = ann_bruteforce(ds, qids, qmat, k=10, concurrency=2).to_pandas()
+    exact = ann_bruteforce(ds, qids, qmat, k=10).to_pandas()
     approx = ann_ivf(
         ds, qids, qmat, k=10, n_centroids=6, nprobe=2, sample_size=200,
-        concurrency=2,
     ).to_pandas()
     recalls = []
     for q in qids:
@@ -745,16 +760,12 @@ def test_ann_ivf_finds_planted_neighbor(ray_session):
         ),
     )
     ds = ray.data.from_arrow(tbl)
-    out = ann_ivf(
-        ds, [0], m[[0]], k=3, n_centroids=8, nprobe=3, concurrency=2
-    ).to_pandas()
+    out = ann_ivf(ds, [0], m[[0]], k=3, n_centroids=8, nprobe=3).to_pandas()
     got = out.sort_values("rank")["vec_id"].tolist()
     assert got[0] == 7 and 0 not in got
 
-    full = ann_ivf(
-        ds, [0], m[[0]], k=3, n_centroids=8, nprobe=8, concurrency=2
-    ).to_pandas()
-    exact = ann_bruteforce(ds, [0], m[[0]], k=3, concurrency=1).to_pandas()
+    full = ann_ivf(ds, [0], m[[0]], k=3, n_centroids=8, nprobe=8).to_pandas()
+    exact = ann_bruteforce(ds, [0], m[[0]], k=3).to_pandas()
     assert (
         full.sort_values("rank")["vec_id"].tolist()
         == exact.sort_values("rank")["vec_id"].tolist()
@@ -2014,7 +2025,7 @@ def test_pq_deterministic_and_quality(ray_session):
         ds = ray.data.from_pandas(df).repartition(3)
         books = pq_train(ds, m=4, k=k, sample_size=200, seed=11)
         out = pq_encode(
-            ray.data.from_pandas(df).repartition(3), books, concurrency=2
+            ray.data.from_pandas(df).repartition(3), books
         ).to_pandas().sort_values("vec_id").reset_index(drop=True)
         return books, out
 

@@ -1,13 +1,14 @@
 """Query reads size their blocks from the file's bytes: one block per
-``READ_BLOCK_BYTES`` of parquet, at most ``max(8, _pool())``. A small table
+``READ_BLOCK_BYTES`` of parquet, at most ``max(8, CPUs // 2)``. A small table
 read as many tiny blocks pays a fixed cost per block in every downstream
 map and shuffle."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
-from goose_parser_ray.queries._shared import _pool, _read
+from goose_parser_ray.queries._shared import _read
 from goose_parser_ray.sources.io import READ_BLOCK_BYTES
 
 
@@ -44,7 +45,7 @@ def test_small_file_reads_as_one_block(ray_session, tmp_path):
 
 
 def test_block_count_follows_bytes_up_to_cap(ray_session, tmp_path):
-    cap = max(8, _pool())
+    cap = max(8, int(ray.cluster_resources()["CPU"]) // 2)
     for n in (3, cap + 4):
         expected = _write(tmp_path, n)
         assert expected == n

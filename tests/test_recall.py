@@ -55,9 +55,7 @@ def exact_topk(ray_session):
     from goose_parser_ray.functions.similarity import ann_bruteforce
 
     qids, qmat = _query_head()
-    # concurrency=2 of the 4 fixture CPUs — the post-pool merge groupby
-    # needs free slots (full reservation deadlocks the streaming pipeline)
-    df = ann_bruteforce(_emb_ds(), qids, qmat, k=5, concurrency=2).to_pandas()
+    df = ann_bruteforce(_emb_ds(), qids, qmat, k=5).to_pandas()
     return qids, qmat, df
 
 
@@ -68,11 +66,8 @@ def test_ann_lsh_recall_floor(exact_topk):
     from goose_parser_ray.functions.similarity import ann_lsh
 
     qids, qmat, exact = exact_topk
-    # concurrency=1 sizes the rerank's actor pool, the one fixed pool
-    # ann_lsh starts; its bucketer runs as plain tasks
     approx = ann_lsh(
         _emb_ds(), qids, qmat, k=5, dim=64, n_planes=4, n_tables=8,
-        concurrency=1,
     ).to_pandas()
     mn, mean = _recalls(exact, approx, qids)
     assert mn >= 0.8 and mean >= 0.9, (mn, mean)
@@ -85,7 +80,7 @@ def test_ann_ivf_recall_floor(exact_topk):
 
     qids, qmat, exact = exact_topk
     approx = ann_ivf(
-        _emb_ds(), qids, qmat, k=5, n_centroids=16, nprobe=6, concurrency=2,
+        _emb_ds(), qids, qmat, k=5, n_centroids=16, nprobe=6,
     ).to_pandas()
     mn, mean = _recalls(exact, approx, qids)
     assert mn >= 0.8 and mean >= 0.95, (mn, mean)
@@ -183,7 +178,7 @@ def test_ann_ivfpq_rerank_recall_and_exactness(exact_topk):
     # min 0.8 / mean 0.9.
     rer = ann_ivfpq(
         _emb_ds(), qids, qmat, k=5, n_centroids=16, nprobe=12,
-        m=16, pq_k=32, concurrency=2, rerank=100,
+        m=16, pq_k=32, rerank=100,
     ).to_pandas()
     mn2, mean2 = _recalls(exact, rer, qids)
     assert mn2 >= 0.7 and mean2 >= 0.85, (mn2, mean2)
@@ -194,7 +189,7 @@ def test_ann_ivfpq_rerank_recall_and_exactness(exact_topk):
 
     adc = ann_ivfpq(
         _emb_ds(), qids, qmat, k=5, n_centroids=16, nprobe=6,
-        m=16, pq_k=32, concurrency=2,
+        m=16, pq_k=32,
     ).to_pandas()
     mn, mean = _recalls(exact, adc, qids)
     assert mean >= 0.35, (mn, mean)  # worst-case floor, see docstring
@@ -228,18 +223,17 @@ def test_ann_ivfpq_adc_on_clustered_data(ray_session):
     qmat = X[qids]
     adc = ann_ivfpq(
         ds, qids, qmat, k=5, n_centroids=16, nprobe=4, m=16, pq_k=32,
-        concurrency=2,
     ).to_pandas()
     assert len(adc) == 5 * len(qids)
     # every retrieved neighbor lives in the query's true cluster
     assert (adc["vec_id"] // 32 == adc["query_id"] // 32).all()
 
-    exact = ann_bruteforce(ds, qids, qmat, k=5, concurrency=2).to_pandas()
+    exact = ann_bruteforce(ds, qids, qmat, k=5).to_pandas()
     # rerank pool must exceed the 32-member cluster so the exact top-5
     # (within-cluster near-ties ADC cannot order) are all in the pool
     rer = ann_ivfpq(
         ds, qids, qmat, k=5, n_centroids=16, nprobe=4, m=16, pq_k=32,
-        rerank=40, concurrency=2,
+        rerank=40,
     ).to_pandas()
     mn, mean = _recalls(exact, rer, qids)
     assert mn == 1.0 and mean == 1.0, (mn, mean)
