@@ -1,8 +1,8 @@
 """Distributed gradient-descent models over Ray Data.
 
 Same scale shape as ``kmeans_distributed``/``pagerank_distributed``: model
-state lives driver-side (d+1 floats), each round broadcasts it (``ray.put``)
-and makes ONE streaming pass that emits a single small partial row per batch
+state lives driver-side (d+1 floats), each round's batch function captures
+it (Ray ships the function with the operator) and makes ONE streaming pass that emits a single small partial row per batch
 (gradient-sum vector + loss partial + count — never the points); the
 ≤num_batches-row partial stream reduces driver-side and the weights update.
 The corpus is pinned once (``materialize``) so a transformed upstream
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data
 
 
@@ -66,7 +65,7 @@ def nb_train(
     All log-probs are e6-fixed-point integers (DuckDB ROUND parity) so
     downstream scores are order-independent integer sums.
 
-    Returns a plain dict (suitable for ``ray.put``):
+    Returns a plain dict (the argument of :class:`NBScoreActor`):
     ``{"classes", "priors_e6", "vocab", "lp_e6"}`` where ``lp_e6`` is a
     (V, C) int64 matrix aligned to sorted vocab / sorted classes.
     """
@@ -139,13 +138,12 @@ def nb_train(
 
 
 class NBScoreActor:
-    """Actor stage: model fetched from plasma once per actor; scoring is one
-    vectorized gather+scatter per batch (int64 adds — order-independent)."""
+    """Batch kernel built once on the driver from the model dict; scoring is
+    one vectorized gather+scatter per batch (int64 adds — order-independent)."""
 
-    def __init__(self, model_ref, id_col: str = "doc_id", text_col: str = "text"):
+    def __init__(self, m: dict, id_col: str = "doc_id", text_col: str = "text"):
         import pandas as pd
 
-        m = ray.get(model_ref)
         self.classes = m["classes"]
         self.priors_e6 = m["priors_e6"]
         self.vocab = pd.Index(m["vocab"])
@@ -233,8 +231,8 @@ def pca_fit_project(
 ) -> ray.data.Dataset:
     """Distributed PCA: exact covariance from one streaming pass of
     (n, Σx, Σxxᵀ) partials (d² floats per batch — never the vectors),
-    driver-side ``eigh`` on the tiny d×d matrix, then a broadcast
-    projection pass (mean + top-k components fetched once per actor).
+    driver-side ``eigh`` on the tiny d×d matrix, then a projection pass
+    whose batch function captures the mean + top-k components.
     Component sign is fixed deterministically (largest-|loading| entry
     made positive). Returns (id_col, pc1..pck)."""
     from goose_parser_ray.functions.similarity import _list_col_to_matrix
@@ -263,14 +261,12 @@ def pca_fit_project(
     w = vecs[:, np.argsort(vals)[::-1][:k]]  # top-k by eigenvalue
     flip = np.sign(w[np.abs(w).argmax(axis=0), np.arange(k)])
     w = w * np.where(flip == 0, 1.0, flip)
-    state = ray.put((mu, w))
 
     def project(t: pa.Table) -> pa.Table:
-        mu_, w_ = ray.get(state)
         x = _list_col_to_matrix(t[col]).astype(np.float64)
-        p = (x - mu_) @ w_
+        p = (x - mu) @ w
         out = {id_col: t[id_col]}
-        for j in range(w_.shape[1]):
+        for j in range(w.shape[1]):
             out[f"pc{j + 1}"] = p[:, j]
         return pa.Table.from_pydict(out)
 
@@ -333,26 +329,21 @@ def logreg_fit(
     mu = np.add.reduce([np.asarray(v) for v in mdf["s"]]) / n
     ex2 = np.add.reduce([np.asarray(v) for v in mdf["ss"]]) / n
     sd = np.sqrt(np.maximum(ex2 - mu * mu, 1e-12))
-    state = ray.put((mu, sd))
 
     w = np.zeros(d + 1, dtype=np.float64)
     losses: list[float] = []
 
     for _ in range(iters):
-        w_ref = ray.put(w)
-
         def grad_partial(t: pa.Table) -> pa.Table:
-            mu_, sd_ = ray.get(state)
-            ww = ray.get(w_ref)
             x = np.column_stack(
                 [
                     t[c].to_numpy(zero_copy_only=False).astype(np.float64)
                     for c in feature_cols
                 ]
             )
-            x = (x - mu_) / sd_
+            x = (x - mu) / sd
             y = t[label_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            z = x @ ww[:-1] + ww[-1]
+            z = x @ w[:-1] + w[-1]
             p = 1.0 / (1.0 + np.exp(-z))
             err = p - y
             g = np.concatenate([x.T @ err, [err.sum()]])
@@ -454,8 +445,8 @@ def hashed_text_logreg(
     tf normalized by token count so the fixed learning rate is
     scale-free.
 
-    Scale shape: full-batch GD — each round broadcasts the weight vector
-    (ray.put, n_features float64 ≈ 0.5 MB) and streams ONE pass emitting a
+    Scale shape: full-batch GD — each round's batch function captures the
+    weight vector (n_features float64 ≈ 0.5 MB) and streams ONE pass emitting a
     dense gradient partial per batch; partials fold map-side 16 → 1
     (addition, bit-consistent) so the driver reduce is bounded by
     blocks/16. All per-batch math is bincount/gather vectorized — no
@@ -468,10 +459,9 @@ def hashed_text_logreg(
     accuracy = 0.0
 
     for _ in range(iters):
-        w_ref = ray.put(w)
+        ww = w.copy()  # w is updated in place after the round
 
         def grad_partial(t: pa.Table) -> pa.Table:
-            ww = ray.get(w_ref)
             texts = t[text_col].to_pylist()
             y = t[label_col].to_numpy(zero_copy_only=False).astype(np.float64)
             di, bk, cnt = _hash_token_features(texts, F)
@@ -553,14 +543,13 @@ def hashed_text_predict(
     id_col: str,
     n_features: int = 1 << 16,
 ) -> ray.data.Dataset:
-    """Apply a trained hashed classifier corpus-wide (pure map, weights
-    broadcast once via plasma): emits (id, score_e6, pred) — the gate a
+    """Apply a trained hashed classifier corpus-wide (pure map; the batch
+    function captures the weights): emits (id, score_e6, pred) — the gate a
     quality-filter stage thresholds on."""
     F = n_features
-    w_ref = ray.put(np.asarray(weights, dtype=np.float64))
+    ww = np.asarray(weights, dtype=np.float64)
 
     def score(t: pa.Table) -> pa.Table:
-        ww = ray.get(w_ref)
         texts = t[text_col].to_pylist()
         di, bk, cnt = _hash_token_features(texts, F)
         inv = 1.0 / np.maximum(cnt, 1)

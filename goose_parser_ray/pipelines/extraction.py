@@ -5,9 +5,10 @@ read-side pruning happens in the caller's reader; then ONE map whose task
 takes a block and, slice by slice,
 
   normalize/salt → partition filter → extract (DOM parse + rules/boilerplate)
+  → merge salted chunks
 
-Salted mega-docs leave the pipeline as chunks; the write stage
-(``stages.residual.PartitionSink``) merges them back, without a shuffle.
+so a salted mega-doc is whole again before it leaves the slice that split
+it, and the pipeline returns one row per document, without a shuffle.
 
 ``extract_corpus``: the resumable job runner — processes partitions in
 waves, commits each partition's output directory atomically, records a
@@ -15,9 +16,9 @@ manifest row per partition, and skips completed partitions on restart
 (SURVEY.md §4.2, FIXTURES.md F6). Each wave is one self-contained Ray Data
 execution. With no input file split across read blocks, it is one physical
 operator: every task reads a block, extracts it and writes it through the
-sink (``stages.residual.PartitionSink``), which finishes the salted-chunk
-merge and counts rows/spans/errors per partition. Its reads are sized from
-the input bytes, Ray sizes its tasks, and it starts no actors.
+sink (``stages.sink.PartitionSink``), which counts rows/spans/errors per
+partition. Its reads are sized from the input bytes, Ray sizes its tasks,
+and it starts no actors.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import ray.data
 from goose_parser_ray.rules import compile_rules
 from goose_parser_ray.sources.io import READ_BLOCK_BYTES, read_documents
 from goose_parser_ray.stages.extract import extract_batch
-from goose_parser_ray.stages.normalize import make_normalize_fn
-from goose_parser_ray.stages.residual import PartitionSink
+from goose_parser_ray.stages.normalize import make_normalize_fn, merge_salted
+from goose_parser_ray.stages.sink import PartitionSink
 from goose_parser_ray.state.manifest import Manifest, PartitionRecord
 from goose_parser_ray import __version__ as CODE_VERSION
 
@@ -115,22 +116,21 @@ def build_extraction_pipeline(
     executes here).
 
     Each task takes a whole block and cuts it into ``batch_size``-row
-    slices; every slice is normalized, filtered and extracted before the
-    next, so the salting row loop only ever sees the slice that holds a
-    mega-doc. The map has no ``batch_size`` of its own, so Ray Data fuses it
-    with the read and the maps before it and with the write after it: a
-    block is read, extracted and written in one task, and Ray runs one such
-    task per CPU.
+    slices; every slice is normalized, filtered, extracted and its salted
+    chunks merged before the next, so the salting row loops only ever see
+    the slice that holds a mega-doc. The map has no ``batch_size`` of its
+    own, so Ray Data fuses it with the read and the maps before it and with
+    the write after it: a block is read, extracted and written in one task,
+    and Ray runs one such task per CPU.
 
     ``partition_filter``: restrict the job to these partition_ids — applied
     right after normalize, BEFORE the expensive extract (resume/wave runs
     must not re-extract skipped partitions).
 
     ``salt_threshold``: split docs with more spans than this into salted
-    chunks (``None``, the default, disables salting). The returned stream
-    then keeps those chunks, so salted output must be written through
-    ``stages.residual.PartitionSink``, which merges them back into whole
-    docs; ``extract_corpus`` does that."""
+    chunks for the extract (``None``, the default, disables salting). The
+    chunks are merged back in the same slice, so the returned stream holds
+    one row per document either way."""
     normalize = make_normalize_fn(
         num_partitions,
         salt_threshold if salt_threshold is not None else 1 << 30,
@@ -152,7 +152,7 @@ def build_extraction_pipeline(
             t = normalize(block.slice(off, batch_size))
             if keep is not None:
                 t = t.filter(pc.is_in(t["partition_id"], keep))
-            yield extract_batch(t, **args)
+            yield merge_salted(extract_batch(t, **args))
 
     return ds.map_batches(extract_block, batch_format="pyarrow")
 
@@ -259,7 +259,7 @@ def extract_corpus(
     if not pending:
         return summary
 
-    summary["phase_s"] = {"pipeline": 0.0, "residual": 0.0, "commit_metrics": 0.0}
+    summary["phase_s"] = {"pipeline": 0.0, "commit_metrics": 0.0}
     summary["read_blocks"] = []
     pool = default_pool_size()
     for wave_ids in _chunk(pending, waves):
@@ -327,12 +327,8 @@ def extract_corpus(
         sink = PartitionSink(str(tmp))
         ds.write_datasink(sink)
         summary["read_blocks"].append(nb)
-        # the sink merged the mega-docs whose chunks crossed write tasks
-        # inside the write; book that driver time as the residual phase
-        summary["phase_s"]["pipeline"] += time.monotonic() - t0 - sink.merge_s
-        summary["phase_s"]["residual"] += sink.merge_s
-        wave_metrics = sink.counts
         wall = time.monotonic() - t0
+        summary["phase_s"]["pipeline"] += wall
         t_commit = time.monotonic()
 
         # commit partitions (atomic renames); their counts came back from
@@ -346,7 +342,7 @@ def extract_corpus(
                 shutil.rmtree(dst)
             src.rename(dst)
         for pid in wave_ids:
-            rows, spans, errors = wave_metrics.get(pid, (0, 0, 0))
+            rows, spans, errors = sink.counts.get(pid, (0, 0, 0))
             manifest.mark_complete(
                 PartitionRecord(
                     partition_id=pid,

@@ -295,8 +295,8 @@ def q_nb_classify(sf_dir: str):
     (class = lang), predict the held-out 20%. Training is one streaming
     pass of map-side (class, token) partial counts + a small groupby; only
     the BOUNDED model table (vocab-capped, deterministic frequency cap)
-    ships driver-side and broadcasts once per scoring actor (``ray.put`` →
-    fetched in ``__init__``). Scores are integer sums of e6-fixed-point
+    ships driver-side, where the scoring kernel is built once and handed to
+    ``map_batches``. Scores are integer sums of e6-fixed-point
     log-probs (order-independent; DuckDB ROUND/LN parity — the q_bm25
     discipline), ties broken class-ASC on both sides."""
     from goose_parser_ray.functions.ml import NBScoreActor, nb_train
@@ -311,17 +311,11 @@ def q_nb_classify(sf_dir: str):
     train = docs.map_batches(
         lambda t: is_train(t, True), batch_format="pyarrow"
     )
-    model_ref = ray.put(nb_train(train, vocab_cap=50_000))
+    scorer = NBScoreActor(nb_train(train, vocab_cap=50_000))
     test = docs.map_batches(
         lambda t: is_train(t, False), batch_format="pyarrow"
     )
-    return test.map_batches(
-        # task pool, not actor pool: init is a plasma fetch (zero-copy,
-        # shared per node) + a small Index build — 16 actors' spin-up cost
-        # more than every per-task re-init combined (media_png measurement)
-        lambda t, _m=model_ref: NBScoreActor(_m)(t),
-        batch_format="pyarrow",
-    )
+    return test.map_batches(scorer, batch_format="pyarrow")
 
 
 SQL_NB_CLASSIFY = r"""

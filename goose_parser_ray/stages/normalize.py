@@ -5,9 +5,10 @@ task applies to each slice of its block before extracting it (SURVEY.md
 Adds ``partition_id = stable_hash(doc_id) % P`` (the ONE partitioning key,
 reused by the write layout and the manifest — SURVEY.md §2.6 S3) and splits
 mega-documents (span count > ``salt_threshold``) into ``(doc_id, salt)``
-chunk rows so no single row blows an actor's heap; the write stage
-(``stages.residual.PartitionSink``) reassembles them (§2.6 S1). Unsalted
-docs carry ``salt=0, n_salts=1`` and pass through that merge untouched.
+chunk rows so no single row blows a worker's heap. Once the slice is
+extracted, :func:`merge_salted` reassembles each doc from its chunks
+(§2.6 S1), so no chunk row leaves the task. Unsalted docs carry
+``salt=0, n_salts=1`` and pass through that merge untouched.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import zlib
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from goose_parser_ray.spans import SPAN_STRUCT
 
@@ -34,7 +36,6 @@ def coerce_spans_column(col: pa.ChunkedArray) -> pa.ChunkedArray:
     becomes typed nulls (the poison-doc quarantine catches it per row).
     Zero-copy no-op when the column already matches ``SPAN_STRUCT``."""
     import numpy as np
-    import pyarrow.compute as pc
 
     target = pa.list_(SPAN_STRUCT)
     if col.type == target:
@@ -94,8 +95,6 @@ def make_normalize_fn(
         )
 
     def normalize(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         spans_idx = batch.column_names.index("spans")
         batch = batch.set_column(
             spans_idx,
@@ -169,3 +168,40 @@ def make_normalize_fn(
         return pa.Table.from_pydict(out, schema=NORMALIZED_SCHEMA)
 
     return normalize
+
+
+def _merge_run(rows: list[dict]) -> dict:
+    """One doc's extracted chunk rows, in salt order, as its whole row:
+    spans concatenated and their offsets renumbered, chunk errors joined."""
+    spans = [s for r in rows for s in r["spans"]]
+    return {
+        "doc_id": rows[0]["doc_id"],
+        "salt": 0,
+        "salt_count": 1,
+        "n_salts": 1,
+        "partition_id": rows[0]["partition_id"],
+        "spans": [{**s, "offset": i} for i, s in enumerate(spans)],
+        "n_spans": len(spans),
+        "error": "; ".join(r["error"] for r in rows if r["error"]),
+    }
+
+
+def merge_salted(t: pa.Table) -> pa.Table:
+    """Merge every salted doc of one extracted slice back into one row.
+
+    Normalize emits all chunks of a doc together and in salt order, and the
+    partition filter keeps or drops them together (they share one
+    ``partition_id``), so each doc's chunk set in the slice is complete and
+    contiguous: a run starts at its ``salt == 0`` row. A slice without a
+    salted doc passes through untouched; only salted rows go through
+    Python."""
+    salted = pc.greater(t["n_salts"], 1)
+    if not pc.any(salted).as_py():
+        return t
+    runs: list[list[dict]] = []
+    for r in t.filter(salted).to_pylist():
+        if r["salt"] == 0:
+            runs.append([])
+        runs[-1].append(r)
+    merged = pa.Table.from_pylist([_merge_run(rs) for rs in runs], schema=t.schema)
+    return pa.concat_tables([t.filter(pc.invert(salted)), merged])

@@ -4,7 +4,6 @@ sweep covers full DuckDB parity; these lock the edge semantics)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
 from goose_parser_ray.functions.ml import NBScoreActor, nb_train
@@ -30,7 +29,7 @@ def test_nb_learns_separable_classes(ray_session):
     assert list(model["classes"]) == ["en", "es"]
     assert model["lp_e6"].shape == (6, 2)
 
-    actor = NBScoreActor(ray.put(model))
+    actor = NBScoreActor(model)
     out = actor(
         pa.Table.from_pylist(
             [
@@ -46,7 +45,7 @@ def test_nb_empty_doc_and_oov_fall_back_to_prior(ray_session):
     # priors: en 3 docs vs es 1 doc -> empty/OOV-only docs predict 'en'
     ds = _mk_docs([("aa bb", "en")] * 3 + [("cc dd", "es")])
     model = nb_train(ds)
-    actor = NBScoreActor(ray.put(model))
+    actor = NBScoreActor(model)
     out = actor(
         pa.Table.from_pylist(
             [
@@ -69,8 +68,7 @@ def test_nb_vocab_cap_is_deterministic_by_count_then_token(ray_session):
 
 def test_nb_scores_are_batch_composition_independent(ray_session):
     rows = [("apple banana", "en")] * 5 + [("fruta manzana", "es")] * 5
-    model_ref = ray.put(nb_train(_mk_docs(rows)))
-    actor = NBScoreActor(model_ref)
+    actor = NBScoreActor(nb_train(_mk_docs(rows)))
     batch = pa.Table.from_pylist(
         [
             {"doc_id": 1, "text": "apple fruta banana", "lang": "?"},

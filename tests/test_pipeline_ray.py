@@ -52,6 +52,23 @@ def test_pipeline_matches_oracle_with_salting(corpus, tmp_path):
         )
 
 
+def test_salted_pipeline_returns_one_row_per_doc(corpus):
+    # the chunks of each mega-doc merge in the slice that split them, so
+    # the stream itself holds whole docs, with or without a sink
+    path, oracle = corpus
+    res = build_extraction_pipeline(
+        ray.data.read_parquet(path), num_partitions=8, salt_threshold=64,
+        batch_size=16,
+    ).to_pandas()
+    assert sorted(res["doc_id"]) == sorted(oracle)
+    assert (res["n_salts"] == 1).all() and (res["error"] == "").all()
+    for _, row in res.iterrows():
+        assert seq(row["spans"]) == seq(oracle[row["doc_id"]]), row["doc_id"]
+        assert [s["offset"] for s in row["spans"]] == list(
+            range(len(row["spans"]))
+        )
+
+
 def test_pipeline_no_salting_fast_path(corpus):
     path, oracle = corpus
     ds = ray.data.read_parquet(path)
@@ -271,7 +288,7 @@ def test_extract_corpus_releases_its_actors(corpus, tmp_path, ray_session):
             partition_mode="fragment",
         )
         assert s["processed"] == 4 and s["rows"] == 40
-        assert s["read_blocks"] == [4, 4]  # two per actor, each wave
+        assert s["read_blocks"] == [4, 4]  # two per pool slot, each wave
         assert cpus_free_within(before) == before
     finally:
         gc.enable()

@@ -50,7 +50,7 @@ def test_moment_roundtrip(d, fmt, locale):
     st.integers(min_value=1, max_value=7),
 )
 def test_salt_split_merge_identity(texts, threshold):
-    from goose_parser_ray.stages.residual import _merge_run
+    from goose_parser_ray.stages.normalize import _merge_run
 
     spans = [
         {"kind": "text", "text": t, "media_ref": "", "offset": i}
