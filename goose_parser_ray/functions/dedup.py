@@ -27,6 +27,7 @@ Shuffle accounting (what moves in the all-to-all):
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterator
 
 import numpy as np
 import pandas as pd
@@ -343,25 +344,50 @@ class MinHashActor:
 _BUCKET_PAIR_CAP = 256
 
 
+def _key_runs(
+    df: pd.DataFrame, by: list[str], id_col: str
+) -> tuple[pd.DataFrame, np.ndarray, np.ndarray]:
+    """The rows of ``df`` whose key (the ``by`` columns) holds at least two
+    distinct ids, one row per (key, id) — the first, as ``drop_duplicates``
+    keeps it — ordered by key in order of first appearance, then by id;
+    plus the start and end of each key's run in that order. Singleton keys
+    (most of an LSH bucket) are dropped by vectorized passes and never
+    reach per-key Python."""
+    key = df.groupby(by, sort=False).ngroup().to_numpy()
+    ids = df[id_col].to_numpy()
+    first = np.flatnonzero(~pd.DataFrame({"k": key, "i": ids}).duplicated().to_numpy())
+    multi = first[np.bincount(key[first])[key[first]] >= 2]
+    order = multi[np.lexsort((ids[multi], key[multi]))]
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    ends = np.r_[starts[1:], len(order)]
+    return df.iloc[order].reset_index(drop=True), starts, ends
+
+
+def _run_pairs(
+    starts: np.ndarray, ends: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per key run, its row-index pairs ``(i < j)``: all pairs up to
+    _BUCKET_PAIR_CAP members, star edges (first row → every other) above.
+    One run at a time, so a kernel can filter each run's pairs before the
+    next run's exist."""
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        if e - s > _BUCKET_PAIR_CAP:
+            yield np.full(e - s - 1, s, np.int64), np.arange(s + 1, e)
+        else:
+            i, j = np.triu_indices(e - s, k=1)
+            yield s + i, s + j
+
+
 def _pairs_in_bucket(group: pd.DataFrame, by: list[str]) -> pd.DataFrame:
-    """Candidate pairs within one coarse bucket: fine-grained groupby happens
-    here, in-memory, not in the shuffle. All-pairs below _BUCKET_PAIR_CAP,
-    star edges above it."""
-    out_a: list = []
-    out_b: list = []
-    for _, g in group.groupby(by, sort=False):
-        ids = sorted(set(g["doc_id"]))
-        if len(ids) > _BUCKET_PAIR_CAP:
-            hub = ids[0]
-            out_a.extend([hub] * (len(ids) - 1))
-            out_b.extend(ids[1:])
-            continue
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                out_a.append(a)
-                out_b.append(b)
-    df = pd.DataFrame({"doc_a": out_a, "doc_b": out_b})
-    return df.drop_duplicates()
+    """Candidate pairs within one coarse bucket: fine-grained grouping
+    happens here, in-memory, not in the shuffle. All-pairs below
+    _BUCKET_PAIR_CAP, star edges above it."""
+    rows, starts, ends = _key_runs(group, by, "doc_id")
+    ids = rows["doc_id"].to_numpy()
+    pairs = [(ids[:0],) * 2] + [(ids[i], ids[j]) for i, j in _run_pairs(starts, ends)]
+    a, b = (np.concatenate(c) for c in zip(*pairs))
+    del pairs  # free the per-run pieces before the frame and dedup copy a, b again
+    return pd.DataFrame({"doc_a": a, "doc_b": b}).drop_duplicates()
 
 
 def _dedup_pairs(
@@ -401,7 +427,9 @@ def minhash_lsh_candidates(
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Candidate near-dup pairs: shingle→minhash→band (cached-kernel task,
-    map-only) → bucket groupby → pairs → distinct.
+    map-only) → bucket groupby → pairs → distinct. Inside each bucket
+    (``_pairs_in_bucket``) vectorized passes drop the (band, key) groups
+    with one doc, so only keys that collide reach per-key Python.
 
     ``num_buckets`` defaults to data-proportional sizing from the banded row
     count (docs × bands, via a metadata-only ``ds.count()`` on the usual
@@ -438,6 +466,8 @@ def minhash_lsh_candidates(
 _SIMHASH_SHIFTS = np.array(
     [8 * (i // 8) + (7 - i % 8) for i in range(64)], dtype=np.uint64
 )
+# set bits of every byte value, for the pair kernel's Hamming distances
+_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 class SimHashActor:
@@ -504,28 +534,22 @@ class SimHashActor:
 
 
 def _simhash_pairs_bucket(group: pd.DataFrame, max_hamming: int) -> pd.DataFrame:
-    out = []
-    for _, g in group.groupby(["table_id", "band_key"], sort=False):
-        rows = g.drop_duplicates("doc_id").sort_values("doc_id")
-        ids = rows["doc_id"].tolist()
-        sigs = np.asarray(rows["simhash"].tolist(), dtype=np.int64).astype(np.uint64)
-        if len(ids) < 2:
-            continue
-        if len(ids) > _BUCKET_PAIR_CAP:
-            # identical band key on a mass-duplicate run: star to the hub
-            ii = np.zeros(len(ids) - 1, dtype=np.int64)
-            jj = np.arange(1, len(ids), dtype=np.int64)
-        else:
-            ii, jj = np.triu_indices(len(ids), k=1)
-        x = sigs[ii] ^ sigs[jj]
-        # vectorized popcount via uint8 view + bit_count table
-        d = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
+    rows, starts, ends = _key_runs(group, ["table_id", "band_key"], "doc_id")
+    ids = rows["doc_id"].to_numpy()
+    sigs = rows["simhash"].to_numpy().astype(np.int64).astype(np.uint64)
+    # an over-cap run is an identical band key on a mass-duplicate run:
+    # star to the hub. Only each run's hits outlive it.
+    hits: list = [(np.empty(0, np.int64),) * 3]
+    for i, j in _run_pairs(starts, ends):
+        # popcount of the XOR via a byte table over the uint64's 8 bytes
+        x = (sigs[i] ^ sigs[j]).view(np.uint8).reshape(-1, 8)
+        d = _POP8[x].sum(axis=1, dtype=np.int64)
         hit = d <= max_hamming
-        for i, j, dd in zip(ii[hit], jj[hit], d[hit]):
-            out.append((ids[i], ids[j], int(dd)))
-    return pd.DataFrame(out, columns=["doc_a", "doc_b", "hamming"]).drop_duplicates(
-        subset=["doc_a", "doc_b"]
-    )
+        hits.append((i[hit], j[hit], d[hit]))
+    ii, jj, d = (np.concatenate(c) for c in zip(*hits))
+    return pd.DataFrame(
+        {"doc_a": ids[ii], "doc_b": ids[jj], "hamming": d}
+    ).drop_duplicates(subset=["doc_a", "doc_b"])
 
 
 def simhash_near_dups(
@@ -535,6 +559,11 @@ def simhash_near_dups(
     max_hamming: int = 3,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
+    """Near-dup pairs ``(doc_a, doc_b, hamming)`` within ``max_hamming``
+    bits: 64-bit SimHash → 4×16-bit band keys (map-only) → bucket groupby →
+    pair popcount → distinct. Inside each bucket
+    (``_simhash_pairs_bucket``) only keys shared by at least two docs
+    reach per-key work; all their pair distances take one numpy pass."""
     if num_buckets is None:
         # 4 band rows per doc; metadata-only count on fresh parquet reads
         num_buckets = num_shuffle_buckets(ds.count() * 4)
@@ -833,31 +862,32 @@ class HyperplaneBucketActor:
 
 
 def _cosine_pairs_bucket(group: pd.DataFrame, threshold: float) -> pd.DataFrame:
-    out = []
-    for _, g in group.groupby(["table_id", "bucket"], sort=False):
-        rows = g.drop_duplicates("vec_id").sort_values("vec_id")
-        if len(rows) < 2:
-            continue
-        ids = rows["vec_id"].tolist()
-        m = np.array(rows["embedding"].tolist(), dtype=np.float32)  # pre-normalized
-        if len(ids) > _BUCKET_PAIR_CAP:
+    rows, starts, ends = _key_runs(group, ["table_id", "bucket"], "vec_id")
+    ids = rows["vec_id"].to_numpy()
+    emb = rows["embedding"].to_numpy()
+    empty = np.empty(0, np.int64)
+    hits: list = [(empty, empty, np.empty(0, np.float32))]
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        m = np.array(emb[s:e].tolist(), dtype=np.float32)  # pre-normalized
+        if e - s > _BUCKET_PAIR_CAP:
             # star edges only — one matvec against the min-id row, never
             # the len² sim matrix (a mass-duplicated bucket of 50k rows
             # would otherwise allocate a multi-GB matrix just to read row 0)
-            s0 = m @ m[0]
-            jj = np.arange(1, len(ids), dtype=np.int64)
-            hit = s0[jj] >= threshold
-            for j in jj[hit]:
-                out.append((ids[0], ids[j], round(float(s0[j]), 6)))
-            continue
-        sims = m @ m.T
-        ii, jj = np.triu_indices(len(ids), k=1)
-        hit = sims[ii, jj] >= threshold
-        for i, j in zip(ii[hit], jj[hit]):
-            out.append((ids[i], ids[j], round(float(sims[i, j]), 6)))
-    return pd.DataFrame(out, columns=["vec_a", "vec_b", "cosine"]).drop_duplicates(
-        subset=["vec_a", "vec_b"]
-    )
+            j = np.arange(1, e - s)
+            i, sims = np.zeros_like(j), (m @ m[0])[1:]
+        else:
+            i, j = np.triu_indices(e - s, k=1)
+            sims = (m @ m.T)[i, j]
+        hit = sims >= threshold
+        hits.append((s + i[hit], s + j[hit], sims[hit]))
+    ii, jj, sim = (np.concatenate(c) for c in zip(*hits))
+    return pd.DataFrame(
+        {
+            "vec_a": ids[ii],
+            "vec_b": ids[jj],
+            "cosine": np.array([round(v, 6) for v in sim.tolist()], np.float64),
+        }
+    ).drop_duplicates(subset=["vec_a", "vec_b"])
 
 
 def embedding_near_dups(
@@ -871,6 +901,11 @@ def embedding_near_dups(
     n_tables: int = 4,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
+    """Near-dup vector pairs ``(vec_a, vec_b, cosine)`` at cosine ≥
+    ``threshold``: random-hyperplane buckets (map-only) → bucket groupby →
+    exact cosine per bucket → distinct. Inside each bucket
+    (``_cosine_pairs_bucket``) vectorized passes drop the keys with one
+    vector, so only colliding keys reach Python (one matrix product each)."""
     if num_buckets is None:
         num_buckets = num_shuffle_buckets(ds.count() * n_tables)
     bucketed = ds.map_batches(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from goose_parser_ray.functions.relational import pre_aggregated_sum
@@ -497,19 +496,19 @@ def q_dsir_weights(sf_dir: str):
     bm25 parity rules). Scale shape: the feature domain is BOUNDED by
     construction (10 000 hash buckets), so training is one map-side
     partial-count pass + a ≤10k-row groupby; the weight table broadcasts
-    once via ray.put and scoring is a second shuffle-free map pass.
+    once (captured in the scoring closure) and scoring is a second
+    shuffle-free map pass.
     Exactly the paper's estimator: log p̂_target(f) − log p̂_raw(f) with
     add-1 smoothing, summed over the doc's bigram counts."""
     B = 10_000
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    ref = ray.put(dsir_weights_e6(ds, n_buckets=B))
+    w = dsir_weights_e6(ds, n_buckets=B)
 
     def score(t: pa.Table) -> pa.Table:
         from goose_parser_ray.functions.textstats import (
             hashed_bigram_features,
         )
 
-        w = ray.get(ref)
         par, feat = hashed_bigram_features(
             t["text"].to_pylist(), n_buckets=B
         )
@@ -650,7 +649,7 @@ def q_curation_funnel(sf_dir: str):
     hash-compared, not just row counts."""
     B = 10_000
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    wref = ray.put(dsir_weights_e6(ds, n_buckets=B))
+    w = dsir_weights_e6(ds, n_buckets=B)
 
     def partial(t: pa.Table) -> pa.Table:
         from goose_parser_ray.functions.textstats import (
@@ -663,7 +662,6 @@ def q_curation_funnel(sf_dir: str):
         robots_ok = (
             (mod4 == 0) | (mod4 == 2) | ((mod4 == 3) & ((ids % 10) % 2 == 0))
         )
-        w = ray.get(wref)
         par, feat = hashed_bigram_features(
             t["text"].to_pylist(), n_buckets=B
         )

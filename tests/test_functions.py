@@ -383,6 +383,200 @@ def test_hot_lsh_bucket_emits_star_not_quadratic():
     assert _BUCKET_PAIR_CAP >= 64
 
 
+def _ref_pairs_in_bucket(group, by, cap):
+    """Per-key groupby reference for the MinHash bucket kernel."""
+    import pandas as pd
+
+    out_a: list = []
+    out_b: list = []
+    for _, g in group.groupby(by, sort=False):
+        ids = sorted(set(g["doc_id"]))
+        if len(ids) > cap:
+            hub = ids[0]
+            out_a.extend([hub] * (len(ids) - 1))
+            out_b.extend(ids[1:])
+            continue
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                out_a.append(a)
+                out_b.append(b)
+    df = pd.DataFrame({"doc_a": out_a, "doc_b": out_b})
+    return df.drop_duplicates()
+
+
+def _ref_simhash_pairs_bucket(group, max_hamming, cap):
+    """Per-key groupby reference for the SimHash bucket kernel."""
+    import pandas as pd
+
+    out = []
+    for _, g in group.groupby(["table_id", "band_key"], sort=False):
+        rows = g.drop_duplicates("doc_id").sort_values("doc_id")
+        ids = rows["doc_id"].tolist()
+        sigs = np.asarray(rows["simhash"].tolist(), dtype=np.int64).astype(np.uint64)
+        if len(ids) < 2:
+            continue
+        if len(ids) > cap:
+            ii = np.zeros(len(ids) - 1, dtype=np.int64)
+            jj = np.arange(1, len(ids), dtype=np.int64)
+        else:
+            ii, jj = np.triu_indices(len(ids), k=1)
+        x = sigs[ii] ^ sigs[jj]
+        d = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
+        hit = d <= max_hamming
+        for i, j, dd in zip(ii[hit], jj[hit], d[hit]):
+            out.append((ids[i], ids[j], int(dd)))
+    return pd.DataFrame(out, columns=["doc_a", "doc_b", "hamming"]).drop_duplicates(
+        subset=["doc_a", "doc_b"]
+    )
+
+
+def _ref_cosine_pairs_bucket(group, threshold, cap):
+    """Per-key groupby reference for the hyperplane-LSH bucket kernel."""
+    import pandas as pd
+
+    out = []
+    for _, g in group.groupby(["table_id", "bucket"], sort=False):
+        rows = g.drop_duplicates("vec_id").sort_values("vec_id")
+        if len(rows) < 2:
+            continue
+        ids = rows["vec_id"].tolist()
+        m = np.array(rows["embedding"].tolist(), dtype=np.float32)
+        if len(ids) > cap:
+            s0 = m @ m[0]
+            jj = np.arange(1, len(ids), dtype=np.int64)
+            hit = s0[jj] >= threshold
+            for j in jj[hit]:
+                out.append((ids[0], ids[j], round(float(s0[j]), 6)))
+            continue
+        sims = m @ m.T
+        ii, jj = np.triu_indices(len(ids), k=1)
+        hit = sims[ii, jj] >= threshold
+        for i, j in zip(ii[hit], jj[hit]):
+            out.append((ids[i], ids[j], round(float(sims[i, j]), 6)))
+    return pd.DataFrame(out, columns=["vec_a", "vec_b", "cosine"]).drop_duplicates(
+        subset=["vec_a", "vec_b"]
+    )
+
+
+def _lsh_bucket(seed, n_rows, n_keys, cap):
+    """One shuffled LSH bucket over two key columns (k1, k2): random keys
+    with repeated ids under a key (n_keys ≥ n_rows → all singletons here),
+    plus, when ``n_keys`` < ``n_rows``, one hot key of its own with cap + 40
+    distinct ids (min 1000) and a few repeated rows."""
+    import pandas as pd
+
+    rng = np.random.default_rng(seed)
+    k1 = rng.integers(0, 3, n_rows)
+    k2 = rng.integers(0, n_keys, n_rows)
+    ids = rng.integers(0, max(2, n_rows // 2), n_rows)
+    if n_keys < n_rows:
+        hot = np.arange(1000, 1000 + cap + 40)
+        hot = np.concatenate([hot, hot[:7]])
+        k1 = np.concatenate([k1, np.full(len(hot), 1)])
+        k2 = np.concatenate([k2, np.full(len(hot), n_keys)])
+        ids = np.concatenate([ids, hot])
+    perm = rng.permutation(len(ids))
+    emb = rng.normal(size=(len(ids), 8)).astype(np.float32)
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    return pd.DataFrame(
+        {"k1": k1[perm], "k2": k2[perm], "id": ids[perm],
+         # sigs near one base word, so some pairs fall within the distance
+         "sig": (0x0F0F_F0F0_1234_5678 ^ rng.integers(0, 1 << 40, len(ids)))[perm],
+         "emb": list(emb[perm])}
+    )
+
+
+@pytest.mark.parametrize(
+    "seed,n_rows,n_keys",
+    [(0, 400, 60), (1, 900, 40), (2, 300, 100_000), (3, 0, 10)],
+    ids=["dups", "hot-key", "all-singletons", "empty"],
+)
+def test_lsh_pair_kernels_match_per_group_reference(seed, n_rows, n_keys):
+    """The three LSH bucket kernels (one shared run helper) give the same
+    pairs and values as a per-key groupby loop, with typed columns even
+    when the bucket has no pair."""
+    from goose_parser_ray.functions.dedup import (
+        _BUCKET_PAIR_CAP as cap,
+        _cosine_pairs_bucket,
+        _pairs_in_bucket,
+        _simhash_pairs_bucket,
+    )
+
+    b = _lsh_bucket(seed, n_rows, n_keys, cap)
+
+    def rows(df, cols):
+        return sorted(zip(*(df[c].tolist() for c in cols)))
+
+    mh = b.rename(columns={"k1": "band", "k2": "key", "id": "doc_id"})
+    got_m = _pairs_in_bucket(mh, by=["band", "key"])
+    want = _ref_pairs_in_bucket(mh, ["band", "key"], cap)
+    assert rows(got_m, ["doc_a", "doc_b"]) == rows(want, ["doc_a", "doc_b"])
+    assert len(got_m) == len(want)
+
+    sh = b.rename(
+        columns={"k1": "table_id", "k2": "band_key", "id": "doc_id", "sig": "simhash"}
+    )
+    got_s = _simhash_pairs_bucket(sh, 22)
+    want = _ref_simhash_pairs_bucket(sh, 22, cap)
+    cols = ["doc_a", "doc_b", "hamming"]
+    assert rows(got_s, cols) == rows(want, cols)
+    assert len(got_s) == len(want)
+
+    cs = b.rename(
+        columns={"k1": "table_id", "k2": "bucket", "id": "vec_id", "emb": "embedding"}
+    )
+    got_c = _cosine_pairs_bucket(cs, 0.3)
+    want_c = _ref_cosine_pairs_bucket(cs, 0.3, cap)
+    cols = ["vec_a", "vec_b", "cosine"]
+    assert rows(got_c, cols) == rows(want_c, cols)
+    assert len(got_c) == len(want_c)
+
+    if seed == 1:  # the hot key emits cap + 39 star edges from its min id
+        assert (got_m["doc_a"] == 1000).sum() == cap + 39
+    if n_keys >= n_rows:  # all-singleton and empty buckets emit no pair
+        assert len(got_m) == len(got_s) == len(got_c) == 0
+    for df in (got_m, got_s):
+        assert str(df["doc_a"].dtype) == str(df["doc_b"].dtype) == "int64"
+    assert str(got_s["hamming"].dtype) == "int64"
+    assert str(got_c["vec_a"].dtype) == str(got_c["vec_b"].dtype) == "int64"
+    assert str(got_c["cosine"].dtype) == "float64"
+
+
+def test_filtering_lsh_kernels_hold_one_run_of_pairs():
+    """The SimHash and cosine bucket kernels filter each key's candidate
+    pairs before the next key's exist: a bucket of 100 colliding keys of
+    200 docs (~2M candidate pairs, few hits) must not hold them all at
+    once (that takes ~60–180 MB; one run's pairs take ~2 MB)."""
+    import tracemalloc
+
+    import pandas as pd
+
+    from goose_parser_ray.functions.dedup import (
+        _cosine_pairs_bucket,
+        _simhash_pairs_bucket,
+    )
+
+    rng = np.random.default_rng(0)
+    n = 20_000
+    key = rng.permutation(np.repeat(np.arange(100), 200))
+    sig = rng.integers(0, 1 << 62, n)
+    emb = rng.normal(size=(n, 64)).astype(np.float32)
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    sh = pd.DataFrame({"table_id": 0, "band_key": key, "doc_id": np.arange(n),
+                       "simhash": sig})
+    cs = pd.DataFrame({"table_id": 0, "bucket": key, "vec_id": np.arange(n),
+                       "embedding": list(emb)})
+    for run in (lambda: _simhash_pairs_bucket(sh, 3),
+                lambda: _cosine_pairs_bucket(cs, 0.95)):
+        tracemalloc.start()
+        try:
+            assert len(run()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+
 def test_distributed_components_match_union_find(ray_session):
     """Min-label propagation over the pairs Dataset must produce the same
     components as driver union-find (chain + star + singleton-pair mix)."""
