@@ -10,11 +10,12 @@ ON l.by = r.by AND l.ts >= r.ts`` and pandas ``merge_asof(direction=
 
 Scale shape (the partitioning assumption, documented per the custom-operator
 rule): both sides are hash-bucketed by the ``by`` key into a
-data-proportional number of coarse buckets — ONE shuffle group per bucket,
-never per key. Inside each bucket the join is one vectorized pandas
-``merge_asof`` over the bucket's keys (sorted by ts, ``by=`` for per-key
-matching). Group payload = (left+right rows)/num_buckets, bounded by the
-data-proportional sizing at any corpus size. Requires only that a single
+data-proportional number of coarse buckets (``dedup.bucket_groups``, sized
+from ``rows``: the left plus right row count, or an upper bound) — ONE
+shuffle group per bucket, never per key. Inside each bucket the join is
+one vectorized pandas ``merge_asof`` over the bucket's keys (sorted by ts,
+``by=`` for per-key matching). Group payload = (left+right rows)/buckets,
+bounded by the data-proportional sizing at any corpus size. Requires only that a single
 (key-bucket) group fits in a worker's heap — the same contract as every
 bucketed windowing stage here (sessionize, user_deltas).
 
@@ -31,6 +32,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from goose_parser_ray.functions.dedup import bucket_groups
+
 
 def windowed_count_bucketed(
     left: ray.data.Dataset,
@@ -40,7 +43,7 @@ def windowed_count_bucketed(
     ts: str = "ts",
     window: "pd.Timedelta",
     out_col: str = "n_in_window",
-    num_buckets: int = 64,
+    rows: int = 0,
 ) -> ray.data.Dataset:
     """RANGE-join count: for every left row, the number of right rows with
     the same ``by`` key and timestamp in ``(left.ts - window, left.ts]`` —
@@ -56,12 +59,6 @@ def windowed_count_bucketed(
 
     def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            h = pd.util.hash_pandas_object(
-                t[by].to_pandas(), index=False
-            ).to_numpy()
-            t = t.append_column(
-                "__ab", pa.array((h % num_buckets).astype(np.int64))
-            )
             return t.append_column(
                 "__side", pa.array(np.full(t.num_rows, side, dtype=np.int8))
             )
@@ -95,7 +92,7 @@ def windowed_count_bucketed(
     out_cols = [*sorted(left_cols), out_col]
 
     def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g[g["__side"] == 0].drop(columns=["__ab", "__side"])
+        l = g[g["__side"] == 0].drop(columns=["__side"])
         r = g[g["__side"] == 1]
         for c in left_int_cols:
             if l[c].dtype.kind == "f":
@@ -134,9 +131,7 @@ def windowed_count_bucketed(
         out[out_col] = (hi.to_numpy() - lo.to_numpy()).astype(np.int64)
         return out[out_cols]
 
-    return lt.union(rt).groupby("__ab").map_groups(
-        count_bucket, batch_format="pandas"
-    )
+    return bucket_groups([lt, rt], by, count_bucket, rows=rows)
 
 
 def asof_join_bucketed(
@@ -146,7 +141,7 @@ def asof_join_bucketed(
     by: str,
     ts: str = "ts",
     value_cols: list[str],
-    num_buckets: int = 64,
+    rows: int = 0,
     right_agg: "dict[str, str] | None" = None,
 ) -> ray.data.Dataset:
     """Backward as-of join of ``left`` against ``right`` on ``by`` + ``ts``.
@@ -165,12 +160,6 @@ def asof_join_bucketed(
 
     def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            h = pd.util.hash_pandas_object(
-                t[by].to_pandas(), index=False
-            ).to_numpy()
-            t = t.append_column(
-                "__ab", pa.array((h % num_buckets).astype(np.int64))
-            )
             return t.append_column(
                 "__side", pa.array(np.full(t.num_rows, side, dtype=np.int8))
             )
@@ -215,7 +204,7 @@ def asof_join_bucketed(
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         l = g[g["__side"] == 0]
         r = g[g["__side"] == 1]
-        l = l.drop(columns=["__ab", "__side", *value_cols]).sort_values(
+        l = l.drop(columns=["__side", *value_cols]).sort_values(
             ts, kind="mergesort"
         )
         for c in left_int_cols:  # un-float columns the union nulls widened
@@ -243,7 +232,4 @@ def asof_join_bucketed(
             out[c] = out[c].astype("Int64")
         return out[out_cols]
 
-    unioned = lt.union(rt)
-    return unioned.groupby("__ab").map_groups(
-        join_bucket, batch_format="pandas"
-    )
+    return bucket_groups([lt, rt], by, join_bucket, rows=rows)

@@ -26,6 +26,7 @@ Shuffle accounting (what moves in the all-to-all):
 
 from __future__ import annotations
 
+import functools
 import zlib
 from collections.abc import Iterator
 
@@ -37,6 +38,7 @@ import ray.data
 
 from goose_parser_ray.functions.relational import (
     compact_for_join,
+    distinct_rows,
     pre_aggregated_sum,
     safe_join,
 )
@@ -45,12 +47,6 @@ from goose_parser_ray.stages.extract import cached_kernel
 
 def _crc(s: str) -> int:
     return zlib.crc32(s.encode("utf-8")) & 0xFFFFFFFF
-
-
-def _hash_series(s: pd.Series) -> np.ndarray:
-    """Deterministic vectorized 64-bit hash (C kernel, fixed key — same
-    value on every worker, unlike builtin ``hash``)."""
-    return pd.util.hash_pandas_object(s, index=False).to_numpy()
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +64,15 @@ def num_shuffle_buckets(n_rows: int, target: int = _TARGET_ROWS_PER_BUCKET) -> i
     """Power-of-two coarse-bucket count for a bucketed GROUPBY, sized so
     the EXPECTED rows per shuffle group stays ≤ ``target`` at any input
     size. A fixed bucket count means group payload grows linearly with the
-    corpus — the unbounded-group scale bug class (r2 VERDICT #1); every
-    bucketed groupby in this module derives its count from the row count
-    instead (callers with only a lazy transformed Dataset should pass an
-    upper-bound row count computed from metadata, never ``count()`` a
-    pipeline mid-stream). Groupbys run on Ray's sort shuffle, which
-    reserves no aggregator actors; this is never a hash-join width — those
-    come from ``relational.join_width``.
+    corpus — the unbounded-group scale bug class (r2 VERDICT #1). Every
+    hash-bucketed groupby of the package goes through :func:`bucket_groups`,
+    which derives its count here from the row count (callers with only a
+    lazy transformed Dataset should pass an upper-bound row count computed
+    from metadata, never ``count()`` a pipeline mid-stream); the range
+    scans that bucket by order, not by hash, size their ranges here too.
+    Groupbys run on Ray's sort shuffle, which reserves no aggregator
+    actors; this is never a hash-join width — those come from
+    ``relational.join_width``.
 
     The floor is the cluster's CPU count, so every core gets a shuffle
     group even on small inputs (collisions are harmless: buckets only
@@ -87,17 +85,16 @@ def num_shuffle_buckets(n_rows: int, target: int = _TARGET_ROWS_PER_BUCKET) -> i
     return 1 << (need - 1).bit_length()
 
 
-def split_for_groupby(
-    ds: ray.data.Dataset, n_rows: int, num_buckets: int
-) -> ray.data.Dataset:
+def split_for_groupby(ds: ray.data.Dataset, n_rows: int) -> ray.data.Dataset:
     """Split ``ds``'s blocks so that a fan-out map and the bucketed groupby
-    after it run as ``min(num_buckets, CPUs)`` tasks. Ray 2.49's sort-shuffle
-    groupby runs one reduce task per INPUT block, so a one-block read would
-    run every bucket's Python in a single task (sf0.01, 8-CPU session:
+    after it run as one task per CPU (``num_shuffle_buckets`` never gives
+    fewer buckets than CPUs). Ray 2.49's sort-shuffle groupby runs one
+    reduce task per INPUT block, so a one-block read would run every
+    bucket's Python in a single task (sf0.01, 8-CPU session:
     ``editdist2_pairs`` took 12.7 s on its one-block ``customer`` read, 6.5 s
     split). Only blocks above ``n_rows / ways`` rows split; at corpus scale
     the read's own blocks are smaller and pass through."""
-    ways = min(num_buckets, int(ray.cluster_resources().get("CPU", 1)))
+    ways = int(ray.cluster_resources().get("CPU", 1))
     return ds.repartition(target_num_rows_per_block=max(1, -(-int(n_rows) // ways)))
 
 
@@ -116,27 +113,73 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def add_coarse_bucket(
     t: pa.Table, cols: list[str], num_buckets: int, out: str = "__b"
 ) -> pa.Table:
-    """Append a coarse shuffle-bucket column derived from numeric key
-    columns: vectorized mix-combine, no per-row Python."""
+    """Append a coarse shuffle-bucket column derived from integer key
+    columns: vectorized mix-combine, no per-row Python. Nulls hash as 0."""
     h = np.zeros(t.num_rows, dtype=np.uint64)
     for c in cols:
-        v = t[c].to_numpy(zero_copy_only=False).astype(np.uint64)
+        v = pc.fill_null(t[c], 0).to_numpy().astype(np.uint64)
         h = _mix64(h * np.uint64(0x9E3779B97F4A7C15) ^ v)
     b = (h % np.uint64(num_buckets)).astype(np.int64)
     return t.append_column(out, pa.array(b))
 
 
 def add_hash_bucket(
-    t: pa.Table, col: str, num_buckets: int, out: str = "__b"
+    t: pa.Table, cols: list[str], num_buckets: int, out: str = "__b"
 ) -> pa.Table:
     """Any-dtype sibling of :func:`add_coarse_bucket` (strings included):
-    one vectorized pandas-hash pass over the single key column. The shared
-    implementation for the window/funnel/rank regroup stages — bucket
-    hashing lives HERE, not copy-pasted per query."""
-    h = pd.util.hash_pandas_object(t[col].to_pandas(), index=False).to_numpy()
+    one vectorized pandas-hash pass over the key column(s)."""
+    key = t[cols[0]] if len(cols) == 1 else t.select(cols)
+    h = pd.util.hash_pandas_object(key.to_pandas(), index=False).to_numpy()
     return t.append_column(
         out, pa.array((h % num_buckets).astype(np.int64))
     )
+
+
+_BUCKET = "__bucket"
+
+
+def bucket_groups(
+    ds: "ray.data.Dataset | list[ray.data.Dataset]",
+    key: "str | list[str]",
+    fn,
+    *,
+    rows: int,
+) -> ray.data.Dataset:
+    """Run ``fn`` over ``ds`` one coarse hash bucket of ``key`` at a time:
+    the keyed fold of the package. Every row of a key lands in the same
+    pandas frame, so ``fn`` groups by ``key`` itself, vectorized, and
+    returns a frame; the shuffle has ``num_shuffle_buckets(rows)`` groups
+    (pass ``rows`` as the row count or an upper bound), never one per key.
+
+    The hash follows the key's dtypes: integer keys mix
+    (:func:`add_coarse_bucket`), anything else goes through pandas' hash
+    (:func:`add_hash_bucket`). The bucket column is appended in a map that
+    fuses into the one producing ``ds``; ``fn`` never sees it and it is not
+    in the result. A list of datasets folds their rows together (the two
+    sides of an as-of join): each is bucketed before the union, so its
+    bucket map still fuses.
+
+    Which keys share a bucket depends on the bucket count, and so on the
+    CPU count: ``fn`` must give the same rows however keys are grouped."""
+    cols = [key] if isinstance(key, str) else list(key)
+    nb = num_shuffle_buckets(rows)
+
+    def add_bucket(t: pa.Table) -> pa.Table:
+        if all(pa.types.is_integer(t.schema.field(c).type) for c in cols):
+            return add_coarse_bucket(t, cols, nb, _BUCKET)
+        return add_hash_bucket(t, cols, nb, _BUCKET)
+
+    parts = [
+        d.map_batches(add_bucket, batch_format="pyarrow")
+        for d in (ds if isinstance(ds, list) else [ds])
+    ]
+    tagged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+
+    @functools.wraps(fn)  # the plan logs the fold under fn's name
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        return fn(g.drop(columns=_BUCKET))
+
+    return tagged.groupby(_BUCKET).map_groups(fold, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -149,25 +192,22 @@ def exact_dedup(
     col: str,
     id_col: str,
     *,
-    num_buckets: int | None = None,
-    combine_first: bool = True,
+    rows: int | None = None,
 ) -> ray.data.Dataset:
     """Keep one row per distinct ``col`` value — the winner is the smallest
     ``id_col`` (deterministic "first wins").
 
     Scale shape: (1) map-side combine — each batch drops its own duplicates
     before the shuffle, so a text duplicated M times across B blocks ships
-    ≤B rows, not M; (2) rows shuffle keyed by ``hash(value) % num_buckets``;
-    (3) the fine-grained per-value grouping happens vectorized (pandas)
-    inside each bucket. ``num_buckets`` defaults to DATA-DERIVED
-    (``num_shuffle_buckets(ds.count())`` — r3 VERDICT item 3: the old fixed
-    1024 default re-created the unbounded-group-payload class for library
-    callers at extreme scale). ``count()`` is metadata-only on fresh file
-    reads; callers holding a lazy mid-pipeline Dataset should pass
-    ``num_buckets`` explicitly (an upper bound from source metadata) to
-    avoid a count-triggered execution."""
-    if num_buckets is None:
-        num_buckets = num_shuffle_buckets(ds.count())
+    ≤B rows, not M; (2) rows shuffle keyed by ``hash(value)`` into
+    :func:`bucket_groups`' coarse buckets; (3) the fine-grained per-value
+    grouping happens vectorized (pandas) inside each bucket. The bucket
+    count is DATA-DERIVED from ``rows``, ``ds.count()`` when omitted (r3
+    VERDICT item 3: the old fixed 1024 default re-created the
+    unbounded-group-payload class for library callers at extreme scale).
+    ``count()`` is metadata-only on fresh file reads; callers holding a lazy
+    mid-pipeline Dataset should pass ``rows`` (an upper bound from source
+    metadata) to avoid a count-triggered execution."""
 
     # WHOLE-ROW winner selection (sort + drop_duplicates), NOT
     # groupby(col).first(): GroupBy.first takes the first non-NA value PER
@@ -175,28 +215,20 @@ def exact_dedup(
     # and drops NaN group keys, diverging from SQL's single NULL group
     # (r2 ADVICE). drop_duplicates keeps intact rows and treats nulls in
     # ``col`` as one duplicate class, matching the SQL oracle.
-    def local_first(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(id_col, kind="mergesort").drop_duplicates(subset=[col])
-        df["__h"] = (_hash_series(df[col]) % num_buckets).astype(np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def first_per_value(group: pd.DataFrame) -> pd.DataFrame:
-        return group.sort_values(id_col, kind="mergesort").drop_duplicates(
+    def first_per_value(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(id_col, kind="mergesort").drop_duplicates(
             subset=[col]
         )
 
-    if combine_first:
-        ds = ds.map_batches(local_first, batch_format="pyarrow")
-    else:
-
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            h = _hash_series(batch[col].to_pandas()) % num_buckets
-            return batch.append_column("__h", pa.array(h.astype(np.int64)))
-
-        ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    ds = ds.groupby("__h").map_groups(first_per_value, batch_format="pandas")
-    return ds.drop_columns(["__h"])
+    local = ds.map_batches(
+        lambda t: pa.Table.from_pandas(
+            first_per_value(t.to_pandas()), preserve_index=False
+        ),
+        batch_format="pyarrow",
+    )
+    return bucket_groups(
+        local, col, first_per_value, rows=ds.count() if rows is None else rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,32 +422,6 @@ def _pairs_in_bucket(group: pd.DataFrame, by: list[str]) -> pd.DataFrame:
     return pd.DataFrame({"doc_a": a, "doc_b": b}).drop_duplicates()
 
 
-def _dedup_pairs(
-    pairs: ray.data.Dataset,
-    cols: tuple[str, str] = ("doc_a", "doc_b"),
-    *,
-    num_buckets: int,
-) -> ray.data.Dataset:
-    """Distinct pairs via bucketed groupby (same coalescing trick —
-    ``num_buckets`` comes from the caller's pair-generation sizing so group
-    payload stays bounded at any pair count)."""
-    a, b = cols
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        df = t.select([a, b]).to_pandas()
-        # hash_pandas_object on a frame combines per row — one C pass
-        h = (
-            pd.util.hash_pandas_object(df, index=False).to_numpy() % num_buckets
-        ).astype(np.int64)
-        return t.append_column("__pb", pa.array(h))
-
-    pairs = pairs.map_batches(add_bucket, batch_format="pyarrow")
-    pairs = pairs.groupby("__pb").map_groups(
-        lambda g: g.drop_duplicates(subset=[a, b]), batch_format="pandas"
-    )
-    return pairs.drop_columns(["__pb"])
-
-
 def minhash_lsh_candidates(
     ds: ray.data.Dataset,
     col: str = "text",
@@ -424,19 +430,18 @@ def minhash_lsh_candidates(
     num_perm: int = 64,
     bands: int = 16,
     shingle: int = 3,
-    num_buckets: int | None = None,
+    rows: int | None = None,
 ) -> ray.data.Dataset:
     """Candidate near-dup pairs: shingle→minhash→band (cached-kernel task,
     map-only) → bucket groupby → pairs → distinct. Inside each bucket
     (``_pairs_in_bucket``) vectorized passes drop the (band, key) groups
     with one doc, so only keys that collide reach per-key Python.
 
-    ``num_buckets`` defaults to data-proportional sizing from the banded row
-    count (docs × bands, via a metadata-only ``ds.count()`` on the usual
-    fresh-parquet-read input). Pass it explicitly when ``ds`` is a lazy
-    transformed pipeline whose ``count()`` would trigger execution."""
-    if num_buckets is None:
-        num_buckets = num_shuffle_buckets(ds.count() * bands)
+    Buckets are sized from the banded row count (docs × bands); the doc
+    count ``rows`` defaults to a metadata-only ``ds.count()`` on the usual
+    fresh-parquet-read input. Pass it when ``ds`` is a lazy transformed
+    pipeline whose ``count()`` would trigger execution."""
+    rows = (ds.count() if rows is None else rows) * bands
     banded = ds.map_batches(
         cached_kernel(
             MinHashActor, col=col, id_col=id_col,
@@ -444,14 +449,11 @@ def minhash_lsh_candidates(
         ),
         batch_format="pyarrow",
     )
-    banded = banded.map_batches(
-        lambda t: add_coarse_bucket(t, ["band", "key"], num_buckets),
-        batch_format="pyarrow",
+    pairs = bucket_groups(
+        banded, ["band", "key"], lambda g: _pairs_in_bucket(g, by=["band", "key"]),
+        rows=rows,
     )
-    pairs = banded.groupby("__b").map_groups(
-        lambda g: _pairs_in_bucket(g, by=["band", "key"]), batch_format="pandas"
-    )
-    return _dedup_pairs(pairs, num_buckets=num_buckets)
+    return distinct_rows(pairs, ["doc_a", "doc_b"], rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -557,28 +559,25 @@ def simhash_near_dups(
     col: str = "text",
     id_col: str = "doc_id",
     max_hamming: int = 3,
-    num_buckets: int | None = None,
+    rows: int | None = None,
 ) -> ray.data.Dataset:
     """Near-dup pairs ``(doc_a, doc_b, hamming)`` within ``max_hamming``
     bits: 64-bit SimHash → 4×16-bit band keys (map-only) → bucket groupby →
     pair popcount → distinct. Inside each bucket
     (``_simhash_pairs_bucket``) only keys shared by at least two docs
-    reach per-key work; all their pair distances take one numpy pass."""
-    if num_buckets is None:
-        # 4 band rows per doc; metadata-only count on fresh parquet reads
-        num_buckets = num_shuffle_buckets(ds.count() * 4)
+    reach per-key work; all their pair distances take one numpy pass.
+    ``rows`` is the doc count, as in :func:`minhash_lsh_candidates`."""
+    # 4 band rows per doc; metadata-only count on fresh parquet reads
+    rows = (ds.count() if rows is None else rows) * 4
     banded = ds.map_batches(
         cached_kernel(SimHashActor, col=col, id_col=id_col),
         batch_format="pyarrow",
     )
-    banded = banded.map_batches(
-        lambda t: add_coarse_bucket(t, ["table_id", "band_key"], num_buckets),
-        batch_format="pyarrow",
+    pairs = bucket_groups(
+        banded, ["table_id", "band_key"],
+        lambda g: _simhash_pairs_bucket(g, max_hamming), rows=rows,
     )
-    pairs = banded.groupby("__b").map_groups(
-        lambda g: _simhash_pairs_bucket(g, max_hamming), batch_format="pandas"
-    )
-    return _dedup_pairs(pairs, num_buckets=num_buckets)
+    return distinct_rows(pairs, ["doc_a", "doc_b", "hamming"], rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -662,20 +661,7 @@ def _semi_join_filter(
     broadcast `is_in` value-set would be too large for driver + map tasks."""
     # ≤ 2 distinct endpoints per pair; ``pairs`` is materialized, so its
     # count is metadata
-    num_buckets = num_shuffle_buckets(2 * pairs.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t["__sj_id"].to_pandas(), index=False
-        ).to_numpy()
-        return t.append_column(
-            "__b", pa.array((h % num_buckets).astype(np.int64))
-        )
-
-    ids = _endpoints_ds(pairs).map_batches(add_bucket, batch_format="pyarrow")
-    ids = ids.groupby("__b").map_groups(
-        lambda g: g.drop_duplicates(subset=["__sj_id"]), batch_format="pandas"
-    ).drop_columns(["__b"])
+    ids = distinct_rows(_endpoints_ds(pairs), ["__sj_id"], rows=2 * pairs.count())
     out = safe_join(
         docs, ids, num_partitions=num_partitions, on=(id_col,),
         right_on=("__sj_id",),
@@ -899,15 +885,15 @@ def embedding_near_dups(
     threshold: float = 0.95,
     n_planes: int = 12,
     n_tables: int = 4,
-    num_buckets: int | None = None,
+    rows: int | None = None,
 ) -> ray.data.Dataset:
     """Near-dup vector pairs ``(vec_a, vec_b, cosine)`` at cosine ≥
     ``threshold``: random-hyperplane buckets (map-only) → bucket groupby →
     exact cosine per bucket → distinct. Inside each bucket
     (``_cosine_pairs_bucket``) vectorized passes drop the keys with one
-    vector, so only colliding keys reach Python (one matrix product each)."""
-    if num_buckets is None:
-        num_buckets = num_shuffle_buckets(ds.count() * n_tables)
+    vector, so only colliding keys reach Python (one matrix product each).
+    ``rows`` is the vector count, as in :func:`minhash_lsh_candidates`."""
+    rows = (ds.count() if rows is None else rows) * n_tables
     bucketed = ds.map_batches(
         cached_kernel(
             HyperplaneBucketActor, dim=dim, id_col=id_col, col=col,
@@ -915,14 +901,11 @@ def embedding_near_dups(
         ),
         batch_format="pyarrow",
     )
-    bucketed = bucketed.map_batches(
-        lambda t: add_coarse_bucket(t, ["table_id", "bucket"], num_buckets),
-        batch_format="pyarrow",
+    pairs = bucket_groups(
+        bucketed, ["table_id", "bucket"],
+        lambda g: _cosine_pairs_bucket(g, threshold), rows=rows,
     )
-    pairs = bucketed.groupby("__b").map_groups(
-        lambda g: _cosine_pairs_bucket(g, threshold), batch_format="pandas"
-    )
-    return _dedup_pairs(pairs, cols=("vec_a", "vec_b"), num_buckets=num_buckets)
+    return distinct_rows(pairs, ["vec_a", "vec_b", "cosine"], rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1698,7 +1681,6 @@ def semdedup(
     seed: int = 0,
     driver_pair_guard: int = 5_000_000,
     num_partitions: int | None = None,
-    num_buckets: int | None = None,
     sample_size: int = 10_000,
     centroids: np.ndarray | None = None,
 ) -> ray.data.Dataset:
@@ -1714,7 +1696,7 @@ def semdedup(
     uniformly from the whole corpus — the exact :func:`~goose_parser_ray
     .functions.similarity.ann_ivf` sampling template; the only driver
     materialization, capped regardless of corpus size), centroids
-    broadcast once (``ray.put``), then ONE streaming normalize+assign
+    captured in the assign closure, then ONE streaming normalize+assign
     pass over the lazy dataset — the corpus is never materialized
     (r3 VERDICT item 1: the previous ``normed.materialize()`` pinned the
     entire normalized vector column in the object store to feed the
@@ -1729,15 +1711,11 @@ def semdedup(
     11k clusters for 5B LAION embeddings). The paper's within-cluster
     dedup is exact pairwise; the star-cap fallback kicks in only on
     degenerate mega-clusters and errs toward under-removal."""
-    import ray as _ray
-
     from goose_parser_ray.functions.similarity import _list_col_to_matrix
 
     n = ds.count()
     if n == 0:
         return ds
-    if num_buckets is None:
-        num_buckets = num_shuffle_buckets(n)
 
     # Lazy — NEVER materialized. Executed twice (once partially for the
     # sample draw, once for the streaming assignment pass); re-running the
@@ -1757,7 +1735,6 @@ def semdedup(
         )
     else:
         centn = np.ascontiguousarray(centroids, dtype=np.float32)
-    cref = _ray.put(centn)
 
     def assign(t: pa.Table) -> pa.Table:
         m = _list_col_to_matrix(t["embedding"])
@@ -1768,8 +1745,7 @@ def semdedup(
                  "table_id": pa.array([], pa.int64()),
                  "bucket": pa.array([], pa.int64())}
             )
-        c = _ray.get(cref)
-        cl = np.argmax(m @ c.T, axis=1).astype(np.int64)
+        cl = np.argmax(m @ centn.T, axis=1).astype(np.int64)
         t = pa.Table.from_pydict(
             {"vec_id": t["vec_id"], "embedding": t["embedding"],
              "table_id": pa.array(np.zeros(len(m), dtype=np.int64)),
@@ -1777,15 +1753,12 @@ def semdedup(
         )
         return t
 
-    assigned = normed.map_batches(assign, batch_format="pyarrow")
-    bucketed = assigned.map_batches(
-        lambda t: add_coarse_bucket(t, ["table_id", "bucket"], num_buckets),
-        batch_format="pyarrow",
+    pairs = bucket_groups(
+        normed.map_batches(assign, batch_format="pyarrow"),
+        ["table_id", "bucket"], lambda g: _cosine_pairs_bucket(g, threshold),
+        rows=n,
     )
-    pairs = bucketed.groupby("__b").map_groups(
-        lambda g: _cosine_pairs_bucket(g, threshold), batch_format="pandas"
-    )
-    pairs = _dedup_pairs(pairs, cols=("vec_a", "vec_b"), num_buckets=num_buckets)
+    pairs = distinct_rows(pairs, ["vec_a", "vec_b", "cosine"], rows=n)
     return remove_pair_duplicates(
         ds, pairs, id_col, cols=("vec_a", "vec_b"),
         driver_pair_guard=driver_pair_guard, num_partitions=num_partitions,
@@ -1802,7 +1775,6 @@ def hamming1_pairs(
     *,
     col: str,
     id_col: str,
-    num_buckets: int | None = None,
     compare_chunk: int = 256,
 ) -> ray.data.Dataset:
     """EXACT fuzzy-duplicate pairs at Hamming distance ≤ 1 over equal-length
@@ -1822,9 +1794,7 @@ def hamming1_pairs(
     for such corpora key on more than two splits (k+1 splits finds Hamming
     ≤ k with finer blocks, same plumbing)."""
 
-    n = ds.count()
-    if num_buckets is None:
-        num_buckets = num_shuffle_buckets(2 * n)
+    rows = 2 * ds.count()  # two half-keys per row
 
     def halves(t: pa.Table) -> pa.Table:
         s = t[col]
@@ -1857,7 +1827,7 @@ def hamming1_pairs(
              "__s": pa.array(np.concatenate(str_out), pa.string()),
              "__key": pa.array(np.concatenate(key_out), pa.string())}
         )
-        return add_hash_bucket(out, "__key", num_buckets, "__b")
+        return out
 
     def pairs_in_group(g: "pd.DataFrame") -> "pd.DataFrame":
         out_a, out_b = [], []
@@ -1892,10 +1862,8 @@ def hamming1_pairs(
         )
 
     keyed = ds.map_batches(halves, batch_format="pyarrow")
-    pairs = keyed.groupby("__b").map_groups(
-        pairs_in_group, batch_format="pandas"
-    )
-    return _dedup_pairs(pairs, cols=("id_a", "id_b"), num_buckets=num_buckets)
+    pairs = bucket_groups(keyed, "__key", pairs_in_group, rows=rows)
+    return distinct_rows(pairs, ["id_a", "id_b"], rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1967,9 +1935,9 @@ def set_similarity_join(
         )
 
     n_docs = ds.count()
-    tokens = split_for_groupby(
-        ds, n_docs, num_shuffle_buckets(n_docs)
-    ).map_batches(distinct_tokens, batch_format="pyarrow").materialize()
+    tokens = split_for_groupby(ds, n_docs).map_batches(
+        distinct_tokens, batch_format="pyarrow"
+    ).materialize()
     n_tok_rows = tokens.count()
 
     # token document frequencies (map-side partial counts → one aggregate)
@@ -1990,8 +1958,6 @@ def set_similarity_join(
         .materialize()
     )
     n_vocab = dfreq.count()
-
-    nb = num_shuffle_buckets(n_tok_rows)
 
     def prefix_emit(frame: pd.DataFrame) -> pd.DataFrame:
         # sort by (df, token) — the global total order — inside each doc,
@@ -2025,17 +1991,9 @@ def set_similarity_join(
             left_rows=n_tok_rows, right_rows=n_vocab,
         )
 
-    bucketed = with_df.map_batches(
-        lambda t: add_hash_bucket(t, "doc_id", nb, "__db"),
-        batch_format="pyarrow",
-    )
-    prefixes = bucketed.groupby("__db").map_groups(
-        lambda g: prefix_emit(g.drop(columns="__db")), batch_format="pandas"
-    )
+    prefixes = bucket_groups(with_df, "doc_id", prefix_emit, rows=n_tok_rows)
 
     # candidate pairs inside per-prefix-token groups (+ length filter)
-    pnb = num_shuffle_buckets(n_tok_rows)
-
     def pairs_in_token_group(g: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b = [], []
         for _, f in g.groupby("token", sort=False):
@@ -2056,14 +2014,10 @@ def set_similarity_join(
             {"id_a": np.concatenate(out_a), "id_b": np.concatenate(out_b)}
         )
 
-    pref_bucketed = prefixes.map_batches(
-        lambda t: add_hash_bucket(t, "token", pnb, "__tb"),
-        batch_format="pyarrow",
+    cand = bucket_groups(
+        prefixes, "token", pairs_in_token_group, rows=n_tok_rows
     )
-    cand = pref_bucketed.groupby("__tb").map_groups(
-        pairs_in_token_group, batch_format="pandas"
-    )
-    cand = _dedup_pairs(cand, cols=("id_a", "id_b"), num_buckets=pnb).materialize()
+    cand = distinct_rows(cand, ["id_a", "id_b"], rows=n_tok_rows).materialize()
 
     # VERIFY, tiered like verify_candidates_jaccard_distributed: at small
     # candidate counts the hash-join path pays multi-second aggregator
@@ -2458,7 +2412,6 @@ def cdc_dedup_stats(
     avg_bits: int = 6,
     min_size: int = 16,
     max_size: int = 256,
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Storage-level dedup accounting over a binary/text payload column:
     chunk every payload content-defined (map-only), then one
@@ -2519,9 +2472,9 @@ def winnow_dedup_pairs(
     rare fingerprints to cover ``1/containment_mult`` of the SMALLER doc's
     fingerprint set are emitted as (a, b, n_shared, nfp_a, nfp_b).
 
-    Scale shape: ONE data-proportional shuffle (fingerprints bucketed by
-    ``num_shuffle_buckets``-sized hash buckets; a fingerprint's rows land in
-    one bucket, so global doc-frequency is decidable inside the group);
+    Scale shape: ONE data-proportional shuffle (fingerprints folded by
+    :func:`bucket_groups`; a fingerprint's rows land in one bucket, so
+    global doc-frequency is decidable inside the group);
     the bucket pass emits BOTH pair partials and per-doc fingerprint-count
     partials in one tagged stream, partial-combined before the small
     key-domain groupbys. The per-doc count table is broadcast under
@@ -2533,8 +2486,7 @@ def winnow_dedup_pairs(
     from goose_parser_ray.functions.textstats import winnow_hash_rows
 
     n = n_rows if n_rows is not None else ds.count()
-    nb = num_shuffle_buckets(max(1, n) * fp_per_doc_hint)
-    ds = split_for_groupby(ds, n, nb)
+    ds = split_for_groupby(ds, n)
 
     def fp_batch(t: pa.Table) -> pa.Table:
         ids, hs = winnow_hash_rows(
@@ -2543,13 +2495,8 @@ def winnow_dedup_pairs(
             k=k,
             w=w,
         )
-        b = (_mix64(hs.astype(np.uint64)) % np.uint64(nb)).astype(np.int64)
         return pa.Table.from_pydict(
-            {
-                "id": pa.array(ids, pa.int64()),
-                "h": pa.array(hs, pa.int64()),
-                "__b": pa.array(b, pa.int64()),
-            }
+            {"id": pa.array(ids, pa.int64()), "h": pa.array(hs, pa.int64())}
         )
 
     fp = ds.map_batches(fp_batch, batch_format="pyarrow")
@@ -2581,7 +2528,9 @@ def winnow_dedup_pairs(
         out = df.groupby(["a", "b"], as_index=False).size()
         return out.rename(columns={"size": "cnt"})
 
-    tagged = fp.groupby("__b").map_groups(bucket_emit, batch_format="pandas")
+    tagged = bucket_groups(
+        fp, "h", bucket_emit, rows=max(1, n) * fp_per_doc_hint
+    )
 
     shared = pre_aggregated_sum(
         tagged.map_batches(
@@ -2702,7 +2651,7 @@ def containment_join(
        bound on the container, so there is no container-side filter).
     3. candidates form inside per-gram groups (coalesced into coarse hash
        buckets) as prefix-row × full-row with a ≠ b; pair dedup is
-       bucketed (``_dedup_pairs``).
+       bucketed (``relational.distinct_rows``).
     4. VERIFY: exact intersection counts via two hash-partitioned joins of
        candidates against the full gram table, then the integer gate
        ``den·i ≥ num·la``. No broadcast of the corpus, no driver
@@ -2779,8 +2728,6 @@ def containment_join(
             compact=True, left_rows=n_gram_rows, right_rows=n_vocab,
         )
 
-    nb = num_shuffle_buckets(n_gram_rows)
-
     def prefix_emit(frame: pd.DataFrame) -> pd.DataFrame:
         frame = frame.sort_values(
             ["doc_id", "df", "gram"], kind="mergesort"
@@ -2790,13 +2737,7 @@ def containment_join(
         p = l - (num * l + den - 1) // den + 1
         return frame.loc[rank < p, ["doc_id", "gram"]]
 
-    bucketed = with_df.map_batches(
-        lambda t: add_hash_bucket(t, "doc_id", nb, "__db"),
-        batch_format="pyarrow",
-    )
-    prefixes = bucketed.groupby("__db").map_groups(
-        lambda g: prefix_emit(g.drop(columns="__db")), batch_format="pandas"
-    )
+    prefixes = bucket_groups(with_df, "doc_id", prefix_emit, rows=n_gram_rows)
 
     # per-gram groups: prefix rows (side=1, potential contained doc) ×
     # full rows (side=0, potential container)
@@ -2819,11 +2760,6 @@ def containment_join(
 
         return fn
 
-    both = prefixes.map_batches(tag(1), batch_format="pyarrow").union(
-        grams.map_batches(tag(0), batch_format="pyarrow")
-    )
-    pnb = num_shuffle_buckets(n_gram_rows)
-
     def pairs_in_gram_group(g: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b = [], []
         for _, f in g.groupby("gram", sort=False):
@@ -2842,16 +2778,12 @@ def containment_join(
             {"id_a": np.concatenate(out_a), "id_b": np.concatenate(out_b)}
         )
 
-    both_bucketed = both.map_batches(
-        lambda t: add_hash_bucket(t, "gram", pnb, "__gb"),
-        batch_format="pyarrow",
-    )
-    cand = both_bucketed.groupby("__gb").map_groups(
-        pairs_in_gram_group, batch_format="pandas"
-    )
-    cand = _dedup_pairs(
-        cand, cols=("id_a", "id_b"), num_buckets=pnb
-    ).materialize()
+    both = [
+        prefixes.map_batches(tag(1), batch_format="pyarrow"),
+        grams.map_batches(tag(0), batch_format="pyarrow"),
+    ]
+    cand = bucket_groups(both, "gram", pairs_in_gram_group, rows=n_gram_rows)
+    cand = distinct_rows(cand, ["id_a", "id_b"], rows=n_gram_rows).materialize()
     if cand.count() == 0:
         return ray.data.from_arrow(empty)
 

@@ -28,11 +28,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from goose_parser_ray.functions.dedup import (
-    add_hash_bucket,
-    num_shuffle_buckets,
-    split_for_groupby,
-)
+from goose_parser_ray.functions.dedup import bucket_groups, split_for_groupby
+from goose_parser_ray.functions.relational import distinct_rows
 
 _PAIR_CAP = 256  # per-variant star cap, same constant family as LSH buckets
 
@@ -96,7 +93,6 @@ def edit1_pairs(
     strings (distance 0) are never emitted."""
     if n_rows is None:
         n_rows = ds.count()
-    nb = num_shuffle_buckets(n_rows * 16)  # ≈ variants per row
 
     def variants(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_pylist()
@@ -125,7 +121,7 @@ def edit1_pairs(
                 "s": pa.array(v_str, pa.string()),
             }
         )
-        return add_hash_bucket(out, "__vk", nb)
+        return out
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         a_ids, b_ids, a_s, b_s = [], [], [], []
@@ -173,13 +169,11 @@ def edit1_pairs(
         )
 
     fanned = ds.map_batches(variants, batch_format="pyarrow")
-    pairs = fanned.groupby("__b").map_groups(
-        pairs_in_bucket, batch_format="pandas"
+    pairs = bucket_groups(
+        fanned, "__vk", pairs_in_bucket, rows=n_rows * 16  # ≈ variants per row
     )
     # a pair can collide on several variants (and across buckets) — one
     # bounded distinct on the pair key
-    from goose_parser_ray.functions.relational import distinct_rows
-
     return distinct_rows(pairs, ["id_a", "id_b"])
 
 
@@ -366,9 +360,7 @@ def edit2_pairs(
 
     if n_rows is None:
         n_rows = ds.count()
-    # variants per row ≈ 1 + L + L(L-1)/2 with L ≈ 18 → ~170
-    nb = num_shuffle_buckets(n_rows * 170)
-    ds = split_for_groupby(ds, n_rows, nb)
+    ds = split_for_groupby(ds, n_rows)
 
     def variants(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_pylist()
@@ -397,7 +389,7 @@ def edit2_pairs(
                 "s": pa.array(v_str, pa.string()),
             }
         )
-        return add_hash_bucket(out, "__vk", nb)
+        return out
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         a_ids, b_ids, a_s, b_s = [], [], [], []
@@ -449,9 +441,6 @@ def edit2_pairs(
         )
 
     fanned = ds.map_batches(variants, batch_format="pyarrow")
-    pairs = fanned.groupby("__b").map_groups(
-        pairs_in_bucket, batch_format="pandas"
-    )
-    from goose_parser_ray.functions.relational import distinct_rows
-
+    # variants per row ≈ 1 + L + L(L-1)/2 with L ≈ 18 → ~170
+    pairs = bucket_groups(fanned, "__vk", pairs_in_bucket, rows=n_rows * 170)
     return distinct_rows(pairs, ["id_a", "id_b", "dist"])

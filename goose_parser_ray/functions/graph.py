@@ -1257,10 +1257,7 @@ def random_walks(
     PageRank moves per round).
 
     Returns Dataset(walk_id, step, node) including step 0 = the seed."""
-    from goose_parser_ray.functions.dedup import (
-        add_hash_bucket,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import bucket_groups
 
     a, b = cols
     e = edges.map_batches(
@@ -1271,7 +1268,6 @@ def random_walks(
         batch_format="pyarrow",
     ).materialize()
     n_edges = e.count()
-    nb = num_shuffle_buckets(max(n_edges, 1))
 
     def rank_fold(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.drop_duplicates(["u", "v"]).sort_values(
@@ -1281,15 +1277,7 @@ def random_walks(
         g["deg"] = g.groupby("u")["v"].transform("size").astype("int64")
         return g[["u", "v", "r", "deg"]].reset_index(drop=True)
 
-    ranked = (
-        e.map_batches(
-            lambda t: add_hash_bucket(t, "u", nb, "__rb"),
-            batch_format="pyarrow",
-        )
-        .groupby("__rb")
-        .map_groups(rank_fold, batch_format="pandas")
-        .materialize()
-    )
+    ranked = bucket_groups(e, "u", rank_fold, rows=n_edges).materialize()
 
     sd = seeds.map_batches(
         lambda t: pa.Table.from_pydict(

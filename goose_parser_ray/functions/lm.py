@@ -129,7 +129,6 @@ def bigram_lm_score(
     upstream lineage is expensive."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import add_hash_bucket
     from goose_parser_ray.functions.relational import (
         compact_for_join,
         pre_aggregated_sum,

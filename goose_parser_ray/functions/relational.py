@@ -82,36 +82,22 @@ def broadcast_join(
 
 
 def distinct_rows(
-    ds: ray.data.Dataset,
-    cols: list[str],
-    *,
-    num_buckets: int | None = None,
+    ds: ray.data.Dataset, cols: list[str], *, rows: int = 0
 ) -> ray.data.Dataset:
-    """Distinct over ``cols`` at scale: map-side local drop_duplicates (a
-    value repeated M times across B blocks ships ≤B rows), then ONE bucketed
-    groupby — shuffle groups are coarse hash buckets, never per-value, so
-    group count stays ~``num_buckets`` at any value cardinality (size it
-    data-proportionally via ``dedup.num_shuffle_buckets``; the default is
-    that function's cluster floor, which counts nothing)."""
-    import numpy as np
-    import pandas as pd
+    """Distinct over ``cols`` at scale, the one bucketed distinct of the
+    package: map-side local drop_duplicates (a value repeated M times across
+    B blocks ships ≤B rows), then ONE ``dedup.bucket_groups`` fold sized
+    from ``rows`` (an upper bound on the rows of ``ds``; the default sizes
+    to the cluster floor, which counts nothing). Returns only ``cols``."""
+    from goose_parser_ray.functions.dedup import bucket_groups
 
-    if num_buckets is None:
-        from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
-        num_buckets = num_shuffle_buckets(0)
-
-    def local(t: pa.Table) -> pa.Table:
-        df = t.select(cols).to_pandas().drop_duplicates()
-        h = pd.util.hash_pandas_object(df, index=False).to_numpy()
-        df["__b"] = (h % num_buckets).astype(np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    out = ds.map_batches(local, batch_format="pyarrow")
-    out = out.groupby("__b").map_groups(
-        lambda g: g.drop_duplicates(subset=cols), batch_format="pandas"
+    local = ds.map_batches(
+        lambda t: pa.Table.from_pandas(
+            t.select(cols).to_pandas().drop_duplicates(), preserve_index=False
+        ),
+        batch_format="pyarrow",
     )
-    return out.drop_columns(["__b"])
+    return bucket_groups(local, cols, lambda g: g.drop_duplicates(), rows=rows)
 
 
 def pin_schema(schema: pa.Schema):

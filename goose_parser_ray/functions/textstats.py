@@ -386,7 +386,7 @@ def tfidf_top_terms(
     import pandas as pd
     import ray as _ray
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
+    from goose_parser_ray.functions.dedup import bucket_groups
     from goose_parser_ray.functions.relational import (
         pre_aggregated_sum,
         safe_join,
@@ -451,17 +451,7 @@ def tfidf_top_terms(
 
         scored = joined.map_batches(score_partial_joined, batch_format="pyarrow")
 
-    from goose_parser_ray.functions.dedup import add_hash_bucket
-
-    nb = num_shuffle_buckets(n_docs * k)
-    return (
-        scored.map_batches(
-            lambda t: add_hash_bucket(t, id_col, nb, "__tb"),
-            batch_format="pyarrow",
-        )
-        .groupby("__tb")
-        .map_groups(rank_topk, batch_format="pandas")
-    )
+    return bucket_groups(scored, id_col, rank_topk, rows=n_docs * k)
 
 
 def grouped_hll_distinct(

@@ -35,13 +35,10 @@ from goose_parser_ray.queries._shared import _cents, _read
 
 
 def q_dedup_exact(sf_dir: str):
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     # data-proportional bucketing: ~50k rows per shuffle group at any corpus
-    # size (count() on a fresh parquet read is metadata-only, no scan)
-    nb = num_shuffle_buckets(ds.count())
-    return exact_dedup(ds, col="text", id_col="doc_id", num_buckets=nb)
+    # size (exact_dedup's count() on a fresh parquet read is metadata-only)
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    return exact_dedup(ds, col="text", id_col="doc_id")
 
 
 SQL_DEDUP_EXACT = """
@@ -354,17 +351,13 @@ def q_moving_avg(sf_dir: str):
     DuckDB twin hash-matches in any summation order."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
+    def to_e4(t: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
             [t["user_id"], t["ts"], _cents(t["value"], 10000)],
             names=["user_id", "ts", "v_e4"],
         )
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__mb")
 
     def rolling(g: pd.DataFrame) -> pd.DataFrame:
         # (ts, v_e4) tie-break: rows tying on BOTH keys carry equal v_e4,
@@ -380,8 +373,10 @@ def q_moving_avg(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__mb").map_groups(rolling, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(to_e4, batch_format="pyarrow"), "user_id", rolling,
+        rows=ds.count(),
+    )
 
 
 SQL_MOVING_AVG = """
@@ -1120,15 +1115,8 @@ def q_spatial_join(sf_dir: str):
     brute-force cross join."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_coarse_bucket,
-        num_shuffle_buckets,
-    )
-
     R, R2 = 15, 225
     ds = _read(sf_dir, "customer", ["c_custkey"])
-    n = ds.count()
-    nb = num_shuffle_buckets(n * 5)
 
     def fan(t: pa.Table) -> pa.Table:
         k = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1145,7 +1133,7 @@ def q_spatial_join(sf_dir: str):
             cxs.append(cx + dx)
             cys.append(cy + dy)
             home.append(np.full(len(k), h, np.int64))
-        out = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "id": pa.array(np.concatenate(ids)),
                 "x": pa.array(np.concatenate(xs)),
@@ -1155,7 +1143,6 @@ def q_spatial_join(sf_dir: str):
                 "home": pa.array(np.concatenate(home)),
             }
         )
-        return add_coarse_bucket(out, ["cx", "cy"], nb)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b, out_d = [], [], []
@@ -1206,8 +1193,8 @@ def q_spatial_join(sf_dir: str):
         )
 
     fanned = ds.map_batches(fan, batch_format="pyarrow")
-    return fanned.groupby("__b").map_groups(
-        pairs_in_bucket, batch_format="pandas"
+    return _dedup.bucket_groups(
+        fanned, ["cx", "cy"], pairs_in_bucket, rows=ds.count() * 5
     )
 
 

@@ -369,10 +369,7 @@ def q_dq_audit(sf_dir: str):
     (check, n) table dashboards ingest."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
     lo = 1_262_304_000_000_000  # 2010-01-01 in µs
     hi = 1_893_456_000_000_000  # 2030-01-01 in µs
 
@@ -417,17 +414,12 @@ def q_dq_audit(sf_dir: str):
     )
 
     # duplicate ids: total − distinct, distinct summed over disjoint buckets
-    def bucket_ids(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays([t["event_id"]], names=["event_id"])
-        return _dedup.add_hash_bucket(t, "event_id", nb, "__db")
-
     def distinct_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"d": [np.int64(g["event_id"].nunique())]})
 
-    per_bucket = (
-        ds.map_batches(bucket_ids, batch_format="pyarrow")
-        .groupby("__db")
-        .map_groups(distinct_in_bucket, batch_format="pandas")
+    per_bucket = _dedup.bucket_groups(
+        ds.select_columns(["event_id"]), "event_id", distinct_in_bucket,
+        rows=ds.count(),
     )
     totals = {r["check_name"]: r["n"] for r in flat.take_all()}
     # distributed scalar sum: the per-bucket table grows with the corpus

@@ -26,18 +26,14 @@ def q_funnel_steps(sf_dir: str):
     ≈ 1.8e15 ≪ 2^53)."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-    nb = num_shuffle_buckets(ds.count())
     win_us = 72 * 3600 * 1_000_000
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
+    def to_us(t: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
             [t["user_id"], pc.cast(t["ts"], pa.int64()), t["event_type"]],
             names=["user_id", "us", "event_type"],
         )
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__fb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -78,8 +74,10 @@ def q_funnel_steps(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__fb").map_groups(fold, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(to_us, batch_format="pyarrow"), "user_id", fold,
+        rows=ds.count(),
+    )
 
 
 SQL_FUNNEL_STEPS = """
@@ -118,15 +116,11 @@ def q_retention(sf_dir: str):
     corpus size."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def to_day(t: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(t["ts"], pa.int64()), 86_400 * 1_000_000)
-        t = pa.Table.from_arrays([t["user_id"], day], names=["user_id", "day"])
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__rb")
+        return pa.Table.from_arrays([t["user_id"], day], names=["user_id", "day"])
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -154,8 +148,10 @@ def q_retention(sf_dir: str):
         agg["users"] = agg["users"].astype(np.int64)
         return agg
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    partial = ds.groupby("__rb").map_groups(fold, batch_format="pandas")
+    partial = _dedup.bucket_groups(
+        ds.map_batches(to_day, batch_format="pyarrow"), "user_id", fold,
+        rows=ds.count(),
+    )
     return pre_aggregated_sum(
         partial, keys=["cohort_day", "offset_week"], sums={"users": "users"}
     )
@@ -185,13 +181,7 @@ def q_markov_transitions(sf_dir: str):
     (|types|² rows) cross-bucket sum."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__mb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -218,8 +208,7 @@ def q_markov_transitions(sf_dir: str):
         agg["n"] = agg["n"].astype(np.int64)
         return agg
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    partial = ds.groupby("__mb").map_groups(fold, batch_format="pandas")
+    partial = _dedup.bucket_groups(ds, "user_id", fold, rows=ds.count())
     return pre_aggregated_sum(
         partial, keys=["src_type", "dst_type"], sums={"n": "n"}
     )
@@ -249,14 +238,8 @@ def q_pair_windows(sf_dir: str):
     matrix."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    nb = num_shuffle_buckets(ds.count())
     win_us = 600 * 1_000_000
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__pb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -309,8 +292,7 @@ def q_pair_windows(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    partial = ds.groupby("__pb").map_groups(fold, batch_format="pandas")
+    partial = _dedup.bucket_groups(ds, "user_id", fold, rows=ds.count())
     return pre_aggregated_sum(partial, keys=["type_a", "type_b"], sums={"n": "n"})
 
 
@@ -442,13 +424,7 @@ def q_gap_hist(sf_dir: str):
     exchange."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__gb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -477,9 +453,7 @@ def q_gap_hist(sf_dir: str):
             }
         )
 
-    partial = ds.map_batches(add_bucket, batch_format="pyarrow").groupby(
-        "__gb"
-    ).map_groups(fold, batch_format="pandas")
+    partial = _dedup.bucket_groups(ds, "user_id", fold, rows=ds.count())
     return pre_aggregated_sum(
         partial, keys=["bucket_log2_s"], sums={"n_gaps": "n_gaps"}
     )
@@ -510,13 +484,7 @@ def q_transition_entropy(sf_dir: str):
     ops mirrored by the twin)."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__tb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -544,9 +512,7 @@ def q_transition_entropy(sf_dir: str):
         return agg
 
     counts = pre_aggregated_sum(
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__tb")
-        .map_groups(fold, batch_format="pandas"),
+        _dedup.bucket_groups(ds, "user_id", fold, rows=ds.count()),
         keys=["src_type", "dst_type"],
         sums={"n": "n"},
     ).to_pandas()  # |types|² — domain-bounded
@@ -599,19 +565,12 @@ def q_churn_rate(sf_dir: str):
     evidence). rate_e4 is an exact integer ratio."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = num_shuffle_buckets(ds.count())
 
     def to_week(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64())
         week = pc.divide(us, 7 * 86_400_000_000)
-        t2 = pa.Table.from_pydict({"user_id": t["user_id"], "week": week})
-        return _dedup.add_hash_bucket(t2, "user_id", nb, "__cb")
-
-    bucketed = ds.map_batches(to_week, batch_format="pyarrow").materialize()
-    gmax = int(bucketed.max("week"))
+        return pa.Table.from_pydict({"user_id": t["user_id"], "week": week})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -631,7 +590,6 @@ def q_churn_rate(sf_dir: str):
             .notna()
             .to_numpy()
         )
-        p = p[p["m"] < gmax]
         out = p.groupby("m", as_index=False).agg(
             active=("u", "size"),
             churned=("has_next", lambda s: int((~s).sum())),
@@ -645,17 +603,23 @@ def q_churn_rate(sf_dir: str):
         )
 
     agg = pre_aggregated_sum(
-        bucketed.groupby("__cb").map_groups(fold, batch_format="pandas"),
+        _dedup.bucket_groups(
+            ds.map_batches(to_week, batch_format="pyarrow"), "user_id", fold,
+            rows=ds.count(),
+        ),
         keys=["week"],
         sums={"active": "active", "churned": "churned"},
-    )
-    return agg.map_batches(
-        lambda t: t.append_column(
+    ).materialize()
+    gmax = agg.max("week")
+
+    def rate(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.less(t["week"], gmax))  # no w+1 evidence at gmax
+        return t.append_column(
             "churn_rate_e4",
             pc.divide(pc.multiply(t["churned"], 10_000), t["active"]),
-        ),
-        batch_format="pyarrow",
-    )
+        )
+
+    return agg.map_batches(rate, batch_format="pyarrow")
 
 
 SQL_CHURN_RATE = """

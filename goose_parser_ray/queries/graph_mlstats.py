@@ -117,10 +117,7 @@ def q_cohort_retention(sf_dir: str):
     arithmetic both engines, no date-function divergence risk."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = num_shuffle_buckets(ds.count())
 
     def to_weeks(t: pa.Table) -> pa.Table:
         # pure integer epoch-µs → week arithmetic (no float division, so
@@ -131,8 +128,7 @@ def q_cohort_retention(sf_dir: str):
             [t["user_id"], pa.array(week)], names=["user_id", "week"]
         )
         df = out.to_pandas().drop_duplicates()  # map-side distinct combine
-        out = pa.Table.from_pandas(df, preserve_index=False)
-        return _dedup.add_hash_bucket(out, "user_id", nb, "__cb")
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "week"])
@@ -145,7 +141,7 @@ def q_cohort_retention(sf_dir: str):
         )
 
     weeks = ds.map_batches(to_weeks, batch_format="pyarrow")
-    per = weeks.groupby("__cb").map_groups(per_user, batch_format="pandas")
+    per = _dedup.bucket_groups(weeks, "user_id", per_user, rows=ds.count())
     return pre_aggregated_sum(
         per, keys=["cohort_week", "week_offset"], sums={}, count_alias="n_users"
     )
@@ -213,17 +209,13 @@ def q_range_window(sf_dir: str):
     of intra-tie order — no tie-break column needed."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
+    def to_e4(t: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
             [t["user_id"], t["ts"], _cents(t["value"], 10000)],
             names=["user_id", "ts", "v_e4"],
         )
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__rw")
 
     HOUR_US = 3_600_000_000
 
@@ -248,8 +240,10 @@ def q_range_window(sf_dir: str):
             )
         return pd.concat(out, ignore_index=True)
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__rw").map_groups(window, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(to_e4, batch_format="pyarrow"), "user_id", window,
+        rows=ds.count(),
+    )
 
 
 SQL_RANGE_WINDOW = """
@@ -274,13 +268,7 @@ def q_event_transitions(sf_dir: str):
     deterministic on both engines."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__tb")
 
     def transitions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -298,9 +286,8 @@ def q_event_transitions(sf_dir: str):
         )
         return c
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    per_bucket = ds.groupby("__tb").map_groups(
-        transitions, batch_format="pandas"
+    per_bucket = _dedup.bucket_groups(
+        ds, "user_id", transitions, rows=ds.count()
     )
     return pre_aggregated_sum(
         per_bucket, keys=["prev_type", "next_type"], sums={"n": "n"}
@@ -327,10 +314,7 @@ def q_first_last_per_user(sf_dir: str):
     picks the global endpoints. Deterministic (ts, event_id) order."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    nb = num_shuffle_buckets(ds.count())
 
     def prune(t: pa.Table) -> pa.Table:
         df = t.to_pandas().sort_values(
@@ -340,10 +324,7 @@ def q_first_last_per_user(sf_dir: str):
         ends = pd.concat([g.head(1), g.tail(1)]).drop_duplicates(
             subset=["user_id", "event_id"]
         )
-        return _dedup.add_hash_bucket(
-            pa.Table.from_pandas(ends, preserve_index=False), "user_id", nb,
-            "__fb",
-        )
+        return pa.Table.from_pandas(ends, preserve_index=False)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -360,7 +341,7 @@ def q_first_last_per_user(sf_dir: str):
         return out.reset_index(drop=True)
 
     pruned = ds.map_batches(prune, batch_format="pyarrow")
-    return pruned.groupby("__fb").map_groups(finish, batch_format="pandas")
+    return _dedup.bucket_groups(pruned, "user_id", finish, rows=ds.count())
 
 
 SQL_FIRST_LAST_PER_USER = """
@@ -573,21 +554,17 @@ def _copurchase_edges(sf_dir: str, mask: int = 3) -> "ray.data.Dataset":
     guard (see q_frequent_pairs) first."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    nb = num_shuffle_buckets(li.count())
 
-    def slice_and_bucket(t: pa.Table) -> pa.Table:
+    def order_slice(t: pa.Table) -> pa.Table:
         t = pa.Table.from_arrays(
             [t["l_orderkey"], t["l_partkey"]], names=["o", "p"]
         )
-        t = t.filter(
+        return t.filter(
             pc.equal(
                 pc.bit_wise_and(t["o"], pa.scalar(mask, pa.int64())), 0
             )
         )
-        return _dedup.add_hash_bucket(t, "o", nb, "__cb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         # orders are disjoint across buckets: per-order distinct + the
@@ -613,9 +590,10 @@ def _copurchase_edges(sf_dir: str, mask: int = 3) -> "ray.data.Dataset":
             }
         )
 
-    pairs = li.map_batches(slice_and_bucket, batch_format="pyarrow").groupby(
-        "__cb"
-    ).map_groups(fold, batch_format="pandas")
+    pairs = _dedup.bucket_groups(
+        li.map_batches(order_slice, batch_format="pyarrow"), "o", fold,
+        rows=li.count(),
+    )
     # cross-bucket distinct (the same pair can arise from orders in
     # different buckets only via identical (u, v) — dedupe once globally)
     return pre_aggregated_sum(

@@ -476,13 +476,7 @@ def q_dup_cluster_sizes(sf_dir: str):
     corpus text never shuffles twice."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "documents", ["text"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "text", nb, "__hb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         sizes = g.groupby("text", dropna=False).size()
@@ -494,9 +488,7 @@ def q_dup_cluster_sizes(sf_dir: str):
             }
         )
 
-    partial = ds.map_batches(bucket, batch_format="pyarrow").groupby(
-        "__hb"
-    ).map_groups(fold, batch_format="pandas")
+    partial = _dedup.bucket_groups(ds, "text", fold, rows=ds.count())
     return pre_aggregated_sum(
         partial, keys=["cluster_size"], sums={"n_clusters": "n_clusters"}
     )

@@ -151,17 +151,13 @@ def q_varbyte_postings(sf_dir: str):
     buckets; per-group work bounded by the block width."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_hash_bucket,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import bucket_groups
     from goose_parser_ray.functions.varbyte import (
         decode_varbyte,
         encode_varbyte,
     )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = num_shuffle_buckets(ds.count())
 
     def pairs(t: pa.Table) -> pa.Table:
         words = pc.split_pattern(t["text"], " ")
@@ -173,9 +169,7 @@ def q_varbyte_postings(sf_dir: str):
             [flat.filter(keep), docs.filter(keep)], names=["term", "doc_id"]
         )
         df = out.to_pandas().drop_duplicates()
-        return add_hash_bucket(
-            pa.Table.from_pandas(df, preserve_index=False), "term", nb
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def encode_blocks(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
@@ -201,10 +195,9 @@ def q_varbyte_postings(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(encode_blocks, batch_format="pandas")
+    return bucket_groups(
+        ds.map_batches(pairs, batch_format="pyarrow"), "term", encode_blocks,
+        rows=ds.count(),
     )
 
 
@@ -243,13 +236,9 @@ def q_postings(sf_dir: str):
     dedup is globally exact. Term buckets are data-proportional."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_hash_bucket,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import bucket_groups
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = num_shuffle_buckets(ds.count())
 
     def partial(t: pa.Table) -> pa.Table:
         words = pc.split_pattern(t["text"], " ")
@@ -270,9 +259,7 @@ def q_postings(sf_dir: str):
                 lambda s: ",".join(map(str, s.head(5))),
             ),
         ).reset_index()
-        return add_hash_bucket(
-            pa.Table.from_pandas(out, preserve_index=False), "term", nb
-        )
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         dfsum = g.groupby("term", sort=False)["df_p"].sum()
@@ -295,11 +282,7 @@ def q_postings(sf_dir: str):
         return out
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    return (
-        parts.groupby("__b")
-        .map_groups(merge, batch_format="pandas")
-        .sort("term")
-    )
+    return bucket_groups(parts, "term", merge, rows=ds.count()).sort("term")
 
 
 SQL_POSTINGS = """

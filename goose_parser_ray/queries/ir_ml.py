@@ -203,15 +203,8 @@ def q_dup_chunks(sf_dir: str):
     pandas pass, and the per-doc rollup is the partial/combiner pattern."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_hash_bucket,
-        num_shuffle_buckets,
-    )
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
     CHUNK, STRIDE = 200, 150
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = num_shuffle_buckets(ds.count() * 4)  # ≈ chunks per doc upper bound
 
     def chunks(t: pa.Table) -> pa.Table:
         lens = pc.utf8_length(t["text"]).to_numpy(zero_copy_only=False)
@@ -228,7 +221,7 @@ def q_dup_chunks(sf_dir: str):
                     [sub["doc_id"], piece], names=["doc_id", "chunk"]
                 )
             )
-        out = (
+        return (
             pa.concat_tables(parts)
             if parts
             else pa.Table.from_pydict(
@@ -238,7 +231,6 @@ def q_dup_chunks(sf_dir: str):
                 }
             )
         )
-        return add_hash_bucket(out, "chunk", nb)
 
     def mark_dups(g: pd.DataFrame) -> pd.DataFrame:
         docs_with = g.groupby("chunk")["doc_id"].transform("nunique")
@@ -250,10 +242,9 @@ def q_dup_chunks(sf_dir: str):
             }
         )
 
-    marked = (
-        ds.map_batches(chunks, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(mark_dups, batch_format="pandas")
+    marked = _dedup.bucket_groups(
+        ds.map_batches(chunks, batch_format="pyarrow"), "chunk", mark_dups,
+        rows=ds.count() * 4,  # ≈ chunks per doc upper bound
     )
     return pre_aggregated_sum(
         marked, ["doc_id"], {"one": "n_chunks", "dup": "dup_chunks"}
@@ -981,13 +972,10 @@ def q_rolling_median(sf_dir: str):
     pandas groupby-rolling."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
 
     def prep(t: pa.Table) -> pa.Table:
-        out = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "event_id": t["event_id"],
                 "user_id": t["user_id"],
@@ -995,7 +983,6 @@ def q_rolling_median(sf_dir: str):
                 "v": _cents(t["value"]),
             }
         )
-        return _dedup.add_hash_bucket(out, "user_id", nb, "__rb")
 
     def roll_bucket(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(["user_id", "tus", "event_id"], kind="mergesort")
@@ -1013,8 +1000,10 @@ def q_rolling_median(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(prep, batch_format="pyarrow")
-    return ds.groupby("__rb").map_groups(roll_bucket, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(prep, batch_format="pyarrow"), "user_id", roll_bucket,
+        rows=ds.count(),
+    )
 
 
 SQL_ROLLING_MEDIAN = """

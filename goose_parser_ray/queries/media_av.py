@@ -445,10 +445,7 @@ def q_video_neardup(sf_dir: str):
     hash-keyed buckets, never all-pairs."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_coarse_bucket,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import bucket_groups
     from goose_parser_ray.functions.gifmini import (
         decode_gif_frames,
         encode_gif_animated,
@@ -500,14 +497,8 @@ def q_video_neardup(sf_dir: str):
         )
 
     ds = _read(sf_dir, "documents", ["doc_id"])
-    nb = num_shuffle_buckets(ds.count() * 4)
-    hashes = (
-        ds.map_batches(synth, batch_format="pyarrow", batch_size=64)
-        .map_batches(frame_hashes, batch_format="pyarrow", batch_size=64)
-        .map_batches(
-            lambda t: add_coarse_bucket(t, ["hi", "lo"], nb),
-            batch_format="pyarrow",
-        )
+    hashes = ds.map_batches(synth, batch_format="pyarrow", batch_size=64).map_batches(
+        frame_hashes, batch_format="pyarrow", batch_size=64
     )
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -533,8 +524,8 @@ def q_video_neardup(sf_dir: str):
         out = df.groupby(["id_a", "id_b"], as_index=False).size()
         return out.rename(columns={"size": "n"})
 
-    pairs = hashes.groupby("__b").map_groups(
-        pairs_in_bucket, batch_format="pandas"
+    pairs = bucket_groups(
+        hashes, ["hi", "lo"], pairs_in_bucket, rows=ds.count() * 4
     )
     agg = pre_aggregated_sum(pairs, keys=["id_a", "id_b"], sums={"n": "n"})
 

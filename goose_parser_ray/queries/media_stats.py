@@ -30,14 +30,11 @@ def q_line_dedup(sf_dir: str):
     the same way."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_hash_bucket,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import bucket_groups
 
     SEG = 8
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = num_shuffle_buckets(ds.count() * 32)  # ≈ segments per doc bound
+    rows = ds.count() * 32  # ≈ segments per doc bound
 
     def segments(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:  # empty block: the [0]-seeded starts array
@@ -47,7 +44,6 @@ def q_line_dedup(sf_dir: str):
                     "doc_id": pa.array([], pa.int64()),
                     "seg_no": pa.array([], pa.int64()),
                     "seg": pa.array([], pa.string()),
-                    "__b": pa.array([], pa.int64()),
                 }
             )
         words = pc.split_pattern(t["text"], " ")
@@ -71,7 +67,7 @@ def q_line_dedup(sf_dir: str):
             [seg_starts, [doc_ends[-1] if len(doc_ends) else 0]]
         )
         seg_list = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), flat)
-        out = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "doc_id": pa.array(
                     np.repeat(t["doc_id"].to_numpy(), n_segs)
@@ -80,7 +76,6 @@ def q_line_dedup(sf_dir: str):
                 "seg": pc.binary_join(seg_list, " "),
             }
         )
-        return add_hash_bucket(out, "seg", nb)
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
         docs_with = g.groupby("seg")["doc_id"].transform("nunique")
@@ -119,16 +114,9 @@ def q_line_dedup(sf_dir: str):
         out["clean_text"] = out["clean_text"].fillna("")
         return out[["doc_id", "clean_text", "n_segs", "n_removed"]]
 
-    marked = (
-        ds.map_batches(segments, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(mark, batch_format="pandas")
-        .map_batches(
-            lambda t: add_hash_bucket(t, "doc_id", nb, out="__db"),
-            batch_format="pyarrow",
-        )
-    )
-    return marked.groupby("__db").map_groups(rebuild, batch_format="pandas")
+    segs = ds.map_batches(segments, batch_format="pyarrow")
+    marked = bucket_groups(segs, "seg", mark, rows=rows)
+    return bucket_groups(marked, "doc_id", rebuild, rows=rows)
 
 
 SQL_LINE_DEDUP = """
@@ -297,15 +285,11 @@ def q_phrase_search(sf_dir: str):
     position); repeated-word phrases would need per-term multiplicity."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_hash_bucket,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import bucket_groups
 
     PHRASE = ["slow", "hash", "batch"]
     terms = pa.array(PHRASE)
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = num_shuffle_buckets(ds.count())
 
     def positions(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:  # empty block: see q_line_dedup.segments
@@ -314,7 +298,6 @@ def q_phrase_search(sf_dir: str):
                     "doc_id": pa.array([], pa.int64()),
                     "start": pa.array([], pa.int64()),
                     "term": pa.array([], pa.int64()),
-                    "__b": pa.array([], pa.int64()),
                 }
             )
         words = pc.split_pattern(t["text"], " ")
@@ -333,7 +316,7 @@ def q_phrase_search(sf_dir: str):
         tidx = pc.index_in(flat, value_set=terms)
         keep = pc.is_valid(tidx).to_numpy(zero_copy_only=False)
         tidx_np = tidx.to_numpy(zero_copy_only=False)[keep].astype(np.int64)
-        out = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "doc_id": pa.array(docs[keep]),
                 # phrase start this occurrence would imply
@@ -341,7 +324,6 @@ def q_phrase_search(sf_dir: str):
                 "term": pa.array(tidx_np),
             }
         )
-        return add_hash_bucket(out, "doc_id", nb, out="__b")
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         # distinct phrase words → one row per (doc, start, term); a start
@@ -358,10 +340,9 @@ def q_phrase_search(sf_dir: str):
         out["n_matches"] = out["n_matches"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(positions, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(verify, batch_format="pandas")
+    return bucket_groups(
+        ds.map_batches(positions, batch_format="pyarrow"), "doc_id", verify,
+        rows=ds.count(),
     )
 
 
@@ -506,17 +487,13 @@ def q_autocorr(sf_dir: str):
 
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
+    def project(t: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
             [t["user_id"], t["ts"], t["event_id"], _cents(t["value"], 1)],
             names=["user_id", "ts", "event_id", "v"],
         )
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__db")
 
     def moments(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -535,12 +512,10 @@ def q_autocorr(sf_dir: str):
             }
         )
 
-    parts = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__db")
-        .map_groups(moments, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _dedup.bucket_groups(
+        ds.map_batches(project, batch_format="pyarrow"), "user_id", moments,
+        rows=ds.count(),
+    ).to_pandas()
     n = int(parts["n"].sum())
     sx, sy = int(parts["sx"].sum()), int(parts["sy"].sum())
     sxy = int(parts["sxy"].sum())
@@ -924,17 +899,13 @@ def q_ewma_value(sf_dir: str):
     same lists with ``list_reduce`` and the hash must match row-for-row."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
+    def project(t: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
             [t["event_id"], t["user_id"], t["ts"], _cents(t["value"])],
             names=["event_id", "user_id", "ts", "v_c"],
         )
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__db")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -958,8 +929,10 @@ def q_ewma_value(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__db").map_groups(fold, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(project, batch_format="pyarrow"), "user_id", fold,
+        rows=ds.count(),
+    )
 
 
 SQL_EWMA_VALUE = """
@@ -1130,14 +1103,11 @@ def q_attribution(sf_dir: str):
     total order shared with the SQL window frame."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def prune_bucket(t: pa.Table) -> pa.Table:
+    def prune(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["event_type"], value_set=pa.array(["click", "purchase"]))
-        return _dedup.add_hash_bucket(t.filter(keep), "user_id", nb, "__ab")
+        return t.filter(keep)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -1172,8 +1142,10 @@ def q_attribution(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(prune_bucket, batch_format="pyarrow")
-    return ds.groupby("__ab").map_groups(fold, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(prune, batch_format="pyarrow"), "user_id", fold,
+        rows=ds.count(),
+    )
 
 
 SQL_ATTRIBUTION = """
@@ -1282,17 +1254,13 @@ def q_twap(sf_dir: str):
     bucketed cython-vectorized per-user fold as ``attribution``."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
+    def project(t: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
             [t["event_id"], t["user_id"], t["ts"], _cents(t["value"])],
             names=["event_id", "user_id", "ts", "v_c"],
         )
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__tb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -1324,8 +1292,10 @@ def q_twap(sf_dir: str):
         )
         return agg
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__tb").map_groups(fold, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(project, batch_format="pyarrow"), "user_id", fold,
+        rows=ds.count(),
+    )
 
 
 SQL_TWAP = """

@@ -434,7 +434,7 @@ def q_late_events(sf_dir: str):
     summaries → seeded second pass. Exact integer seconds throughout."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import add_hash_bucket, num_shuffle_buckets
+    from goose_parser_ray.functions.dedup import num_shuffle_buckets
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "ts"])
     n = ds.count()

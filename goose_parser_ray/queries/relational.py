@@ -279,13 +279,10 @@ def q_distinct_sources(sf_dir: str):
     """Distinct via the bucketed helper — shuffle groups are coarse hash
     buckets, never per-value, so the plan survives high-cardinality keys
     (r2 VERDICT noted the raw-key groupby would not)."""
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
     from goose_parser_ray.functions.relational import distinct_rows
 
     ds = _read(sf_dir, "documents", ["source"])
-    return distinct_rows(
-        ds, ["source"], num_buckets=num_shuffle_buckets(ds.count())
-    )
+    return distinct_rows(ds, ["source"], rows=ds.count())
 
 
 SQL_DISTINCT_SOURCES = "SELECT DISTINCT source FROM documents"

@@ -25,14 +25,11 @@ def q_except_users(sf_dir: str):
     via the bucketed helper, subtraction via filter_out_ids (broadcast
     is_in under its threshold, left_anti join past it — the S12 corpus
     filter exercised through the oracle-checked surface)."""
-    from goose_parser_ray.functions.dedup import (
-        filter_out_ids,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import filter_out_ids
     from goose_parser_ray.functions.relational import distinct_rows
 
     ev = _read(sf_dir, "events", ["user_id", "event_type", "value"])
-    nb = num_shuffle_buckets(ev.count())
+    n = ev.count()
     clickers = distinct_rows(
         ev.map_batches(
             lambda t: t.filter(pc.equal(t["event_type"], "click")).select(
@@ -41,7 +38,7 @@ def q_except_users(sf_dir: str):
             batch_format="pyarrow",
         ),
         ["user_id"],
-        num_buckets=nb,
+        rows=n,
     )
     big_purchasers = distinct_rows(
         ev.map_batches(
@@ -54,7 +51,7 @@ def q_except_users(sf_dir: str):
             batch_format="pyarrow",
         ),
         ["user_id"],
-        num_buckets=nb,
+        rows=n,
     )
     return filter_out_ids(
         clickers, big_purchasers, "user_id", drop_col="user_id"
@@ -73,14 +70,11 @@ def q_intersect_users(sf_dir: str):
     distinct clicking users ∩ distinct big-purchase users, via the tiered
     ``filter_in_ids`` semi-join (broadcast ``is_in`` under its threshold,
     hash-partitioned inner join against the distinct id stream past it)."""
-    from goose_parser_ray.functions.dedup import (
-        filter_in_ids,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import filter_in_ids
     from goose_parser_ray.functions.relational import distinct_rows
 
     ev = _read(sf_dir, "events", ["user_id", "event_type", "value"])
-    nb = num_shuffle_buckets(ev.count())
+    n = ev.count()
     clickers = distinct_rows(
         ev.map_batches(
             lambda t: t.filter(pc.equal(t["event_type"], "click")).select(
@@ -89,7 +83,7 @@ def q_intersect_users(sf_dir: str):
             batch_format="pyarrow",
         ),
         ["user_id"],
-        num_buckets=nb,
+        rows=n,
     )
     big_purchasers = distinct_rows(
         ev.map_batches(
@@ -102,7 +96,7 @@ def q_intersect_users(sf_dir: str):
             batch_format="pyarrow",
         ),
         ["user_id"],
-        num_buckets=nb,
+        rows=n,
     )
     return filter_in_ids(
         clickers, big_purchasers, "user_id", keep_col="user_id"
@@ -337,10 +331,7 @@ def q_latest_per_key(sf_dir: str):
     DESC); ts emitted as string for cross-engine parity."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
-    nb = num_shuffle_buckets(ds.count())
 
     def argmax_latest(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -351,18 +342,15 @@ def q_latest_per_key(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         kept = argmax_latest(t.to_pandas())
-        return _dedup.add_hash_bucket(
-            pa.Table.from_pandas(kept, preserve_index=False),
-            "user_id", nb, "__lb",
-        )
+        return pa.Table.from_pandas(kept, preserve_index=False)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
-        out = argmax_latest(g.drop(columns=["__lb"]))
+        out = argmax_latest(g)
         out["ts"] = out["ts"].dt.strftime("%Y-%m-%d %H:%M:%S")
         return out[["user_id", "event_id", "event_type", "ts"]]
 
     pruned = ds.map_batches(partial, batch_format="pyarrow")
-    return pruned.groupby("__lb").map_groups(finish, batch_format="pandas")
+    return _dedup.bucket_groups(pruned, "user_id", finish, rows=ds.count())
 
 
 SQL_LATEST_PER_KEY = """
@@ -648,10 +636,8 @@ def q_error_window_counts(sf_dir: str):
     import pandas as pd
 
     from goose_parser_ray.functions.asof import windowed_count_bucketed
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
-    nb = num_shuffle_buckets(ev.count())
     clicks = ev.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "click")).select(
             ["event_id", "user_id", "ts"]
@@ -666,7 +652,7 @@ def q_error_window_counts(sf_dir: str):
     )
     counted = windowed_count_bucketed(
         clicks, errors, by="user_id", ts="ts",
-        window=pd.Timedelta(minutes=10), out_col="n_errors", num_buckets=nb,
+        window=pd.Timedelta(minutes=10), out_col="n_errors", rows=ev.count(),
     )
     return counted.map_batches(
         lambda t: t.select(["event_id", "n_errors"]),
@@ -779,12 +765,10 @@ def q_distinct_users_per_type(sf_dir: str):
     bucketed global distinct on (event_type, user_id) (shuffle groups are
     coarse buckets, never per-user) → per-type count. The approximate
     HLL twin is q_hll_distinct_users."""
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
     from goose_parser_ray.functions.relational import distinct_rows
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    nb = num_shuffle_buckets(ds.count())
-    uniq = distinct_rows(ds, ["event_type", "user_id"], num_buckets=nb)
+    uniq = distinct_rows(ds, ["event_type", "user_id"], rows=ds.count())
     return pre_aggregated_sum(
         uniq, keys=["event_type"], sums={}, count_alias="n_users"
     )

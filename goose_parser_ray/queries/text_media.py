@@ -390,7 +390,6 @@ def q_web_pipeline(sf_dir: str):
     import hashlib
     import shutil
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
     from goose_parser_ray.functions.textstats import (
         LangIdActor,
         add_quality_score,
@@ -419,10 +418,7 @@ def q_web_pipeline(sf_dir: str):
         return t.filter(keep).drop_columns(["quality"])
 
     gated = docs.map_batches(gate, batch_format="pyarrow")
-    kept = exact_dedup(
-        gated, col="text", id_col="doc_id",
-        num_buckets=num_shuffle_buckets(n_rows),
-    )
+    kept = exact_dedup(gated, col="text", id_col="doc_id", rows=n_rows)
 
     def stats(t: pa.Table) -> pa.Table:
         n_tok = pc.cast(
@@ -1032,13 +1028,7 @@ def q_event_throttle(sf_dir: str):
     buckets are data-proportional on user_id."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__db")
 
     def throttle(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -1056,12 +1046,9 @@ def q_event_throttle(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return (
-        ds.groupby("__db")
-        .map_groups(throttle, batch_format="pandas")
-        .sort("event_id")
-    )
+    return _dedup.bucket_groups(
+        ds, "user_id", throttle, rows=ds.count()
+    ).sort("event_id")
 
 
 SQL_EVENT_THROTTLE = """

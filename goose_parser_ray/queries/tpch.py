@@ -1385,18 +1385,15 @@ def q_waiting_suppliers(sf_dir: str):
 
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     # co-group instead of join: both rollups key on the ORDER, so one
     # orderkey-bucketed union fold computes the join AND both aggregates
     # inside each bucket — one shuffle where the old plan paid a two-sided
     # hash join plus two aggregate exchanges (measured 4.9s → see bench)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
-    nb = num_shuffle_buckets(li.count())
 
     def tag_orders(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["o_orderstatus"], "F"))
-        out = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "okey": t["o_orderkey"],
                 "suppkey": pa.array(np.zeros(t.num_rows, np.int64)),
@@ -1406,10 +1403,9 @@ def q_waiting_suppliers(sf_dir: str):
                 "side": pa.array(np.ones(t.num_rows, np.int64)),
             }
         )
-        return _dedup.add_hash_bucket(out, "okey", nb, "__wb")
 
     def tag_lines(t: pa.Table) -> pa.Table:
-        out = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "okey": t["l_orderkey"],
                 "suppkey": t["l_suppkey"],
@@ -1419,7 +1415,6 @@ def q_waiting_suppliers(sf_dir: str):
                 "side": pa.array(np.zeros(t.num_rows, np.int64)),
             }
         )
-        return _dedup.add_hash_bucket(out, "okey", nb, "__wb")
 
     orders = _read(
         sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderstatus"]
@@ -1465,8 +1460,8 @@ def q_waiting_suppliers(sf_dir: str):
             }
         )
 
-    per_order = lines.union(orders).groupby("__wb").map_groups(
-        fold, batch_format="pandas"
+    per_order = _dedup.bucket_groups(
+        [lines, orders], "okey", fold, rows=li.count()
     )
 
     def sole(t: pa.Table) -> pa.Table:

@@ -112,13 +112,7 @@ def q_scd2_history(sf_dir: str):
     sides."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__sb")
 
     def scd2_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -143,8 +137,7 @@ def q_scd2_history(sf_dir: str):
         out["n_rows"] = out["n_rows"].astype("int64")
         return out[["user_id", "attr", "valid_from", "valid_to", "n_rows"]]
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__sb").map_groups(scd2_bucket, batch_format="pandas")
+    return _dedup.bucket_groups(ds, "user_id", scd2_bucket, rows=ds.count())
 
 
 SQL_SCD2_HISTORY = """
@@ -389,15 +382,13 @@ def q_row_number_global(sf_dir: str):
     assumption)."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     n = ds.count()
     # coarser target than the generic shuffle default: a numbering range
     # only carries (id, payload, rank) rows, so 1M rows/group is fine and
     # keeps the driver-side offset table at n/1M entries (8 MB at 10¹²
     # rows) instead of n/50k
-    nb = num_shuffle_buckets(n, target=1_000_000)
+    nb = _dedup.num_shuffle_buckets(n, target=1_000_000)
     lo_hi = ds.aggregate(
         ray.data.aggregate.Min("doc_id"), ray.data.aggregate.Max("doc_id")
     )
@@ -463,16 +454,10 @@ def q_cusum_changepoint(sf_dir: str):
     buckets, one vectorized pandas pass per bucket."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.append_column("vc", _cents(t["value"]))
-        return _dedup.add_hash_bucket(
-            t.drop_columns(["value"]), "user_id", nb, "__sb"
-        )
+    def to_cents(t: pa.Table) -> pa.Table:
+        return t.append_column("vc", _cents(t["value"])).drop_columns(["value"])
 
     def cusum_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -492,8 +477,10 @@ def q_cusum_changepoint(sf_dir: str):
         out["cp_ts"] = top["ts"].dt.strftime("%Y-%m-%d %H:%M:%S")
         return out[["user_id", "cp_ts", "t_abs"]]
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__sb").map_groups(cusum_bucket, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(to_cents, batch_format="pyarrow"), "user_id", cusum_bucket,
+        rows=ds.count(),
+    )
 
 
 SQL_CUSUM_CHANGEPOINT = """
@@ -799,21 +786,17 @@ def _capped_baskets(sf_dir: str, mask: int = 3) -> "ray.data.Dataset":
     set, not the items)."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    nb = num_shuffle_buckets(li.count())
 
-    def slice_and_bucket(t: pa.Table) -> pa.Table:
+    def order_slice(t: pa.Table) -> pa.Table:
         t = pa.Table.from_arrays(
             [t["l_orderkey"], t["l_partkey"]], names=["o", "p"]
         )
-        t = t.filter(
+        return t.filter(
             pc.equal(
                 pc.bit_wise_and(t["o"], pa.scalar(mask, pa.int64())), 0
             )
         )
-        return _dedup.add_hash_bucket(t, "o", nb, "__cb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         # orders are disjoint across buckets: the per-order distinct AND
@@ -833,12 +816,10 @@ def _capped_baskets(sf_dir: str, mask: int = 3) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        li.map_batches(slice_and_bucket, batch_format="pyarrow")
-        .groupby("__cb")
-        .map_groups(fold, batch_format="pandas")
-        .materialize()
-    )
+    return _dedup.bucket_groups(
+        li.map_batches(order_slice, batch_format="pyarrow"), "o", fold,
+        rows=li.count(),
+    ).materialize()
 
 
 def _basket_pair_counts(dis: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -1436,23 +1417,20 @@ def q_scc(sf_dir: str):
     n_nodes) component-size table, scc = min part id."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
     from goose_parser_ray.functions.graph import scc_distributed
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey", "l_linenumber"])
-    nb = num_shuffle_buckets(ds.count())
 
-    def slice_bucket(t: pa.Table) -> pa.Table:
+    def order_slice(t: pa.Table) -> pa.Table:
         t = t.filter(
             pc.equal(
                 pc.bit_wise_and(t["l_orderkey"], pa.scalar(31, pa.int64())),
                 0,
             )
         )
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {"o": t["l_orderkey"], "p": t["l_partkey"], "ln": t["l_linenumber"]}
         )
-        return _dedup.add_hash_bucket(t, "o", nb, "__sb")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -1481,10 +1459,9 @@ def q_scc(sf_dir: str):
         )
         return e.drop_duplicates()
 
-    edges = (
-        ds.map_batches(slice_bucket, batch_format="pyarrow")
-        .groupby("__sb")
-        .map_groups(fold, batch_format="pandas")
+    edges = _dedup.bucket_groups(
+        ds.map_batches(order_slice, batch_format="pyarrow"), "o", fold,
+        rows=ds.count(),
     )
     edges = pre_aggregated_sum(
         edges, keys=["u", "v"], sums={}, count_alias="k"
@@ -1537,14 +1514,12 @@ def q_curriculum_order(sf_dir: str):
     ~rows/B at any corpus size (hash key is uniform by construction)."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     KNUTH = 2654435761
     HMOD = 1 << 31
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n = ds.count()
-    nbh = num_shuffle_buckets(n, target=1_000_000)
+    nbh = _dedup.num_shuffle_buckets(n, target=1_000_000)
 
     def featurize(t: pa.Table) -> pa.Table:
         q = pc.list_value_length(
@@ -1636,14 +1611,13 @@ def q_pps_sample(sf_dir: str):
     rule."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
     from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     N_SAMPLES = 64
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n = ds.count()
-    nb = num_shuffle_buckets(n, target=1_000_000)
+    nb = _dedup.num_shuffle_buckets(n, target=1_000_000)
     lo_hi = ds.aggregate(
         ray.data.aggregate.Min("doc_id"), ray.data.aggregate.Max("doc_id")
     )

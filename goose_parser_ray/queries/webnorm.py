@@ -596,17 +596,13 @@ def q_index_merge(sf_dir: str):
     closed-form byte lengths) certifies the merged bytes exactly."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import (
-        add_hash_bucket,
-        num_shuffle_buckets,
-    )
+    from goose_parser_ray.functions.dedup import bucket_groups
     from goose_parser_ray.functions.varbyte import (
         decode_varbyte,
         encode_varbyte,
     )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    nb = num_shuffle_buckets(ds.count())
 
     def tagged_pairs(t: pa.Table) -> pa.Table:
         words = pc.split_pattern(t["text"], " ")
@@ -625,9 +621,7 @@ def q_index_merge(sf_dir: str):
         dels = df[d % 8 == 1].copy()
         dels["op"] = 1
         out = pd.concat([df, dels], ignore_index=True)
-        return add_hash_bucket(
-            pa.Table.from_pandas(out, preserve_index=False), "term", nb
-        )
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     def merge_blocks(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
@@ -659,10 +653,9 @@ def q_index_merge(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tagged_pairs, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(merge_blocks, batch_format="pandas")
+    return bucket_groups(
+        ds.map_batches(tagged_pairs, batch_format="pyarrow"), "term",
+        merge_blocks, rows=ds.count(),
     )
 
 

@@ -17,6 +17,15 @@ from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated
 from goose_parser_ray.queries._shared import _cents, _read
 
 
+def _user_ts_e4(t: pa.Table) -> pa.Table:
+    """(user_id, ts, v_e4) with the event value in 1e-4 units (half-away
+    rounding in Arrow — matches SQL ROUND exactly)."""
+    return pa.Table.from_arrays(
+        [t["user_id"], t["ts"], _cents(t["value"], 10000)],
+        names=["user_id", "ts", "v_e4"],
+    )
+
+
 def q_cube_agg(sf_dir: str):
     """CUBE over (lang, source): ONE distributed partial-aggregate pass
     produces the finest (lang, source) cells; every coarser level is
@@ -173,13 +182,7 @@ def q_funnel(sf_dir: str):
     a stage; timestamps emitted as strings for cross-engine parity."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__fb")
 
     def funnel_bucket(g: pd.DataFrame) -> pd.DataFrame:
         views = (
@@ -210,8 +213,7 @@ def q_funnel(sf_dir: str):
             out[col] = s.where(s.notna(), None)
         return out
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__fb").map_groups(funnel_bucket, batch_format="pandas")
+    return _dedup.bucket_groups(ds, "user_id", funnel_bucket, rows=ds.count())
 
 
 SQL_FUNNEL = """
@@ -309,16 +311,7 @@ def q_sessionize(sf_dir: str):
     changes or >30 min gaps, cumsum for session ids."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    # data-proportional session buckets (metadata-only count on the fresh
-    # parquet read): payload per shuffle group stays ~50k events at any
-    # corpus size instead of events/64 (r2 VERDICT #4)
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__sb")
 
     def sessions_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -333,8 +326,10 @@ def q_sessionize(sf_dir: str):
         out["session_start"] = out["session_start"].dt.strftime("%Y-%m-%d %H:%M:%S")
         return out[["user_id", "session_start", "n_events"]]
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__sb").map_groups(sessions_bucket, batch_format="pandas")
+    # data-proportional session buckets (metadata-only count on the fresh
+    # parquet read): payload per shuffle group stays ~50k events at any
+    # corpus size instead of events/64 (r2 VERDICT #4)
+    return _dedup.bucket_groups(ds, "user_id", sessions_bucket, rows=ds.count())
 
 
 SQL_SESSIONIZE = """
@@ -473,10 +468,7 @@ def q_activity_streaks(sf_dir: str):
     cumsum island ids, per-island sizes, per-user max)."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = num_shuffle_buckets(ds.count())
 
     def to_days(t: pa.Table) -> pa.Table:
         day_i = pc.divide(
@@ -493,9 +485,6 @@ def q_activity_streaks(sf_dir: str):
         keys=["user_id", "day_i"], sums={}, count_alias="k",
     ).drop_columns(["k"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__sb")
-
     def streaks_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "day_i"], kind="mergesort")
         brk = g["user_id"].ne(g["user_id"].shift()) | (
@@ -509,9 +498,7 @@ def q_activity_streaks(sf_dir: str):
         return out.rename(columns={"streak": "max_streak"})
 
     return (
-        days.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__sb")
-        .map_groups(streaks_bucket, batch_format="pandas")
+        _dedup.bucket_groups(days, "user_id", streaks_bucket, rows=ds.count())
         .map_batches(
             lambda t: pa.Table.from_pydict(
                 {
@@ -678,17 +665,7 @@ def q_user_deltas(sf_dir: str):
     Emits (user_id, ts, delta_e4) for every event with a predecessor."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())  # data-proportional (r2 VERDICT #4)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [t["user_id"], t["ts"], _cents(t["value"], 10000)],
-            names=["user_id", "ts", "v_e4"],
-        )  # half-away rounding in arrow — matches SQL ROUND exactly
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__db")
 
     def deltas(g: pd.DataFrame) -> pd.DataFrame:
         # tie-break duplicate timestamps by value so the LAG order is
@@ -706,8 +683,11 @@ def q_user_deltas(sf_dir: str):
         out["delta_e4"] = out["delta_e4"].astype("int64")
         return out
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__db").map_groups(deltas, batch_format="pandas")
+    # data-proportional buckets (r2 VERDICT #4)
+    return _dedup.bucket_groups(
+        ds.map_batches(_user_ts_e4, batch_format="pyarrow"), "user_id", deltas,
+        rows=ds.count(),
+    )
 
 
 SQL_USER_DELTAS = """
@@ -733,10 +713,8 @@ def q_asof_join(sf_dir: str):
     Hash-bucketed by user (data-proportional buckets), one vectorized
     ``merge_asof`` per bucket — oracle is DuckDB's native ASOF LEFT JOIN."""
     from goose_parser_ray.functions.asof import asof_join_bucketed
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts", "value"])
-    nb = num_shuffle_buckets(ev.count())
 
     clicks = ev.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "click")).select(
@@ -757,7 +735,7 @@ def q_asof_join(sf_dir: str):
     # the same deterministic winner as the oracle's MAX pre-aggregation
     joined = asof_join_bucketed(
         clicks, purchases, by="user_id", ts="ts",
-        value_cols=["purch_e4"], num_buckets=nb,
+        value_cols=["purch_e4"], rows=ev.count(),
         right_agg={"purch_e4": "max"},
     )
     def project(t: pa.Table) -> pa.Table:
@@ -857,13 +835,10 @@ def q_sources_per_lang(sf_dir: str):
     then a per-group ordered join."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
     from goose_parser_ray.functions.relational import distinct_rows
 
     ds = _read(sf_dir, "documents", ["lang", "source"])
-    uniq = distinct_rows(
-        ds, ["lang", "source"], num_buckets=num_shuffle_buckets(ds.count())
-    )
+    uniq = distinct_rows(ds, ["lang", "source"], rows=ds.count())
 
     def join_sources(g: pd.DataFrame) -> pd.DataFrame:
         vals = sorted(g["source"])
@@ -1119,17 +1094,7 @@ def q_running_totals(sf_dir: str):
     agree."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [t["user_id"], t["ts"], _cents(t["value"], 10000)],
-            names=["user_id", "ts", "v_e4"],
-        )
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__rb")
 
     def running(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "v_e4"], kind="mergesort")
@@ -1142,8 +1107,10 @@ def q_running_totals(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__rb").map_groups(running, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(_user_ts_e4, batch_format="pyarrow"), "user_id", running,
+        rows=ds.count(),
+    )
 
 
 SQL_RUNNING_TOTALS = """
@@ -1169,17 +1136,7 @@ def q_window_frame_funcs(sf_dir: str):
     never the corpus."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [t["user_id"], t["ts"], _cents(t["value"], 10000)],
-            names=["user_id", "ts", "v_e4"],
-        )
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__db")
 
     def frames(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "v_e4"], kind="mergesort")
@@ -1231,8 +1188,10 @@ def q_window_frame_funcs(sf_dir: str):
             )
         return pd.concat(out_parts, ignore_index=True)
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__db").map_groups(frames, batch_format="pandas")
+    return _dedup.bucket_groups(
+        ds.map_batches(_user_ts_e4, batch_format="pyarrow"), "user_id", frames,
+        rows=ds.count(),
+    )
 
 
 SQL_WINDOW_FRAME_FUNCS = """
@@ -1273,13 +1232,7 @@ def q_interval_coverage(sf_dir: str):
     BUCKET, never per user), one vectorized pandas pass per bucket."""
     import pandas as pd
 
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-    nb = num_shuffle_buckets(ds.count())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _dedup.add_hash_bucket(t, "user_id", nb, "__sb")
 
     def coverage_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
@@ -1301,10 +1254,7 @@ def q_interval_coverage(sf_dir: str):
         out = out.merge(raw, on="user_id")
         return out[["user_id", "n_intervals", "n_merged", "covered_us"]]
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return ds.groupby("__sb").map_groups(
-        coverage_bucket, batch_format="pandas"
-    )
+    return _dedup.bucket_groups(ds, "user_id", coverage_bucket, rows=ds.count())
 
 
 SQL_INTERVAL_COVERAGE = """

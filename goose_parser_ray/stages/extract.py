@@ -31,7 +31,6 @@ EXTRACT_OUT_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),
         ("salt", pa.int32()),  # first original chunk index in this row
-        ("salt_count", pa.int32()),  # original chunks merged into this row
         ("n_salts", pa.int32()),  # total original chunks for the doc
         ("partition_id", pa.int32()),
         ("spans", pa.list_(SPAN_STRUCT)),
@@ -106,7 +105,6 @@ class ExtractActor:
             {
                 "doc_id": [str(d) for d in doc_ids],
                 "salt": salts,
-                "salt_count": [1] * n,
                 "n_salts": n_salts,
                 "partition_id": pids,
                 "spans": out_spans,

@@ -172,17 +172,20 @@ def make_normalize_fn(
 
 def _merge_run(rows: list[dict]) -> dict:
     """One doc's extracted chunk rows, in salt order, as its whole row:
-    spans concatenated and their offsets renumbered, chunk errors joined."""
-    spans = [s for r in rows for s in r["spans"]]
+    spans concatenated and their offsets renumbered. A chunk error
+    quarantines the whole doc as unsalted extraction does: no spans, and
+    the first chunk error in salt order, which is the error whole-doc
+    extraction raises."""
+    error = next((r["error"] for r in rows if r["error"]), "")
+    spans = [] if error else [s for r in rows for s in r["spans"]]
     return {
         "doc_id": rows[0]["doc_id"],
         "salt": 0,
-        "salt_count": 1,
         "n_salts": 1,
         "partition_id": rows[0]["partition_id"],
         "spans": [{**s, "offset": i} for i, s in enumerate(spans)],
         "n_spans": len(spans),
-        "error": "; ".join(r["error"] for r in rows if r["error"]),
+        "error": error,
     }
 
 

@@ -119,6 +119,95 @@ def test_no_dataset_join_outside_relational():
     )
 
 
+# Groupbys on an ORDER range, not a key hash: each splits a sorted key (or
+# arrival order) into contiguous ranges so a prefix scan can carry per-range
+# bases from one range to the next, which hash buckets cannot give.
+RANGE_SCANS = {
+    ("functions/packing.py", "global_scan_offsets"): "row-order ranges, per-range token bases",
+    ("functions/blocking.py", "_rank_by_key"): "sampled key ranges, per-range rank offsets",
+    ("functions/blocking.py", "sorted_neighborhood_pairs"): "rank ranges rank // B, window copied across",
+    ("queries/quality_stats.py", "q_late_events"): "event_id arrival ranges, seeded running max",
+    ("queries/versioning_graph2.py", "q_row_number_global"): "doc_id ranges, per-range row-number offsets",
+    ("queries/versioning_graph2.py", "q_curriculum_order"): "hash-value ranges of a global sort order",
+    ("queries/versioning_graph2.py", "q_pps_sample"): "cumulative-weight ranges of a systematic sample",
+}
+
+# Hash % buckets that splits ONE key rather than bucketing keys.
+SALTED = {
+    ("functions/textstats.py", "grouped_hll_distinct"): "shards one key's HLL sketches for a two-level merge",
+}
+
+
+def _bucket_sites():
+    """Per top-level def of the package: who groups a Dataset by a ``__``
+    column, who calls a bucket hasher, who takes a hash ``% num_buckets``."""
+    grouped, hashers, hash_mod = set(), set(), set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        consts = {
+            t.id: n.value.value
+            for n in tree.body
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for top in tree.body:
+            site = (str(path.relative_to(PACKAGE_DIR)), getattr(top, "name", "<module>"))
+            nodes = list(ast.walk(top))
+            sized = {"num_buckets", "nb"} | {
+                t.id
+                for n in nodes
+                if isinstance(n, ast.Assign)
+                and isinstance(n.value, ast.Call)
+                and "num_shuffle_buckets" in ast.unparse(n.value.func)
+                for t in n.targets
+                if isinstance(t, ast.Name)
+            }
+            for n in nodes:
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                    recv = n.func.value
+                    if (
+                        n.func.attr == "map_groups"
+                        and isinstance(recv, ast.Call)
+                        and isinstance(recv.func, ast.Attribute)
+                        and recv.func.attr == "groupby"
+                        and recv.args
+                    ):
+                        key = recv.args[0]
+                        key = key.elts[0] if isinstance(key, ast.List) else key
+                        if isinstance(key, ast.Name):
+                            key = ast.Constant(consts.get(key.id))
+                        if isinstance(key, ast.Constant) and str(key.value).startswith("__"):
+                            grouped.add(site)
+                if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] in (
+                    "add_hash_bucket", "add_coarse_bucket",
+                ):
+                    hashers.add(site)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod):
+                    right = n.right
+                    if isinstance(right, ast.Call) and len(right.args) == 1:
+                        right = right.args[0]  # np.uint64(nb)
+                    if isinstance(right, ast.Name) and right.id in sized:
+                        hash_mod.add(site)
+    return grouped, hashers, hash_mod
+
+
+def test_keyed_folds_go_through_bucket_groups():
+    """Every hash-bucketed groupby of the package is ``dedup.bucket_groups``:
+    it alone sizes the buckets, hashes the key and groups by the bucket. The
+    only other groupbys on a ``__`` column are the range scans above, and
+    the only other hash taken modulo a bucket count is the HLL salt."""
+    grouped, hashers, hash_mod = _bucket_sites()
+    fold = ("functions/dedup.py", "bucket_groups")
+    assert grouped == {fold} | set(RANGE_SCANS), sorted(grouped - set(RANGE_SCANS))
+    assert hashers == {fold}, sorted(hashers)
+    hasher_defs = {
+        ("functions/dedup.py", "add_hash_bucket"),
+        ("functions/dedup.py", "add_coarse_bucket"),
+    }
+    assert hash_mod == hasher_defs | set(SALTED), sorted(hash_mod)
+
+
 def test_no_query_starts_an_actor():
     """Every batch kernel runs as plain tasks: a kernel with constant
     arguments through ``stages.extract.cached_kernel``, one with per-call

@@ -621,12 +621,6 @@ def test_minhash_dedup_keep_distributed_paths(docs_ds):
     assert set(kept["doc_id"]) == {0, 103}
 
 
-def test_exact_dedup_no_combine_matches_combined(docs_ds):
-    a = exact_dedup(docs_ds, col="text", id_col="doc_id", combine_first=True).to_pandas()
-    b = exact_dedup(docs_ds, col="text", id_col="doc_id", combine_first=False).to_pandas()
-    assert sorted(a["doc_id"]) == sorted(b["doc_id"])
-
-
 def test_jaccard_verify_join_path_matches_broadcast(docs_ds):
     """Force the hash-join attach path (broadcast_bytes=0) and require the
     exact same verified pair set as the broadcast path."""
@@ -719,7 +713,7 @@ def test_num_shuffle_buckets_data_proportional(ray_session):
 
 
 def test_exact_dedup_default_buckets_data_derived(docs_ds):
-    """exact_dedup's default num_buckets is derived from the dataset size
+    """exact_dedup's default bucket count is derived from the dataset size
     (r3 VERDICT item 3 — a library caller with defaults must not get the
     old fixed-1024 unbounded-group class back). The derived default must
     grow with input size and produce output identical to an explicitly
@@ -735,10 +729,7 @@ def test_exact_dedup_default_buckets_data_derived(docs_ds):
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     explicit = (
-        exact_dedup(
-            docs_ds, col="text", id_col="doc_id",
-            num_buckets=num_shuffle_buckets(n),
-        )
+        exact_dedup(docs_ds, col="text", id_col="doc_id", rows=n)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     import pandas.testing as pdt
@@ -746,31 +737,34 @@ def test_exact_dedup_default_buckets_data_derived(docs_ds):
     pdt.assert_frame_equal(default, explicit)
 
 
-def test_minhash_pairs_invariant_to_bucket_count(docs_ds):
+def test_minhash_pairs_invariant_to_bucket_count(docs_ds, monkeypatch):
     """The coarse bucket count only partitions work — the candidate pair set
-    must be identical at any num_buckets (sizing fix can't change results)."""
+    must be identical at any bucket count (sizing fix can't change results)."""
+    from goose_parser_ray.functions import dedup
+
     key = lambda df: sorted(
         tuple(sorted((a, b))) for a, b in zip(df["doc_a"], df["doc_b"])
     )
     base = key(minhash_lsh_candidates(docs_ds).to_pandas())
     for nb in (1, 4, 512):
-        got = key(
-            minhash_lsh_candidates(
-                docs_ds, num_buckets=nb
-            ).to_pandas()
-        )
+        monkeypatch.setattr(dedup, "num_shuffle_buckets", lambda n, nb=nb: nb)
+        got = key(minhash_lsh_candidates(docs_ds).to_pandas())
         assert got == base, nb
     assert (100, 101) in set(base)
 
 
-def test_exact_dedup_invariant_to_bucket_count(docs_ds):
+def test_exact_dedup_invariant_to_bucket_count(docs_ds, monkeypatch):
     """Like the MinHash pairs: the shuffle bucket count only partitions
-    work, so the kept rows are identical at any num_buckets."""
-    outs = [
-        exact_dedup(docs_ds, col="text", id_col="doc_id", num_buckets=nb)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        for nb in (1, 4, 64)
-    ]
+    work, so the kept rows are identical at any bucket count."""
+    from goose_parser_ray.functions import dedup
+
+    outs = []
+    for nb in (1, 4, 64):
+        monkeypatch.setattr(dedup, "num_shuffle_buckets", lambda n, nb=nb: nb)
+        outs.append(
+            exact_dedup(docs_ds, col="text", id_col="doc_id")
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        )
     import pandas.testing as pdt
 
     for out in outs[1:]:
@@ -778,23 +772,27 @@ def test_exact_dedup_invariant_to_bucket_count(docs_ds):
     assert len(outs[0]) == 23
 
 
-def test_distinct_rows_invariant_to_bucket_count(ray_session):
+def test_distinct_rows_invariant_to_bucket_count(ray_session, monkeypatch):
     """The shuffle bucket count only partitions work: distinct_rows keeps
     the same rows at 1, 4 and 64 buckets and at its cluster default."""
     import pandas as pd
     import pandas.testing as pdt
 
+    from goose_parser_ray.functions import dedup
     from goose_parser_ray.functions.relational import distinct_rows
 
     rng = np.random.default_rng(3)
     ds = ray.data.from_pandas(
         pd.DataFrame({"a": rng.integers(0, 20, 600), "b": rng.integers(0, 3, 600)})
     ).repartition(5)
-    outs = [
-        distinct_rows(ds, ["a", "b"], **kw)
-        .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-        for kw in ({"num_buckets": 1}, {"num_buckets": 4}, {"num_buckets": 64}, {})
-    ]
+    default = dedup.num_shuffle_buckets
+    outs = []
+    for count in (lambda n: 1, lambda n: 4, lambda n: 64, default):
+        monkeypatch.setattr(dedup, "num_shuffle_buckets", count)
+        outs.append(
+            distinct_rows(ds, ["a", "b"])
+            .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
+        )
     for out in outs[1:]:
         pdt.assert_frame_equal(out, outs[0])
     assert len(outs[0]) == 60
@@ -966,11 +964,12 @@ def test_ann_ivf_finds_planted_neighbor(ray_session):
     )
 
 
-def test_asof_join_bucketed_matches_pandas_global(ray_session):
+def test_asof_join_bucketed_matches_pandas_global(ray_session, monkeypatch):
     """Bucketed distributed as-of must equal one global pandas merge_asof
     (backward, exact matches allowed), including unmatched-row nulls."""
     import pandas as pd
 
+    from goose_parser_ray.functions import dedup
     from goose_parser_ray.functions.asof import asof_join_bucketed
 
     rng = np.random.RandomState(5)
@@ -991,6 +990,7 @@ def test_asof_join_bucketed_matches_pandas_global(ray_session):
             "val": rng.randint(1, 1000, n_r).astype(np.int64),
         }
     ).drop_duplicates(["uid", "ts"])
+    monkeypatch.setattr(dedup, "num_shuffle_buckets", lambda n: 7)
     got = (
         asof_join_bucketed(
             ray.data.from_pandas(left),
@@ -998,7 +998,6 @@ def test_asof_join_bucketed_matches_pandas_global(ray_session):
             by="uid",
             ts="ts",
             value_cols=["val"],
-            num_buckets=7,
         )
         .to_pandas()
         .sort_values("eid")
@@ -1020,12 +1019,13 @@ def test_asof_join_bucketed_matches_pandas_global(ray_session):
     assert gv.isna().any()  # some clicks precede every purchase
 
 
-def test_windowed_count_matches_bruteforce(ray_session):
+def test_windowed_count_matches_bruteforce(ray_session, monkeypatch):
     """Range-join count (cumulative + two as-of lookups) must equal the
     brute-force O(L*R) inequality-join count, including boundary semantics
     (r.ts <= l.ts, r.ts > l.ts - window) and zero-match rows."""
     import pandas as pd
 
+    from goose_parser_ray.functions import dedup
     from goose_parser_ray.functions.asof import windowed_count_bucketed
 
     rng = np.random.RandomState(17)
@@ -1045,6 +1045,7 @@ def test_windowed_count_matches_bruteforce(ray_session):
         }
     )
     win = pd.Timedelta(minutes=30)
+    monkeypatch.setattr(dedup, "num_shuffle_buckets", lambda n: 5)
     got = (
         windowed_count_bucketed(
             ray.data.from_pandas(left),
@@ -1053,7 +1054,6 @@ def test_windowed_count_matches_bruteforce(ray_session):
             ts="ts",
             window=win,
             out_col="n",
-            num_buckets=5,
         )
         .to_pandas()
         .sort_values("eid")
@@ -1117,11 +1117,12 @@ def test_filter_in_ids_branch_parity(ray_session):
     assert sorted(via_bcast.columns) == sorted(via_join.columns) == ["id", "v"]
 
 
-def test_asof_join_right_agg_in_bucket(ray_session):
+def test_asof_join_right_agg_in_bucket(ray_session, monkeypatch):
     """right_agg collapses duplicate (by, ts) right keys inside the bucket
     join — must equal pre-aggregating globally then as-of joining."""
     import pandas as pd
 
+    from goose_parser_ray.functions import dedup
     from goose_parser_ray.functions.asof import asof_join_bucketed
 
     rng = np.random.RandomState(21)
@@ -1143,11 +1144,12 @@ def test_asof_join_right_agg_in_bucket(ray_session):
         }
     )
     assert right.duplicated(["uid", "ts"]).any()
+    monkeypatch.setattr(dedup, "num_shuffle_buckets", lambda n: 4)
     got = (
         asof_join_bucketed(
             ray.data.from_pandas(left),
             ray.data.from_pandas(right),
-            by="uid", ts="ts", value_cols=["val"], num_buckets=4,
+            by="uid", ts="ts", value_cols=["val"],
             right_agg={"val": "max"},
         )
         .to_pandas()

@@ -92,11 +92,20 @@ def test_rules_mode_through_pipeline(corpus, tmp_path):
     assert len(res) == 40
 
 
-def test_poison_document_quarantine(ray_session, tmp_path):
+@pytest.mark.parametrize("salt_threshold", [None, 4])
+def test_poison_document_quarantine(ray_session, tmp_path, salt_threshold):
+    """A doc with a bad span is quarantined whole (no spans, the error
+    whole-doc extraction raises), whether or not it was salted: a salted
+    doc whose chunk 1 of 3 fails keeps none of its good chunks' spans."""
     import pyarrow as pa
 
-    from goose_parser_ray.spans import DOCUMENTS_SCHEMA
+    from goose_parser_ray.spans import DOCUMENTS_SCHEMA, extract_document
 
+    long_bad = [
+        {"kind": "text", "text": f"t{i}", "media_ref": "", "offset": i}
+        for i in range(10)
+    ]
+    long_bad[7]["kind"] = "bogus"
     rows = [
         {
             "doc_id": "ok-1",
@@ -106,17 +115,24 @@ def test_poison_document_quarantine(ray_session, tmp_path):
             "doc_id": "bad-1",
             "spans": [{"kind": "no-such-kind", "text": "x", "media_ref": "", "offset": 0}],
         },
+        {"doc_id": "bad-10", "spans": long_bad},
     ]
     tbl = pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
     ds = ray.data.from_arrow(tbl)
     out = build_extraction_pipeline(
-        ds, num_partitions=2, salt_threshold=None, batch_size=8
+        ds, num_partitions=2, salt_threshold=salt_threshold, batch_size=8
     ).to_pandas()
-    assert len(out) == 2
+    assert len(out) == 3
     ok = out[out["doc_id"] == "ok-1"].iloc[0]
     bad = out[out["doc_id"] == "bad-1"].iloc[0]
     assert ok["error"] == "" and ok["n_spans"] == 1
     assert "no-such-kind" in bad["error"] and bad["n_spans"] == 0
+    with pytest.raises(ValueError) as whole:
+        extract_document("bad-10", long_bad)
+    bad10 = out[out["doc_id"] == "bad-10"].iloc[0]
+    assert bad10["error"] == f"ValueError: {whole.value}"
+    assert bad10["n_spans"] == 0 and len(bad10["spans"]) == 0
+    assert (bad10["salt"], bad10["n_salts"]) == (0, 1)
 
 
 def test_foreign_span_schema_coerced_at_ingest(ray_session):

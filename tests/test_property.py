@@ -61,7 +61,6 @@ def test_salt_split_merge_identity(texts, threshold):
         {
             "doc_id": "d",
             "salt": k,
-            "salt_count": 1,
             "n_salts": len(chunks),
             "partition_id": 0,
             "spans": c,

@@ -16,7 +16,6 @@ def doc_row(doc_id, texts, pid=0):
     return {
         "doc_id": doc_id,
         "salt": 0,
-        "salt_count": 1,
         "n_salts": 1,
         "partition_id": pid,
         "spans": [
