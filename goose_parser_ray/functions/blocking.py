@@ -8,14 +8,12 @@ split-block Hamming-1, AllPairs prefix filter) with the order-based one.
 
 Distributed shape — no all-pairs, no driver materialization:
 
-1. **Global dense rank** over (key, id): order-preserving range buckets from
-   a bounded driver-side boundary sample (the bucket LAYOUT depends on the
-   sample; the resulting rank — and therefore the output — depends only on
-   the data), per-bucket counts → exclusive bases (tiny, bincount partials),
-   then one bucketed shuffle where each group sorts locally and adds
-   ``base + arange``. Equal keys can never straddle a bucket boundary
-   (bucketing is a function of the key alone), so the id tiebreak is always
-   resolved inside one group.
+1. **Global dense rank** over (key, id): ``packing.global_scan_offsets``
+   with unit weights, the package's ordered scan. Its ranges come from a
+   seeded boundary sample of the key (the range LAYOUT depends on the
+   sample; the rank — and therefore the output — depends only on the
+   data). Equal keys always share a range, so the id tiebreak is resolved
+   inside one group.
 2. **Pair windows**: ranks are dense integers, so neighbors-within-``window``
    are adjacent in rank order. Rows go to coarse pair-bucket ``rn // B``;
    a pair is attributed to its LEFT row's bucket, so the first ``window``
@@ -33,95 +31,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from goose_parser_ray.functions.dedup import num_shuffle_buckets
-
-
-def _rank_by_key(
-    ds: ray.data.Dataset,
-    *,
-    key_col: str,
-    id_col: str,
-    n_rows: int,
-    seed: int = 42,
-) -> ray.data.Dataset:
-    """Attach ``__rn`` = dense global rank in (key, id) order."""
-    nb = num_shuffle_buckets(n_rows)
-
-    # Bounded boundary sample: ~32 candidate keys per bucket, capped. The
-    # sample only shapes bucket SIZES (skew → one slow group, never a wrong
-    # rank); seeded so reruns pick the same layout.
-    want = min(nb * 32, 65_536)
-    frac = 1.0 if n_rows <= want else min(1.0, 1.2 * want / n_rows)
-    samp = (
-        ds.select_columns([key_col])
-        .random_sample(frac, seed=seed)
-        .limit(want)
-        .to_pandas()[key_col]
-        .sort_values(kind="mergesort")
-        .to_numpy()
-    )
-    if len(samp) == 0:
-        bounds = np.array([], dtype=object)
-    else:
-        idx = np.linspace(0, len(samp) - 1, num=nb + 1)[1:-1].astype(int)
-        bounds = np.unique(samp[idx])
-    bounds_ref = ray.put(bounds)
-
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        b = ray.get(bounds_ref)
-        if len(b) == 0:
-            return np.zeros(len(keys), dtype=np.int64)
-        # side="right": rows with key == boundary all land LEFT of it —
-        # equal keys always share a bucket.
-        return np.searchsorted(b, keys, side="right").astype(np.int64)
-
-    # pass 1: per-bucket counts → exclusive bases
-    def partial_counts(t: pa.Table) -> pa.Table:
-        k = t[key_col].to_numpy(zero_copy_only=False)
-        c = np.bincount(bucket_of(k), minlength=len(bounds) + 1)
-        nz = np.nonzero(c)[0]
-        return pa.Table.from_pydict(
-            {"__b": nz.astype(np.int64), "__c": c[nz].astype(np.int64)}
-        )
-
-    # distributed per-bucket rollup BEFORE the driver collect: raw partials
-    # are (block × distinct-buckets-touched) rows ≈ corpus rows with unique
-    # keys — unbounded. After the combine the collect is ≤ nb rows.
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
-    partials = pre_aggregated_sum(
-        ds.select_columns([key_col]).map_batches(
-            partial_counts, batch_format="pyarrow"
-        ),
-        keys=["__b"],
-        sums={"__c": "__c"},
-    ).to_pandas()
-    totals = np.zeros(len(bounds) + 1, dtype=np.int64)
-    if len(partials):
-        np.add.at(
-            totals, partials["__b"].to_numpy(), partials["__c"].to_numpy()
-        )
-    bases = np.concatenate(([0], np.cumsum(totals)[:-1]))
-    bases_ref = ray.put(bases)
-
-    # pass 2: bucketed shuffle, local sort + base + arange
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t[key_col].to_numpy(zero_copy_only=False)
-        return t.append_column("__b", pa.array(bucket_of(k)))
-
-    def local_rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, id_col], kind="mergesort").reset_index(
-            drop=True
-        )
-        base = ray.get(bases_ref)[int(g["__b"].iloc[0])]
-        g["__rn"] = base + np.arange(len(g), dtype=np.int64)
-        return g.drop(columns="__b")
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(local_rank, batch_format="pandas")
-    )
+from goose_parser_ray.functions import dedup
+from goose_parser_ray.functions.packing import global_scan_offsets
 
 
 def sorted_neighborhood_pairs(
@@ -131,18 +42,17 @@ def sorted_neighborhood_pairs(
     id_col: str,
     window: int = 2,
     n_rows: int | None = None,
-    seed: int = 42,
 ) -> ray.data.Dataset:
     """All (id_a, id_b) pairs with 0 < rank(b) − rank(a) ≤ ``window`` in
     global (key, id) order. Output columns: id_a, id_b (id_a's rank lower).
     """
     if n_rows is None:
         n_rows = ds.count()
-    ranked = _rank_by_key(
-        ds, key_col=key_col, id_col=id_col, n_rows=n_rows, seed=seed
+    ranked = global_scan_offsets(
+        ds, order_col=[key_col, id_col], offset_col="__rn", n_rows=n_rows
     )
 
-    npb = num_shuffle_buckets(n_rows)
+    npb = dedup.num_shuffle_buckets(n_rows)
     B = max(window + 1, -(-int(n_rows) // npb))  # rows per pair-bucket
 
     def fan_out(t: pa.Table) -> pa.Table:

@@ -60,19 +60,20 @@ def _crc(s: str) -> int:
 _TARGET_ROWS_PER_BUCKET = 50_000
 
 
-def num_shuffle_buckets(n_rows: int, target: int = _TARGET_ROWS_PER_BUCKET) -> int:
+def num_shuffle_buckets(n_rows: int) -> int:
     """Power-of-two coarse-bucket count for a bucketed GROUPBY, sized so
-    the EXPECTED rows per shuffle group stays ≤ ``target`` at any input
-    size. A fixed bucket count means group payload grows linearly with the
-    corpus — the unbounded-group scale bug class (r2 VERDICT #1). Every
-    hash-bucketed groupby of the package goes through :func:`bucket_groups`,
-    which derives its count here from the row count (callers with only a
-    lazy transformed Dataset should pass an upper-bound row count computed
-    from metadata, never ``count()`` a pipeline mid-stream); the range
-    scans that bucket by order, not by hash, size their ranges here too.
-    Groupbys run on Ray's sort shuffle, which reserves no aggregator
-    actors; this is never a hash-join width — those come from
-    ``relational.join_width``.
+    the EXPECTED rows per shuffle group stays ≤ ``_TARGET_ROWS_PER_BUCKET``
+    at any input size. A fixed bucket count means group payload grows
+    linearly with the corpus — the unbounded-group scale bug class (r2
+    VERDICT #1). Every hash-bucketed groupby of the package goes through
+    :func:`bucket_groups`, which derives its count here from the row count
+    (callers with only a lazy transformed Dataset should pass an
+    upper-bound row count computed from metadata, never ``count()`` a
+    pipeline mid-stream); the one ordered scan,
+    ``packing.global_scan_offsets``, buckets by sampled key range, not by
+    hash, and takes its range count from here too. Groupbys run on Ray's
+    sort shuffle, which reserves no aggregator actors; this is never a
+    hash-join width — those come from ``relational.join_width``.
 
     The floor is the cluster's CPU count, so every core gets a shuffle
     group even on small inputs (collisions are harmless: buckets only
@@ -81,7 +82,7 @@ def num_shuffle_buckets(n_rows: int, target: int = _TARGET_ROWS_PER_BUCKET) -> i
     800 rows took 0.37s at 64 groups and 8 blocks, 0.12s at 4 groups and
     1 block)."""
     floor = int(ray.cluster_resources().get("CPU", 1))
-    need = max(floor, (int(n_rows) + target - 1) // target)
+    need = max(floor, -(-int(n_rows) // _TARGET_ROWS_PER_BUCKET))
     return 1 << (need - 1).bit_length()
 
 
@@ -165,6 +166,8 @@ def bucket_groups(
     nb = num_shuffle_buckets(rows)
 
     def add_bucket(t: pa.Table) -> pa.Table:
+        # no pandas metadata into the shuffle: Ray cannot hash its schema
+        t = t.replace_schema_metadata(None)
         if all(pa.types.is_integer(t.schema.field(c).type) for c in cols):
             return add_coarse_bucket(t, cols, nb, _BUCKET)
         return add_hash_bucket(t, cols, nb, _BUCKET)

@@ -5,19 +5,25 @@ deterministic global order and chunks the stream into fixed-length
 examples (the standard pack-and-chunk used for LLM pretraining). The core
 primitive is an EXCLUSIVE PREFIX SUM over a global order — a window
 ``SUM ... ROWS UNBOUNDED PRECEDING`` in SQL — which Ray Data has no
-operator for. We implement it as a two-light-pass range-bucketed scan:
+operator for. :func:`global_scan_offsets` is the package's one ordered
+scan (packing, epoch shuffles, global row numbers and ranks, curricula,
+PPS samples, KS and AUC statistics, sorted-neighborhood blocking all run
+on it), a two-light-pass range-bucketed scan:
 
-1. per-bucket size totals (map-side ``np.bincount`` partials, one tiny
-   groupby — bucket count is data-proportional via
-   ``dedup.num_shuffle_buckets``);
-2. the driver cumsums the ≤ num_buckets totals into per-bucket BASE
-   offsets (O(buckets) driver work, never O(rows));
-3. one bucketed ``map_groups`` sorts each bucket locally by the order
-   key and emits base + local exclusive cumsum.
+0. range bounds from a seeded sample of the leading order key (bounded,
+   ~32 keys per range; range count is data-proportional via
+   ``dedup.num_shuffle_buckets``), so a skewed key cannot build one giant
+   range, and no arithmetic is done on key values (strings work);
+1. per-range weight totals (map-side partials collected on the driver),
+   cumsummed into per-range BASE offsets (O(ranges) driver work, never
+   O(rows));
+2. one range-bucketed ``map_groups`` sorts each range locally by the
+   order columns and emits base + local exclusive cumsum.
 
-Buckets are RANGE buckets over the order key (monotone bucket map), so
-bucket order == key order and the per-bucket bases compose into a global
-scan. Group payload is rows/num_buckets — bounded at any corpus size.
+A row's range is ``searchsorted(bounds, key, side="right")``: monotone in
+the key, and equal leading keys share a range, so range order == key order
+and ties on the trailing order columns are settled inside one group.
+Group payload is ~rows/ranges — bounded at any corpus size.
 
 Upstream parity note: the reference engine (SURVEY.md §2.6) has no
 packing stage — this is part of the §2.6 "training-data operations"
@@ -27,85 +33,94 @@ mandate, not a goose-parser port.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
-from goose_parser_ray.functions.dedup import num_shuffle_buckets
+from goose_parser_ray.functions import dedup
+
+# Seeds the boundary sample. The sample only shapes range SIZES, never an
+# offset, so the output does not depend on it; a fixed seed keeps reruns
+# on one layout.
+_SAMPLE_SEED = 42
+
+_RANGE = "__range"
 
 
 def global_scan_offsets(
     ds: ray.data.Dataset,
     *,
-    order_col: str,
-    size_col: str,
+    order_col: str | list[str],
+    size_col: str | None = None,
     offset_col: str = "start_off",
     n_rows: int | None = None,
 ) -> ray.data.Dataset:
     """Add ``offset_col`` = exclusive prefix sum of ``size_col`` in global
-    ``order_col`` order. ``order_col`` must be unique (it is the total
-    order; ties would make the scan ambiguous). ``n_rows`` sizes the
-    shuffle buckets; defaults to ``ds.count()`` (metadata-only on a plain
-    read, pass an upper bound when ``ds`` is mid-pipeline)."""
+    ``order_col`` order. ``order_col`` is one column or a list, compared
+    lexicographically; together they must be unique (ties would make the
+    scan ambiguous). With ``size_col=None`` every row weighs 1, so the
+    offset is the row's 0-based dense rank. ``n_rows`` sizes the ranges;
+    defaults to ``ds.count()`` (metadata-only on a plain read, pass an
+    upper bound when ``ds`` is mid-pipeline). Empty input gives no rows."""
+    cols = [order_col] if isinstance(order_col, str) else list(order_col)
+    lead = cols[0]
     if n_rows is None:
         n_rows = ds.count()
-    nb = num_shuffle_buckets(n_rows)
+    nb = dedup.num_shuffle_buckets(n_rows)
 
-    # range-bucket bounds from the order key's span (one cheap aggregate
-    # over the pruned column; bucket map must be MONOTONE in the key)
-    bounds = ds.select_columns([order_col, size_col]).map_batches(
-        lambda t: pa.Table.from_pydict(
-            {"lo": [pa.compute.min(t[order_col]).as_py()],
-             "hi": [pa.compute.max(t[order_col]).as_py()]}
-        ),
-        batch_format="pyarrow",
-    ).to_pandas()
-    lo, hi = int(bounds["lo"].min()), int(bounds["hi"].max())
-    span = max(1, hi - lo + 1)
-
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        return ((keys.astype(np.int64) - lo) * nb // span).astype(np.int64)
-
-    # pass 1: per-bucket partial sums, map-side bincount → tiny partials
-    def partial_sums(t: pa.Table) -> pa.Table:
-        k = t[order_col].to_numpy(zero_copy_only=False)
-        s = t[size_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = bucket_of(k)
-        sums = np.bincount(b, weights=s, minlength=nb).astype(np.int64)
-        nz = np.nonzero(sums)[0]
-        return pa.Table.from_pydict(
-            {"__b": nz.astype(np.int64), "__s": sums[nz]}
-        )
-
-    partials = (
-        ds.select_columns([order_col, size_col])
-        .map_batches(partial_sums, batch_format="pyarrow")
+    # range bounds: ~32 sampled leading keys per range, capped
+    want = min(nb * 32, 65_536)
+    frac = 1.0 if n_rows <= want else 1.2 * want / n_rows
+    samp = (
+        ds.select_columns([lead])
+        .random_sample(frac, seed=_SAMPLE_SEED)
+        .limit(want)
         .to_pandas()
     )
-    totals = np.zeros(nb, dtype=np.int64)
+    keys = np.sort(samp[lead].to_numpy()) if len(samp) else np.array([])
+    cut = np.linspace(0, len(keys) - 1, nb + 1)[1:-1].astype(int)
+    bounds = np.unique(keys[cut]) if len(keys) else keys  # none: one range
+
+    def range_of(t: pa.Table) -> np.ndarray:
+        k = t[lead].to_numpy(zero_copy_only=False)
+        return np.searchsorted(bounds, k, side="right").astype(np.int64)
+
+    def weights(t: pa.Table | pd.DataFrame) -> np.ndarray:
+        if size_col is None:
+            return np.ones(len(t), dtype=np.int64)
+        return np.asarray(t[size_col]).astype(np.int64)
+
+    # pass 1: per-range totals, exact integer partials per block
+    def range_sums(t: pa.Table) -> pa.Table:
+        sums = np.zeros(len(bounds) + 1, dtype=np.int64)
+        np.add.at(sums, range_of(t), weights(t))
+        nz = np.flatnonzero(sums)
+        return pa.table({"r": nz.astype(np.int64), "s": sums[nz]})
+
+    partials = (
+        ds.select_columns(cols[:1] + ([size_col] if size_col else []))
+        .map_batches(range_sums, batch_format="pyarrow", batch_size=None)
+        .to_pandas()
+    )
+    totals = np.zeros(len(bounds) + 1, dtype=np.int64)
     if len(partials):
-        np.add.at(totals, partials["__b"].to_numpy(), partials["__s"].to_numpy())
-    bases = np.concatenate(([0], np.cumsum(totals)[:-1]))  # exclusive
-    bases_ref = ray.put(bases)
+        np.add.at(totals, partials["r"].to_numpy(), partials["s"].to_numpy())
+    bases = np.cumsum(totals) - totals  # exclusive, captured by local_scan
 
-    # pass 2: bucketed local scan (the one real shuffle; payload rows/nb)
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t[order_col].to_numpy(zero_copy_only=False)
-        return t.append_column("__b", pa.array(bucket_of(k)))
+    # pass 2: range-bucketed local scan (the one real shuffle)
+    def tag_range(t: pa.Table) -> pa.Table:
+        # no pandas metadata into the shuffle: Ray cannot hash its schema
+        t = t.append_column(_RANGE, pa.array(range_of(t)))
+        return t.replace_schema_metadata(None)
 
-    def local_scan(g: "pa.Table") -> pa.Table:
-        import pandas as pd  # map_groups ships pandas for the sort
+    def local_scan(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(cols, kind="mergesort", ignore_index=True)
+        w = weights(g)
+        g[offset_col] = bases[g[_RANGE].iloc[0]] + np.cumsum(w) - w
+        return g.drop(columns=_RANGE)
 
-        df = g if isinstance(g, pd.DataFrame) else g.to_pandas()
-        df = df.sort_values(order_col, kind="mergesort").reset_index(drop=True)
-        sizes = df[size_col].to_numpy(np.int64)
-        base = ray.get(bases_ref)[int(df["__b"].iloc[0])]
-        off = base + np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        df[offset_col] = off.astype(np.int64)
-        return df.drop(columns="__b")
-
-    out = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return out.groupby("__b").map_groups(local_scan, batch_format="pandas")
+    tagged = ds.map_batches(tag_range, batch_format="pyarrow")
+    return tagged.groupby(_RANGE).map_groups(local_scan, batch_format="pandas")
 
 
 def pack_sequences(
@@ -153,10 +168,10 @@ def epoch_shuffle_shards(
     each epoch with zero stored state — re-runnable on resume, identical on
     every engine (no seeded RNG to reconcile).
 
-    The global rank is the ``global_scan_offsets`` prefix-sum scan with
-    size 1 over the composite key (id mod stride)·2⁴⁰ + id — exact, two
-    light passes, never a driver-side sort. Requires 0 ≤ id < 2⁴⁰ (1.1e12
-    docs) and stride < 2²² so the composite stays inside int64."""
+    The global rank is the ``global_scan_offsets`` dense rank over the
+    composite key (id mod stride)·2⁴⁰ + id — exact, two light passes,
+    never a driver-side sort. Requires 0 ≤ id < 2⁴⁰ (1.1e12 docs) and
+    stride < 2²² so the composite stays inside int64."""
     if not (0 < stride < (1 << 22)):
         raise ValueError("stride must be in (0, 2^22)")
 
@@ -168,16 +183,13 @@ def epoch_shuffle_shards(
                 f"[{ids.min()}, {ids.max()}]"
             )
         key = (ids % np.int64(stride)) * np.int64(1 << 40) + ids
-        one = np.ones(len(ids), dtype=np.int64)
         return pa.Table.from_arrays(
-            [t[id_col], pa.array(key), pa.array(one)],
-            names=[id_col, "__key", "__one"],
+            [t[id_col], pa.array(key)], names=[id_col, "__key"]
         )
 
     keyed = ds.map_batches(add_key, batch_format="pyarrow")
     ranked = global_scan_offsets(
-        keyed, order_col="__key", size_col="__one", offset_col="__rank",
-        n_rows=n_rows,
+        keyed, order_col="__key", offset_col="__rank", n_rows=n_rows,
     )
 
     def deal(t: pa.Table) -> pa.Table:

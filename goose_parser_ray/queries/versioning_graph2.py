@@ -14,6 +14,7 @@ import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.dedup import exact_dedup
+from goose_parser_ray.functions.packing import global_scan_offsets
 from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
 from goose_parser_ray.stages.extract import cached_kernel
 
@@ -372,66 +373,21 @@ QUALIFY ROW_NUMBER() OVER (PARTITION BY doc_id
 def q_row_number_global(sf_dir: str):
     """Exact global dense row numbering (the zipWithIndex primitive —
     contiguous 1..N by a total order) WITHOUT a single-node sort owner:
-    pass 1 streams per-batch histograms over B data-proportional key
-    ranges (map-side combine → ≤B-row groupby → driver prefix sums on the
-    BOUNDED range table); pass 2 shuffles each row to its range group and
-    numbers inside the group as offset + vectorized local rank. Group
-    payload stays ~rows/B at any corpus size; the key-range grid assumes a
-    roughly uniform key domain (doc_id here) — a skewed domain would use
-    sampled quantile boundaries instead (documented partitioning
-    assumption)."""
-    import pandas as pd
-
+    the row number is the dense rank of doc_id from the ordered scan
+    ``packing.global_scan_offsets``, plus one. Its ranges come from a
+    boundary sample of doc_id, so group payload stays ~rows/ranges at any
+    corpus size and under any id skew."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-    n = ds.count()
-    # coarser target than the generic shuffle default: a numbering range
-    # only carries (id, payload, rank) rows, so 1M rows/group is fine and
-    # keeps the driver-side offset table at n/1M entries (8 MB at 10¹²
-    # rows) instead of n/50k
-    nb = _dedup.num_shuffle_buckets(n, target=1_000_000)
-    lo_hi = ds.aggregate(
-        ray.data.aggregate.Min("doc_id"), ray.data.aggregate.Max("doc_id")
-    )
-    lo, hi = int(lo_hi["min(doc_id)"]), int(lo_hi["max(doc_id)"])
-    width = max(1, (hi - lo) // nb + 1)
-
-    def add_range(t: pa.Table) -> pa.Table:
-        did = t["doc_id"].to_numpy(zero_copy_only=False)
-        rng = np.minimum(nb - 1, (did - lo) // width).astype(np.int64)
-        return t.append_column("__rng", pa.array(rng))
-
-    # pass 1: bounded per-range counts → driver prefix offsets (≤nb rows)
-    counts = (
-        pre_aggregated_sum(
-            ds.map_batches(add_range, batch_format="pyarrow").select_columns(
-                ["__rng"]
-            ),
-            keys=["__rng"],
-            sums={},
-            count_alias="c",
-        )
-        .to_pandas()
-        .sort_values("__rng")
-    )
-    offsets = np.zeros(nb, dtype=np.int64)
-    offsets[counts["__rng"].to_numpy()] = counts["c"].to_numpy()
-    offsets = np.concatenate([[0], np.cumsum(offsets)[:-1]])
-    # plasma broadcast, NOT closure capture: the offset table is fetched
-    # zero-copy once per worker instead of re-serialized into every task
-    off_ref = ray.put(offsets)
-
-    def number_range(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
-        g = g.sort_values("doc_id", kind="mergesort")
-        g["row_num"] = off[int(g["__rng"].iloc[0])] + np.arange(
-            1, len(g) + 1, dtype=np.int64
-        )
-        return g[["doc_id", "n_chars", "row_num"]]
-
-    return (
-        ds.map_batches(add_range, batch_format="pyarrow")
-        .groupby("__rng")
-        .map_groups(number_range, batch_format="pandas")
+    ranked = global_scan_offsets(ds, order_col="doc_id", offset_col="row_num")
+    return ranked.map_batches(
+        lambda t: pa.table(
+            {
+                "doc_id": t["doc_id"],
+                "n_chars": t["n_chars"],
+                "row_num": pc.add(t["row_num"], 1),
+            }
+        ),
+        batch_format="pyarrow",
     )
 
 
@@ -1506,74 +1462,46 @@ def q_curriculum_order(sf_dir: str):
     band's members in a deterministic hash-shuffled order (Knuth
     multiplicative hash of doc_id, doc_id tiebreak) — the exact ordering
     a curriculum dataloader consumes, reproducible across runs and
-    resumable from any position. Distributed as the zipWithIndex shape
-    (q_row_number_global): pass 1 streams bounded per-(band, hash-range)
-    counts to driver prefix offsets over the plasma-broadcast table;
-    pass 2 shuffles rows to their range group and numbers inside it as
-    offset + local rank. No single-node sort owner; group payload stays
-    ~rows/B at any corpus size (hash key is uniform by construction)."""
-    import pandas as pd
-
+    resumable from any position. The position is the dense rank of
+    (band·2³¹ + hash, doc_id) from the ordered scan
+    ``packing.global_scan_offsets``, plus one: no single-node sort owner,
+    group payload ~rows/ranges at any corpus size."""
     KNUTH = 2654435761
     HMOD = 1 << 31
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    n = ds.count()
-    nbh = _dedup.num_shuffle_buckets(n, target=1_000_000)
 
     def featurize(t: pa.Table) -> pa.Table:
         q = pc.list_value_length(
             pc.split_pattern(t["text"], " ")
         ).to_numpy(zero_copy_only=False).astype(np.int64)
         d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = (d * KNUTH) % HMOD
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(d),
-                "q": pa.array(q),
-                "h": pa.array(h),
-            }
-        )
+        return pa.table({"doc_id": d, "q": q, "h": (d * KNUTH) % HMOD})
 
-    feats = ds.map_batches(featurize, batch_format="pyarrow")
+    # three int64 columns, read four times (max, sample, totals, scan):
+    # one text pass instead of four
+    feats = ds.map_batches(featurize, batch_format="pyarrow").materialize()
     max_q = int(feats.max("q"))
 
-    def add_range(t: pa.Table) -> pa.Table:
-        q = t["q"].to_numpy(zero_copy_only=False)
-        h = t["h"].to_numpy(zero_copy_only=False)
-        band = q * 4 // (max_q + 1)
-        rng = band * nbh + h // -(-HMOD // nbh)  # ceil-div width
-        out = t.append_column("band", pa.array(band.astype(np.int64)))
-        return out.append_column("__rng", pa.array(rng.astype(np.int64)))
+    def band_key(t: pa.Table) -> pa.Table:
+        band = t["q"].to_numpy(zero_copy_only=False) * 4 // (max_q + 1)
+        key = band * HMOD + t["h"].to_numpy(zero_copy_only=False)
+        return pa.table({"doc_id": t["doc_id"], "band": band, "__key": key})
 
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
-    ranged = feats.map_batches(add_range, batch_format="pyarrow")
-    counts = (
-        pre_aggregated_sum(
-            ranged.select_columns(["__rng"]),
-            keys=["__rng"],
-            sums={},
-            count_alias="c",
-        )
-        .to_pandas()
-        .sort_values("__rng")
+    ranked = global_scan_offsets(
+        feats.map_batches(band_key, batch_format="pyarrow"),
+        order_col=["__key", "doc_id"],
+        offset_col="pos",
     )
-    offsets = np.zeros(4 * nbh, dtype=np.int64)
-    offsets[counts["__rng"].to_numpy()] = counts["c"].to_numpy()
-    offsets = np.concatenate([[0], np.cumsum(offsets)[:-1]])
-    off_ref = ray.put(offsets)
-
-    def number_range(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
-        g = g.sort_values(["h", "doc_id"], kind="mergesort")
-        g["pos"] = off[int(g["__rng"].iloc[0])] + np.arange(
-            1, len(g) + 1, dtype=np.int64
-        )
-        return g[["doc_id", "band", "pos"]]
-
-    return ranged.groupby("__rng").map_groups(
-        number_range, batch_format="pandas"
+    return ranked.map_batches(
+        lambda t: pa.table(
+            {
+                "doc_id": t["doc_id"],
+                "band": t["band"],
+                "pos": pc.add(t["pos"], 1),
+            }
+        ),
+        batch_format="pyarrow",
     )
 
 
@@ -1603,75 +1531,40 @@ def q_pps_sample(sf_dir: str):
     in the cumulative weight selects the crossing doc (a doc heavier
     than S is selected multiple times — emitted as ``times_selected``).
     Deterministic offset-0 variant (a production draw would add a seeded
-    start < S; the arithmetic is identical). Distribution is the
-    zipWithIndex shape: bounded per-range weight sums → driver prefix
-    offsets over the plasma-broadcast table → per-range local cumsum +
-    offset, so the GLOBAL prefix sum is exact with no single-node scan
-    owner. Twin: one window cumsum and the same floor-division crossing
-    rule."""
-    import pandas as pd
-
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
+    start < S; the arithmetic is identical). The cumulative weight before
+    each doc is the exclusive prefix sum from the ordered scan
+    ``packing.global_scan_offsets``, so the GLOBAL prefix sum is exact
+    with no single-node scan owner; S comes from one sum of the weights.
+    Twin: one window cumsum and the same floor-division crossing rule."""
     N_SAMPLES = 64
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    n = ds.count()
-    nb = _dedup.num_shuffle_buckets(n, target=1_000_000)
-    lo_hi = ds.aggregate(
-        ray.data.aggregate.Min("doc_id"), ray.data.aggregate.Max("doc_id")
-    )
-    lo, hi = int(lo_hi["min(doc_id)"]), int(lo_hi["max(doc_id)"])
-    width = max(1, (hi - lo) // nb + 1)
 
     def featurize(t: pa.Table) -> pa.Table:
-        w = pc.cast(
-            pc.utf8_length(pc.fill_null(t["text"], "")), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        rng = np.minimum(nb - 1, (d - lo) // width).astype(np.int64)
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(d),
-                "w": pa.array(w),
-                "__rng": pa.array(rng),
-            }
-        )
+        w = pc.cast(pc.utf8_length(pc.fill_null(t["text"], "")), pa.int64())
+        return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64()), "w": w})
 
-    feats = ds.map_batches(featurize, batch_format="pyarrow")
-    range_sums = (
-        pre_aggregated_sum(
-            feats.select_columns(["__rng", "w"]),
-            keys=["__rng"],
-            sums={"w": "w"},
-        )
-        .to_pandas()
-        .sort_values("__rng")
+    # two int64 columns, read four times (sum, sample, totals, scan): one
+    # text pass instead of four
+    feats = ds.map_batches(featurize, batch_format="pyarrow").materialize()
+    step = max(1, int(feats.sum("w") or 0) // N_SAMPLES)
+    scanned = global_scan_offsets(
+        feats, order_col="doc_id", size_col="w", offset_col="before"
     )
-    totals = np.zeros(nb, dtype=np.int64)
-    totals[range_sums["__rng"].to_numpy()] = range_sums["w"].to_numpy()
-    step = max(1, int(totals.sum()) // N_SAMPLES)
-    offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
-    off_ref = ray.put(offsets)
 
-    def select_range(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
-        g = g.sort_values("doc_id", kind="mergesort")
-        w = g["w"].to_numpy(np.int64)
-        after = off[int(g["__rng"].iloc[0])] + np.cumsum(w)
-        before = after - w
-        sel = after // step - before // step
+    def select(t: pa.Table) -> pa.Table:
+        w = t["w"].to_numpy(zero_copy_only=False)
+        before = t["before"].to_numpy(zero_copy_only=False)
+        sel = (before + w) // step - before // step
         keep = sel > 0
-        return pd.DataFrame(
+        return pa.table(
             {
-                "doc_id": g["doc_id"].to_numpy(np.int64)[keep],
+                "doc_id": t["doc_id"].to_numpy(zero_copy_only=False)[keep],
                 "times_selected": sel[keep],
             }
         )
 
-    return feats.groupby("__rng").map_groups(
-        select_range, batch_format="pandas"
-    )
+    return scanned.map_batches(select, batch_format="pyarrow")
 
 
 SQL_PPS_SAMPLE = """

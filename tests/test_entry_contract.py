@@ -121,15 +121,12 @@ def test_no_dataset_join_outside_relational():
 
 # Groupbys on an ORDER range, not a key hash: each splits a sorted key (or
 # arrival order) into contiguous ranges so a prefix scan can carry per-range
-# bases from one range to the next, which hash buckets cannot give.
+# bases from one range to the next, which hash buckets cannot give. Every
+# prefix sum and rank goes through the one ordered scan.
 RANGE_SCANS = {
-    ("functions/packing.py", "global_scan_offsets"): "row-order ranges, per-range token bases",
-    ("functions/blocking.py", "_rank_by_key"): "sampled key ranges, per-range rank offsets",
+    ("functions/packing.py", "global_scan_offsets"): "sampled key ranges, per-range prefix-sum bases",
     ("functions/blocking.py", "sorted_neighborhood_pairs"): "rank ranges rank // B, window copied across",
     ("queries/quality_stats.py", "q_late_events"): "event_id arrival ranges, seeded running max",
-    ("queries/versioning_graph2.py", "q_row_number_global"): "doc_id ranges, per-range row-number offsets",
-    ("queries/versioning_graph2.py", "q_curriculum_order"): "hash-value ranges of a global sort order",
-    ("queries/versioning_graph2.py", "q_pps_sample"): "cumulative-weight ranges of a systematic sample",
 }
 
 # Hash % buckets that splits ONE key rather than bucketing keys.

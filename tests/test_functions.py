@@ -698,12 +698,14 @@ def test_quantile_sketch_accuracy(ray_session):
 def test_num_shuffle_buckets_data_proportional(ray_session):
     """Bucket count must grow with input so expected rows per shuffle group
     stays ≤ target as the corpus quadruples (r2 VERDICT #1 done-criterion)."""
-    from goose_parser_ray.functions.dedup import num_shuffle_buckets
+    from goose_parser_ray.functions.dedup import (
+        _TARGET_ROWS_PER_BUCKET as target,
+        num_shuffle_buckets,
+    )
 
-    target = 50_000
     n = 10_000_000
     for _ in range(4):  # n, 4n, 16n, 64n
-        nb = num_shuffle_buckets(n, target=target)
+        nb = num_shuffle_buckets(n)
         assert n / nb <= target, (n, nb)
         assert nb & (nb - 1) == 0  # power of two (cheap AND-mask compatible)
         n *= 4
@@ -798,12 +800,13 @@ def test_distinct_rows_invariant_to_bucket_count(ray_session, monkeypatch):
     assert len(outs[0]) == 60
 
 
-def test_coarse_bucket_payload_bounded(docs_ds):
+def test_coarse_bucket_payload_bounded(docs_ds, monkeypatch):
     """With data-proportional sizing, no coarse shuffle group sees more than
     ~target banded rows: simulate by hashing the banded stream through
     add_coarse_bucket at the count the sizing rule picks."""
     import collections
 
+    from goose_parser_ray.functions import dedup
     from goose_parser_ray.functions.dedup import (
         MinHashActor,
         add_coarse_bucket,
@@ -812,7 +815,8 @@ def test_coarse_bucket_payload_bounded(docs_ds):
 
     banded = MinHashActor()(docs_table())
     target = 50  # tiny target to exercise the bound on a small fixture
-    nb = num_shuffle_buckets(banded.num_rows, target=target)
+    monkeypatch.setattr(dedup, "_TARGET_ROWS_PER_BUCKET", target)
+    nb = num_shuffle_buckets(banded.num_rows)
     t = add_coarse_bucket(banded, ["band", "key"], nb)
     counts = collections.Counter(t["__b"].to_pylist())
     # expected load/bucket = rows/nb ≤ target; allow hot fine-groups (a
@@ -1322,6 +1326,62 @@ def test_global_scan_offsets_matches_numpy_cumsum(ray_session):
     assert (packed["ex_end"] >= packed["ex_start"]).all()
 
 
+def test_global_scan_offsets_empty_input(ray_session):
+    """An empty dataset scans to zero rows instead of raising."""
+    import pandas as pd
+
+    from goose_parser_ray.functions.packing import global_scan_offsets
+
+    empty = pd.DataFrame({"k": np.array([], np.int64), "n": np.array([], np.int64)})
+    assert global_scan_offsets(
+        ray.data.from_pandas(empty), order_col="k", size_col="n"
+    ).to_pandas().empty
+    emptied = ray.data.range(10).map_batches(
+        lambda t: t.slice(0, 0), batch_format="pyarrow"
+    )
+    assert global_scan_offsets(emptied, order_col="id").count() == 0
+
+
+@pytest.mark.parametrize("buckets", [1, 7, None])
+def test_global_scan_offsets_invariant_to_bucket_count(ray_session, monkeypatch, buckets):
+    """The range count only partitions work: offsets equal a numpy
+    reference at 1, 7 and the cluster's bucket count, for string keys with
+    heavy ties settled by a second order column, unit weights (dense rank)
+    and a weight column (exclusive prefix sum)."""
+    import pandas as pd
+
+    from goose_parser_ray.functions import dedup
+    from goose_parser_ray.functions.packing import global_scan_offsets
+
+    if buckets is not None:
+        monkeypatch.setattr(dedup, "num_shuffle_buckets", lambda n: buckets)
+    rng = np.random.default_rng(5)
+    n = 2000
+    keys = np.array([f"k{i:02d}" for i in rng.integers(0, 12, n)], dtype=object)
+    keys[:600] = "k05"  # one tie run far larger than any range
+    ids = rng.permutation(n).astype(np.int64)
+    w = rng.integers(0, 50, n).astype(np.int64)
+    ds = ray.data.from_pandas(pd.DataFrame({"k": keys, "id": ids, "w": w})).repartition(6)
+
+    order = np.lexsort((ids, keys))
+    rank = np.empty(n, np.int64)
+    rank[order] = np.arange(n)
+    before = np.empty(n, np.int64)
+    before[order] = np.cumsum(w[order]) - w[order]
+
+    got = (
+        global_scan_offsets(ds, order_col=["k", "id"], offset_col="rn")
+        .to_pandas().set_index("id").loc[ids]
+    )
+    assert got["rn"].tolist() == rank.tolist()
+    assert got["k"].tolist() == keys.tolist()
+    got = (
+        global_scan_offsets(ds, order_col=["k", "id"], size_col="w")
+        .to_pandas().set_index("id").loc[ids]
+    )
+    assert got["start_off"].tolist() == before.tolist()
+
+
 def test_redact_pii_rules_and_idempotence():
     """Emails, phones and digit runs each redact; a second pass is a
     no-op (placeholders contain no redactable spans)."""
@@ -1687,21 +1747,30 @@ def test_bigram_lm_score_gate_paths_and_reference(ray_session):
     assert 3 not in ref and 4 not in ref  # <2 words -> no bigrams
 
 
-def test_epoch_shuffle_shards_matches_sorted_reference(ray_session):
+@pytest.mark.parametrize(
+    "stride, ids",
+    [
+        (9973, [3, 7, 11, 500, 9973, 9974, 19946, 42, 1000000, 12345]),
+        # the largest stride accepted: composite keys near 2^62, where a
+        # range layout that multiplies key offsets by a bucket count wraps
+        ((1 << 22) - 1, [0, 1, 5, 1 << 21, (1 << 22) - 2, 3_000_000, 4_000_000]),
+    ],
+    ids=["prime_stride", "max_stride"],
+)
+def test_epoch_shuffle_shards_matches_sorted_reference(ray_session, stride, ids):
     """epoch_shuffle_shards: rank must equal the position in the (id mod
     stride, id) sort order; shard/pos are the round-robin deal."""
     import pandas as pd
 
     from goose_parser_ray.functions.packing import epoch_shuffle_shards
 
-    ids = [3, 7, 11, 500, 9973, 9974, 19946, 42, 1000000, 12345]
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": ids}))
     out = (
-        epoch_shuffle_shards(ds, id_col="doc_id", n_shards=4, stride=9973)
+        epoch_shuffle_shards(ds, id_col="doc_id", n_shards=4, stride=stride)
         .to_pandas()
         .set_index("doc_id")
     )
-    order = sorted(ids, key=lambda i: (i % 9973, i))
+    order = sorted(ids, key=lambda i: (i % stride, i))
     for rank, did in enumerate(order):
         assert out.loc[did, "shard"] == rank % 4, did
         assert out.loc[did, "pos"] == rank // 4, did
