@@ -117,11 +117,11 @@ def build_extraction_pipeline(
 
     Each task takes a whole block and cuts it into ``batch_size``-row
     slices; every slice is normalized, filtered, extracted and its salted
-    chunks merged before the next, so the salting row loops only ever see
-    the slice that holds a mega-doc. The map has no ``batch_size`` of its
-    own, so Ray Data fuses it with the read and the maps before it and with
-    the write after it: a block is read, extracted and written in one task,
-    and Ray runs one such task per CPU.
+    chunks merged before the next, so a mega-doc is split and merged back
+    on the list offsets of the slice that holds it. The map has no
+    ``batch_size`` of its own, so Ray Data fuses it with the read and the
+    maps before it and with the write after it: a block is read, extracted
+    and written in one task, and Ray runs one such task per CPU.
 
     ``partition_filter``: restrict the job to these partition_ids — applied
     right after normalize, BEFORE the expensive extract (resume/wave runs

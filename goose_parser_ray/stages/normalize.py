@@ -8,13 +8,21 @@ mega-documents (span count > ``salt_threshold``) into ``(doc_id, salt)``
 chunk rows so no single row blows a worker's heap. Once the slice is
 extracted, :func:`merge_salted` reassembles each doc from its chunks
 (§2.6 S1), so no chunk row leaves the task. Unsalted docs carry
-``salt=0, n_salts=1`` and pass through that merge untouched.
+``salt=0, n_salts=1`` and pass through both untouched.
+
+Both halves work on the spans column's list offsets and flattened values
+with Arrow and numpy kernels: the split sorts a mega-doc's spans with one
+``np.lexsort`` and cuts them into chunks with new offsets, and the merge
+concatenates a doc's chunk spans under new offsets. No span becomes a
+Python object, and a slice with nothing to split or merge is returned
+zero-copy.
 """
 
 from __future__ import annotations
 
 import zlib
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -35,8 +43,6 @@ def coerce_spans_column(col: pa.ChunkedArray) -> pa.ChunkedArray:
     Children are matched BY NAME and cast individually; a missing child
     becomes typed nulls (the poison-doc quarantine catches it per row).
     Zero-copy no-op when the column already matches ``SPAN_STRUCT``."""
-    import numpy as np
-
     target = pa.list_(SPAN_STRUCT)
     if col.type == target:
         return col
@@ -80,8 +86,14 @@ def make_normalize_fn(
 
     ``salt_threshold`` must be ≥ 1 (it is both the split trigger and the
     chunk size — 0 would mean zero-span chunks). Callers that want "no
-    salting" pass ``None`` at the pipeline level, which skips this stage's
-    salting branch entirely.
+    salting" pass ``None`` at the pipeline level, which sets a threshold no
+    doc reaches. A row is split only when it has more spans than that and
+    none of its spans or offsets is null: a row without a full order stays
+    whole, as it came, and the extract quarantines it with the error
+    whole-doc extraction raises. A split row's spans are sorted by
+    ``offset`` (stable) and cut into ``ceil(len / salt_threshold)`` chunk
+    rows; every other row keeps its spans as they came (the extract sorts
+    them).
 
     ``partition_source``: 'hash' computes ``stable_hash(doc_id) % P`` per
     row; 'column' trusts an existing ``partition_id`` column (fragment-
@@ -95,98 +107,73 @@ def make_normalize_fn(
         )
 
     def normalize(batch: pa.Table) -> pa.Table:
-        spans_idx = batch.column_names.index("spans")
-        batch = batch.set_column(
-            spans_idx,
-            pa.field("spans", pa.list_(SPAN_STRUCT)),
-            coerce_spans_column(batch["spans"]),
-        )
-        doc_ids = batch["doc_id"].to_pylist()
-        n = len(doc_ids)
+        n = batch.num_rows
         if partition_source == "column":
-            pids = batch["partition_id"].to_pylist()
-            batch = batch.drop_columns(["partition_id"])
+            pids = pc.cast(batch["partition_id"], pa.int32())
         else:
-            pids = [stable_hash(str(d)) % num_partitions for d in doc_ids]
-
-        # fast path: no mega-doc in this batch → spans column passes through
-        # untouched (zero-copy); the python row loop below only runs for
-        # batches that actually contain something to salt
-        lengths = pc.list_value_length(batch["spans"])
-        max_len = pc.max(lengths).as_py() or 0
-        if max_len <= salt_threshold:
-            source_col = (
+            pids = pa.array(
+                [stable_hash(str(d)) % num_partitions for d in batch["doc_id"].to_pylist()],
+                pa.int32(),
+            )
+        spans = coerce_spans_column(batch["spans"])
+        table = pa.Table.from_arrays(
+            [
+                pc.cast(batch["doc_id"], pa.string()),
                 pc.cast(batch["source"], pa.string())
                 if "source" in batch.column_names
-                else pa.array([""] * n, pa.string())
-            )
-            zeros = pa.array([0] * n, pa.int32())
-            ones = pa.array([1] * n, pa.int32())
-            return pa.Table.from_arrays(
-                [
-                    pc.cast(batch["doc_id"], pa.string()),
-                    source_col,
-                    zeros,
-                    ones,
-                    pa.array(pids, pa.int32()),
-                    batch["spans"],
-                ],
-                schema=NORMALIZED_SCHEMA,
-            )
-
-        spans_col = batch["spans"].to_pylist()
-        sources = (
-            batch["source"].to_pylist()
-            if "source" in batch.column_names
-            else [""] * n
+                else pa.array([""] * n, pa.string()),
+                pa.array(np.zeros(n, np.int32)),
+                pa.array(np.ones(n, np.int32)),
+                pids,
+                spans,
+            ],
+            schema=NORMALIZED_SCHEMA,
         )
-        out = {
-            "doc_id": [], "source": [], "salt": [], "n_salts": [],
-            "partition_id": [], "spans": [],
-        }
-        for doc_id, source, spans, row_pid in zip(
-            doc_ids, sources, spans_col, pids
-        ):
-            doc_id = str(doc_id)
-            source = "" if source is None else str(source)
-            pid = int(row_pid)
-            spans = sorted(spans or [], key=lambda s: s["offset"])
-            if len(spans) <= salt_threshold:
-                chunks = [spans]
-            else:
-                chunks = [
-                    spans[i : i + salt_threshold]
-                    for i in range(0, len(spans), salt_threshold)
-                ]
-            for k, chunk in enumerate(chunks):
-                out["doc_id"].append(doc_id)
-                out["source"].append(source)
-                out["salt"].append(k)
-                out["n_salts"].append(len(chunks))
-                out["partition_id"].append(pid)
-                out["spans"].append(chunk)
-        return pa.Table.from_pydict(out, schema=NORMALIZED_SCHEMA)
+        lengths = pc.fill_null(pc.list_value_length(spans), 0).to_numpy()
+        split = lengths > salt_threshold
+        if not split.any():
+            return table
+        spans = spans.combine_chunks()
+        values = spans.flatten()  # the non-null lists' spans, in row order
+        row = np.repeat(np.arange(n), lengths)
+        offset = pc.struct_field(values, "offset")  # also null for a null span
+        # a row with a null offset has no order to split by: it stays whole,
+        # and the extract quarantines it as it does when nothing is salted
+        split[row[offset.is_null().to_numpy(zero_copy_only=False)]] = False
+        if not split.any():
+            return table
+        # each split row's spans, sorted by offset (stable); the other rows'
+        # spans keep their place
+        key = np.where(split[row], pc.fill_null(offset, 0).to_numpy(), 0)
+        values = values.take(np.lexsort((key, row)))
+        n_chunks = np.where(split, -(-lengths // salt_threshold), 1)
+        rep = np.repeat(np.arange(n), n_chunks)
+        salt = np.arange(len(rep)) - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)
+        chunk_len = np.where(
+            split[rep],
+            np.minimum(salt_threshold, lengths[rep] - salt * salt_threshold),
+            lengths[rep],
+        )
+        null_list = spans.is_null().to_numpy(zero_copy_only=False)
+        chunks = pa.ListArray.from_arrays(
+            pa.array(np.concatenate([[0], np.cumsum(chunk_len)]), pa.int32()),
+            values,
+            mask=pa.array(null_list[rep]) if null_list.any() else None,
+        )
+        keys = table.select(["doc_id", "source", "partition_id"]).take(rep)
+        return pa.Table.from_arrays(
+            [
+                keys["doc_id"],
+                keys["source"],
+                pa.array(salt, pa.int32()),
+                pa.array(n_chunks[rep], pa.int32()),
+                keys["partition_id"],
+                chunks,
+            ],
+            schema=NORMALIZED_SCHEMA,
+        )
 
     return normalize
-
-
-def _merge_run(rows: list[dict]) -> dict:
-    """One doc's extracted chunk rows, in salt order, as its whole row:
-    spans concatenated and their offsets renumbered. A chunk error
-    quarantines the whole doc as unsalted extraction does: no spans, and
-    the first chunk error in salt order, which is the error whole-doc
-    extraction raises."""
-    error = next((r["error"] for r in rows if r["error"]), "")
-    spans = [] if error else [s for r in rows for s in r["spans"]]
-    return {
-        "doc_id": rows[0]["doc_id"],
-        "salt": 0,
-        "n_salts": 1,
-        "partition_id": rows[0]["partition_id"],
-        "spans": [{**s, "offset": i} for i, s in enumerate(spans)],
-        "n_spans": len(spans),
-        "error": error,
-    }
 
 
 def merge_salted(t: pa.Table) -> pa.Table:
@@ -195,16 +182,55 @@ def merge_salted(t: pa.Table) -> pa.Table:
     Normalize emits all chunks of a doc together and in salt order, and the
     partition filter keeps or drops them together (they share one
     ``partition_id``), so each doc's chunk set in the slice is complete and
-    contiguous: a run starts at its ``salt == 0`` row. A slice without a
-    salted doc passes through untouched; only salted rows go through
-    Python."""
+    contiguous: a run starts at its ``salt == 0`` row. A run's spans are
+    its chunks' spans in salt order under new list offsets, their
+    ``offset`` renumbered 0..n-1 within the doc. A chunk error quarantines
+    the whole doc as unsalted extraction does: no spans, and the first
+    chunk error in salt order, which is the error whole-doc extraction
+    raises. Unsalted rows come first, untouched, then one row per run in
+    run order; a slice without a salted doc passes through as it is."""
     salted = pc.greater(t["n_salts"], 1)
     if not pc.any(salted).as_py():
         return t
-    runs: list[list[dict]] = []
-    for r in t.filter(salted).to_pylist():
-        if r["salt"] == 0:
-            runs.append([])
-        runs[-1].append(r)
-    merged = pa.Table.from_pylist([_merge_run(rs) for rs in runs], schema=t.schema)
+    s = t.filter(salted).combine_chunks()
+    starts = s["salt"].to_numpy() == 0
+    run = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    n_runs = len(first)
+    # per run, the row of its first chunk error, -1 when it has none
+    errors = s["error"].chunk(0)
+    err_rows = np.flatnonzero(
+        pc.fill_null(pc.not_equal(errors, ""), False).to_numpy(zero_copy_only=False)
+    )
+    err_runs, first_err = np.unique(run[err_rows], return_index=True)
+    err_row = np.full(n_runs, -1)
+    err_row[err_runs] = err_rows[first_err]
+    spans = s["spans"].chunk(0)
+    lengths = pc.fill_null(pc.list_value_length(spans), 0).to_numpy()
+    keep = err_row[run] < 0
+    counts = np.bincount(run, weights=lengths * keep, minlength=n_runs).astype(np.int64)
+    values = spans.flatten()
+    if not keep.all():
+        values = values.filter(pa.array(np.repeat(keep, lengths)))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    position = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+    children = {f.name: a for f, a in zip(values.type, values.flatten())}
+    children["offset"] = pa.array(position, pa.int32())
+    merged = pa.Table.from_arrays(
+        [
+            s["doc_id"].take(first),
+            pa.array(np.zeros(n_runs, np.int32)),
+            pa.array(np.ones(n_runs, np.int32)),
+            s["partition_id"].take(first),
+            pa.ListArray.from_arrays(
+                pa.array(offsets, pa.int32()),
+                pa.StructArray.from_arrays(
+                    [children[f.name] for f in SPAN_STRUCT], fields=list(SPAN_STRUCT)
+                ),
+            ),
+            pa.array(counts, pa.int32()),
+            pc.fill_null(errors.take(pa.array(err_row, mask=err_row < 0)), ""),
+        ],
+        schema=t.schema,
+    )
     return pa.concat_tables([t.filter(pc.invert(salted)), merged])

@@ -96,7 +96,10 @@ def test_rules_mode_through_pipeline(corpus, tmp_path):
 def test_poison_document_quarantine(ray_session, tmp_path, salt_threshold):
     """A doc with a bad span is quarantined whole (no spans, the error
     whole-doc extraction raises), whether or not it was salted: a salted
-    doc whose chunk 1 of 3 fails keeps none of its good chunks' spans."""
+    doc whose chunk 1 of 3 fails keeps none of its good chunks' spans. A
+    doc with a null offset (what ``coerce_spans_column`` makes of input
+    without an offset child) is never split or reordered, so it is
+    quarantined even in a slice that holds a salted doc."""
     import pyarrow as pa
 
     from goose_parser_ray.spans import DOCUMENTS_SCHEMA, extract_document
@@ -106,6 +109,11 @@ def test_poison_document_quarantine(ray_session, tmp_path, salt_threshold):
         for i in range(10)
     ]
     long_bad[7]["kind"] = "bogus"
+    no_offset = [
+        {"kind": "text", "text": f"u{i}", "media_ref": "", "offset": i}
+        for i in range(5)
+    ]
+    no_offset[2]["offset"] = None
     rows = [
         {
             "doc_id": "ok-1",
@@ -116,13 +124,14 @@ def test_poison_document_quarantine(ray_session, tmp_path, salt_threshold):
             "spans": [{"kind": "no-such-kind", "text": "x", "media_ref": "", "offset": 0}],
         },
         {"doc_id": "bad-10", "spans": long_bad},
+        {"doc_id": "no-offset", "spans": no_offset},
     ]
     tbl = pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
     ds = ray.data.from_arrow(tbl)
     out = build_extraction_pipeline(
         ds, num_partitions=2, salt_threshold=salt_threshold, batch_size=8
     ).to_pandas()
-    assert len(out) == 3
+    assert len(out) == 4
     ok = out[out["doc_id"] == "ok-1"].iloc[0]
     bad = out[out["doc_id"] == "bad-1"].iloc[0]
     assert ok["error"] == "" and ok["n_spans"] == 1
@@ -133,6 +142,11 @@ def test_poison_document_quarantine(ray_session, tmp_path, salt_threshold):
     assert bad10["error"] == f"ValueError: {whole.value}"
     assert bad10["n_spans"] == 0 and len(bad10["spans"]) == 0
     assert (bad10["salt"], bad10["n_salts"]) == (0, 1)
+    with pytest.raises(TypeError) as whole:
+        extract_document("no-offset", no_offset)
+    bad_off = out[out["doc_id"] == "no-offset"].iloc[0]
+    assert bad_off["error"] == f"TypeError: {whole.value}"
+    assert bad_off["n_spans"] == 0 and (bad_off["salt"], bad_off["n_salts"]) == (0, 1)
 
 
 def test_foreign_span_schema_coerced_at_ingest(ray_session):

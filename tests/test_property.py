@@ -50,26 +50,31 @@ def test_moment_roundtrip(d, fmt, locale):
     st.integers(min_value=1, max_value=7),
 )
 def test_salt_split_merge_identity(texts, threshold):
-    from goose_parser_ray.stages.normalize import _merge_run
+    """Split one doc with normalize, take the chunks as their own extract
+    output, and merge them back: the doc's spans in order, renumbered."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from goose_parser_ray.spans import DOCUMENTS_SCHEMA
+    from goose_parser_ray.stages.extract import EXTRACT_OUT_SCHEMA
+    from goose_parser_ray.stages.normalize import make_normalize_fn, merge_salted
 
     spans = [
         {"kind": "text", "text": t, "media_ref": "", "offset": i}
         for i, t in enumerate(texts)
     ]
-    chunks = [spans[i : i + threshold] for i in range(0, len(spans), threshold)] or [[]]
-    rows = [
-        {
-            "doc_id": "d",
-            "salt": k,
-            "n_salts": len(chunks),
-            "partition_id": 0,
-            "spans": c,
-            "n_spans": len(c),
-            "error": "",
-        }
-        for k, c in enumerate(chunks)
-    ]
-    merged = _merge_run(rows)
+    doc = pa.Table.from_pylist([{"doc_id": "d", "spans": spans}], schema=DOCUMENTS_SCHEMA)
+    chunks = make_normalize_fn(1, threshold)(doc)
+    assert chunks.num_rows == max(1, -(-len(texts) // threshold))
+    extracted = pa.Table.from_arrays(
+        [
+            *(chunks[c] for c in ("doc_id", "salt", "n_salts", "partition_id", "spans")),
+            pc.list_value_length(chunks["spans"]),
+            pa.array([""] * chunks.num_rows),
+        ],
+        schema=EXTRACT_OUT_SCHEMA,
+    )
+    [merged] = merge_salted(extracted).to_pylist()
     assert [s["text"] for s in merged["spans"]] == texts
     assert [s["offset"] for s in merged["spans"]] == list(range(len(texts)))
     assert merged["n_salts"] == 1  # complete merge normalizes
