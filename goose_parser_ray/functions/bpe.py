@@ -27,6 +27,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from goose_parser_ray.functions.relational import keyed_aggregate
 from goose_parser_ray.stages.extract import cached_kernel
 
 
@@ -36,19 +37,15 @@ def word_frequency_table(
     """Corpus → (word, n) — the single corpus-scale pass."""
     import pyarrow.compute as pc
 
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
     def words(t: pa.Table) -> pa.Table:
         w = pc.split_pattern(t[col], " ")
         flat = pc.list_flatten(w)
         flat = flat.filter(pc.not_equal(flat, ""))
         return pa.Table.from_arrays([flat], names=["word"])
 
-    return pre_aggregated_sum(
-        ds.map_batches(words, batch_format="pyarrow"),
-        ["word"],
-        {},
-        count_alias="n",
+    return keyed_aggregate(
+        ds.map_batches(words, batch_format="pyarrow"), ["word"],
+        {"n": ("word", "count")},
     )
 
 
@@ -100,12 +97,9 @@ def bpe_train(
                 }
             )
 
-        from ray.data.aggregate import Sum
-
-        pairs = (
-            table.map_batches(pair_partials, batch_format="pyarrow")
-            .groupby(["left", "right"])
-            .aggregate(Sum("cnt", alias_name="cnt"))
+        pairs = keyed_aggregate(
+            table.map_batches(pair_partials, batch_format="pyarrow"),
+            ["left", "right"], {"cnt": ("cnt", "sum")},
         )
         top = pairs.sort(
             ["cnt", "left", "right"], descending=[True, False, False]

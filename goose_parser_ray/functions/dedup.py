@@ -39,7 +39,7 @@ import ray.data
 from goose_parser_ray.functions.relational import (
     compact_for_join,
     distinct_rows,
-    pre_aggregated_sum,
+    keyed_aggregate,
     safe_join,
 )
 from goose_parser_ray.stages.extract import cached_kernel
@@ -124,13 +124,24 @@ def add_coarse_bucket(
     return t.append_column(out, pa.array(b))
 
 
+def _nullable_int(ty: pa.DataType):
+    if pa.types.is_integer(ty):
+        return pd.UInt64Dtype() if pa.types.is_unsigned_integer(ty) else pd.Int64Dtype()
+    return None
+
+
 def add_hash_bucket(
     t: pa.Table, cols: list[str], num_buckets: int, out: str = "__b"
 ) -> pa.Table:
     """Any-dtype sibling of :func:`add_coarse_bucket` (strings included):
-    one vectorized pandas-hash pass over the key column(s)."""
+    one vectorized pandas-hash pass over the key column(s). Integer columns
+    convert to pandas' nullable integers, so a key hashes the same whether
+    or not its block holds a null (plain ``to_pandas`` makes such a column
+    float64 only in the blocks that have one)."""
     key = t[cols[0]] if len(cols) == 1 else t.select(cols)
-    h = pd.util.hash_pandas_object(key.to_pandas(), index=False).to_numpy()
+    h = pd.util.hash_pandas_object(
+        key.to_pandas(types_mapper=_nullable_int), index=False
+    ).to_numpy()
     return t.append_column(
         out, pa.array((h % num_buckets).astype(np.int64))
     )
@@ -145,12 +156,17 @@ def bucket_groups(
     fn,
     *,
     rows: int,
+    batch_format: str = "pandas",
 ) -> ray.data.Dataset:
     """Run ``fn`` over ``ds`` one coarse hash bucket of ``key`` at a time:
-    the keyed fold of the package. Every row of a key lands in the same
-    pandas frame, so ``fn`` groups by ``key`` itself, vectorized, and
-    returns a frame; the shuffle has ``num_shuffle_buckets(rows)`` groups
-    (pass ``rows`` as the row count or an upper bound), never one per key.
+    the keyed fold of the package, under every keyed aggregate too
+    (``relational.keyed_aggregate``). Every row of a key lands in the same
+    batch (a pandas frame, or an Arrow table with
+    ``batch_format="pyarrow"``: pandas turns a nullable integer key into
+    float), so ``fn`` groups by ``key`` itself, vectorized, and returns a
+    batch of the same format; the shuffle has ``num_shuffle_buckets(rows)``
+    groups (pass ``rows`` as the row count or an upper bound), never one
+    per key.
 
     The hash follows the key's dtypes: integer keys mix
     (:func:`add_coarse_bucket`), anything else goes through pandas' hash
@@ -179,10 +195,12 @@ def bucket_groups(
     tagged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
     @functools.wraps(fn)  # the plan logs the fold under fn's name
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
+    def fold(g):
+        if batch_format == "pyarrow":
+            return fn(g.drop_columns([_BUCKET]))
         return fn(g.drop(columns=_BUCKET))
 
-    return tagged.groupby(_BUCKET).map_groups(fold, batch_format="pandas")
+    return tagged.groupby(_BUCKET).map_groups(fold, batch_format=batch_format)
 
 
 # ---------------------------------------------------------------------------
@@ -995,7 +1013,7 @@ def connected_components_distributed(
 
     Returns a Dataset(node, label) with label = min doc_id of the node's
     component (same contract as driver union-find roots)."""
-    from ray.data.aggregate import Min, Sum
+    from ray.data.aggregate import Sum
 
     a, b = cols
     pairs = pairs.materialize()
@@ -1038,15 +1056,13 @@ def connected_components_distributed(
     n_edges = edges.count()  # metadata-only: edges was just materialized
 
     # initial labels: every endpoint labels itself
-    labels = (
+    labels = keyed_aggregate(
         edges.map_batches(
             lambda t: pa.Table.from_arrays([t["u"], t["u"]], names=["node", "label"]),
             batch_format="pyarrow",
-        )
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
+        ),
+        ["node"], {"label": ("label", "min")}, rows=n_edges,
+    ).materialize()
     labels = _drop_empty_blocks(labels)
 
     def label_sum(ls: ray.data.Dataset) -> int:
@@ -1067,10 +1083,10 @@ def connected_components_distributed(
             batch_format="pyarrow",
         )
         labels = _drop_empty_blocks(
-            labels.union(msgs)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .materialize()
+            keyed_aggregate(
+                labels.union(msgs), ["node"], {"label": ("label", "min")},
+                rows=n_edges,
+            ).materialize()
         )
         # pointer-jumping shortcut: label(x) ← label(label(x)). Labels are
         # min ids, so every label IS a node that labels itself — the inner
@@ -1374,7 +1390,7 @@ def duplicated_ngram_stats(
     1. DUP-GRAM DETECTION, mergeable: "gram appears in ≥2 distinct docs"
        ⟺ min(doc_id) ≠ max(doc_id) over the gram — so the per-batch
        partial is one (gram, min_id, max_id) row per DISTINCT gram, the
-       global pass is a single groupby(gram).aggregate(Min, Max), and no
+       global pass is a single keyed min/max aggregate over grams, and no
        distinct-count or pair stream ever shuffles. The gram-keyed
        exchange is inherent to exact substring dedup (suffix-array
        engines pay the equivalent sort); grams stay exact strings for
@@ -1386,87 +1402,40 @@ def duplicated_ngram_stats(
        (id, gram, k) position counts inner-join the dup-gram table and
        re-aggregate per doc. Totals are a pure map-side partial either
        way."""
-    import pandas as pd
-
-    from ray.data.aggregate import Max, Min
-
-    def gram_minmax(t: pa.Table) -> pa.Table:
+    def grams(t: pa.Table) -> pa.Table:
         g = _word_ngrams_table(t, text_col=text_col, id_col=id_col, n=n)
-        if not len(g):
-            return pa.Table.from_pydict(
-                {"gram": pa.array([], pa.string()),
-                 "dmin": pa.array([], pa.int64()),
-                 "dmax": pa.array([], pa.int64())}
-            )
-        p = g.groupby("gram", sort=False)["doc_id"].agg(["min", "max"])
-        p = p.reset_index()
-        return pa.Table.from_pydict(
-            {"gram": pa.array(p["gram"]),
-             "dmin": pa.array(p["min"].astype(np.int64)),
-             "dmax": pa.array(p["max"].astype(np.int64))}
+        return pa.table(
+            {"gram": pa.array(g["gram"], pa.string()),
+             id_col: pa.array(g["doc_id"], pa.int64())}
         )
 
-    partials = ds.map_batches(gram_minmax, batch_format="pyarrow")
-    agg = partials.groupby("gram").aggregate(Min("dmin"), Max("dmax"))
+    gram_rows = ds.map_batches(grams, batch_format="pyarrow")
+    agg = keyed_aggregate(
+        gram_rows, ["gram"], {"dmin": (id_col, "min"), "dmax": (id_col, "max")}
+    )
 
     def only_dups(t: pa.Table) -> pa.Table:
-        mask = pc.not_equal(t["min(dmin)"], t["max(dmax)"])
-        return t.filter(mask).select(["gram"])
+        return t.filter(pc.not_equal(t["dmin"], t["dmax"])).select(["gram"])
 
     dup = agg.map_batches(only_dups, batch_format="pyarrow").materialize()
     n_dup = dup.count()
-
-    def totals(t: pa.Table) -> pa.Table:
-        g = _word_ngrams_table(t, text_col=text_col, id_col=id_col, n=n)
-        if not len(g):
-            return pa.Table.from_pydict(
-                {id_col: pa.array([], pa.int64()),
-                 "total_ngrams": pa.array([], pa.int64())}
-            )
-        c = g.groupby("doc_id", sort=False).size().rename("total_ngrams")
-        c = c.reset_index()
-        return pa.Table.from_pydict(
-            {id_col: pa.array(c["doc_id"].astype(np.int64)),
-             "total_ngrams": pa.array(c["total_ngrams"].astype(np.int64))}
-        )
-
-    total = pre_aggregated_sum(
-        ds.map_batches(totals, batch_format="pyarrow"),
-        keys=[id_col],
-        sums={"total_ngrams": "total_ngrams"},
+    total = keyed_aggregate(
+        gram_rows, [id_col], {"total_ngrams": (id_col, "count")}
     )
 
     if n_dup <= dup_broadcast_guard:
         dup_ref = ray.put(dup.to_pandas()["gram"].to_numpy(dtype=object))
 
-        def dup_counts(t: pa.Table) -> pa.Table:
-            g = _word_ngrams_table(t, text_col=text_col, id_col=id_col, n=n)
-            if not len(g):
-                return pa.Table.from_pydict(
-                    {id_col: pa.array([], pa.int64()),
-                     "dup_ngrams": pa.array([], pa.int64())}
-                )
-            dup_set = ray.get(dup_ref)
+        def dup_hits(t: pa.Table) -> pa.Table:
+            g = grams(t)
             hit = pc.is_in(
-                pa.array(g["gram"], pa.string()),
-                value_set=pa.array(dup_set, pa.string()),
-            ).to_numpy(zero_copy_only=False)
-            c = (
-                pd.DataFrame({"doc_id": g["doc_id"], "hit": hit})
-                .groupby("doc_id", sort=False)["hit"]
-                .sum()
-                .rename("dup_ngrams")
-                .reset_index()
+                g["gram"], value_set=pa.array(ray.get(dup_ref), pa.string())
             )
-            return pa.Table.from_pydict(
-                {id_col: pa.array(c["doc_id"].astype(np.int64)),
-                 "dup_ngrams": pa.array(c["dup_ngrams"].astype(np.int64))}
-            )
+            return pa.table({id_col: g[id_col], "hit": hit})
 
-        dupc = pre_aggregated_sum(
-            ds.map_batches(dup_counts, batch_format="pyarrow"),
-            keys=[id_col],
-            sums={"dup_ngrams": "dup_ngrams"},
+        dupc = keyed_aggregate(
+            ds.map_batches(dup_hits, batch_format="pyarrow"), [id_col],
+            {"dup_ngrams": ("hit", "sum")},
         )
     else:
         def pos_counts(t: pa.Table) -> pa.Table:
@@ -1496,16 +1465,7 @@ def duplicated_ngram_stats(
             pos, compact_for_join(dup, n_dup),
             num_partitions=join_num_partitions, on=("gram",), right_rows=n_dup,
         )
-        dupc = pre_aggregated_sum(
-            j.map_batches(
-                lambda t: pa.Table.from_pydict(
-                    {id_col: t[id_col], "dup_ngrams": t["k"]}
-                ),
-                batch_format="pyarrow",
-            ),
-            keys=[id_col],
-            sums={"dup_ngrams": "dup_ngrams"},
-        )
+        dupc = keyed_aggregate(j, [id_col], {"dup_ngrams": ("k", "sum")})
 
     # dup counts exist only for docs with ≥1 duplicated position — left
     # attach onto totals and zero-fill. Size-gated like filter_out_ids:
@@ -1914,8 +1874,6 @@ def set_similarity_join(
        den·inter ≥ num·(la + lb − inter)."""
     import ray as _ray
 
-    from ray.data.aggregate import Sum
-
     num, den = threshold_num, threshold_den
 
     def distinct_tokens(t: pa.Table) -> pa.Table:
@@ -1943,23 +1901,10 @@ def set_similarity_join(
     ).materialize()
     n_tok_rows = tokens.count()
 
-    # token document frequencies (map-side partial counts → one aggregate)
-    def tok_partial(t: pa.Table) -> pa.Table:
-        c = (
-            t.to_pandas().groupby("token", sort=False).size().rename("n")
-            .reset_index()
-        )
-        return pa.Table.from_pydict(
-            {"token": pa.array(c["token"], pa.string()),
-             "n": pa.array(c["n"].astype(np.int64))}
-        )
-
-    dfreq = (
-        tokens.map_batches(tok_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="df"))
-        .materialize()
-    )
+    # token document frequencies: tokens are distinct per doc
+    dfreq = keyed_aggregate(
+        tokens, ["token"], {"df": ("token", "count")}, rows=n_tok_rows
+    ).materialize()
     n_vocab = dfreq.count()
 
     def prefix_emit(frame: pd.DataFrame) -> pd.DataFrame:
@@ -2093,15 +2038,10 @@ def set_similarity_join(
             )
             return pa.Table.from_pydict(cols)
 
-        from goose_parser_ray.functions.relational import (
-            pre_aggregated_sum as _pas,
-        )
-
         bcols = [f"b{k}" for k in range(n_half)]
-        bitsets = _pas(
-            tokens.map_batches(bit_partial, batch_format="pyarrow"),
-            keys=["doc_id"],
-            sums={c: c for c in bcols + ["l"]},
+        bitsets = keyed_aggregate(
+            tokens.map_batches(bit_partial, batch_format="pyarrow"), ["doc_id"],
+            {c: (c, "sum") for c in bcols + ["l"]},
         ).materialize()
 
         def rename(tag: str):
@@ -2236,34 +2176,10 @@ def set_similarity_join(
         on=("id_b", "token"), compact=True, right_rows=n_tok_rows,
     )
 
-    def inter_partial(t: pa.Table) -> pa.Table:
-        c = (
-            t.select(["id_a", "id_b"]).to_pandas()
-            .groupby(["id_a", "id_b"], sort=False).size().rename("i")
-            .reset_index()
-        )
-        return pa.Table.from_pydict(
-            {"id_a": pa.array(c["id_a"].astype(np.int64)),
-             "id_b": pa.array(c["id_b"].astype(np.int64)),
-             "i": pa.array(c["i"].astype(np.int64))}
-        )
-
-    inter = pre_aggregated_sum(
-        j2.map_batches(inter_partial, batch_format="pyarrow"),
-        keys=["id_a", "id_b"], sums={"i": "i"},
-    )
+    inter = keyed_aggregate(j2, ["id_a", "id_b"], {"i": ("id_a", "count")})
 
     # set sizes (one tiny table), attached by join twice
-    sizes = pre_aggregated_sum(
-        tokens.map_batches(
-            lambda t: pa.Table.from_arrays(
-                [t["doc_id"], pa.array(np.ones(t.num_rows, dtype=np.int64))],
-                names=["doc_id", "one"],
-            ),
-            batch_format="pyarrow",
-        ),
-        keys=["doc_id"], sums={"one": "l"},
-    )
+    sizes = keyed_aggregate(tokens, ["doc_id"], {"l": ("doc_id", "count")})
     sa = sizes.map_batches(
         lambda t: pa.Table.from_arrays(
             [t["doc_id"], t["l"]], names=["id_a", "la"]
@@ -2423,32 +2339,16 @@ def cdc_dedup_stats(
     fold the tiny result. Scale shape: the shuffle moves (hash, length,
     count) partials — map-side combined per batch, never raw chunks."""
 
-    def chunk_partials(t: pa.Table) -> pa.Table:
-        ct = cdc_chunk_table(
+    def chunks(t: pa.Table) -> pa.Table:
+        return cdc_chunk_table(
             t, col=col, id_col=id_col, avg_bits=avg_bits,
             min_size=min_size, max_size=max_size,
-        )
-        # map-side combine: per-batch (hash, length) → n copies
-        import pandas as pd
+        ).select(["chunk_hash", "length"])
 
-        df = pd.DataFrame(
-            {
-                "chunk_hash": ct["chunk_hash"].to_numpy(zero_copy_only=False),
-                "length": ct["length"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["chunk_hash", "length"], sort=False).size()
-        idx = g.index.to_frame(index=False)
-        return pa.Table.from_pydict(
-            {
-                "chunk_hash": pa.array(idx["chunk_hash"], pa.int64()),
-                "length": pa.array(idx["length"], pa.int64()),
-                "n": pa.array(g.to_numpy(), pa.int64()),
-            }
-        )
-
-    partials = ds.map_batches(chunk_partials, batch_format="pyarrow")
-    return pre_aggregated_sum(partials, keys=["chunk_hash", "length"], sums={"n": "n"})
+    return keyed_aggregate(
+        ds.map_batches(chunks, batch_format="pyarrow"), ["chunk_hash", "length"],
+        {"n": ("length", "count")},
+    )
 
 
 def winnow_dedup_pairs(
@@ -2535,21 +2435,21 @@ def winnow_dedup_pairs(
         fp, "h", bucket_emit, rows=max(1, n) * fp_per_doc_hint
     )
 
-    shared = pre_aggregated_sum(
+    shared = keyed_aggregate(
         tagged.map_batches(
             lambda t: t.filter(pc.greater_equal(t["b"], 0)),
             batch_format="pyarrow",
         ),
-        keys=["a", "b"],
-        sums={"cnt": "n_shared"},
+        ["a", "b"],
+        {"n_shared": ("cnt", "sum")},
     )
-    nfp = pre_aggregated_sum(
+    nfp = keyed_aggregate(
         tagged.map_batches(
             lambda t: t.filter(pc.equal(t["b"], -1)).drop_columns(["b"]),
             batch_format="pyarrow",
         ),
-        keys=["a"],
-        sums={"cnt": "nfp"},
+        ["a"],
+        {"nfp": ("cnt", "sum")},
     )
 
     if n <= broadcast_guard:
@@ -2662,8 +2562,6 @@ def containment_join(
     """
     import ray as _ray
 
-    from ray.data.aggregate import Sum
-
     num, den = threshold_num, threshold_den
 
     def distinct_grams(t: pa.Table) -> pa.Table:
@@ -2692,22 +2590,9 @@ def containment_join(
     if n_gram_rows == 0:
         return ray.data.from_arrow(empty)
 
-    def gram_partial(t: pa.Table) -> pa.Table:
-        c = (
-            t.to_pandas().groupby("gram", sort=False).size().rename("n")
-            .reset_index()
-        )
-        return pa.Table.from_pydict(
-            {"gram": pa.array(c["gram"], pa.string()),
-             "n": pa.array(c["n"].astype(np.int64))}
-        )
-
-    dfreq = (
-        grams.map_batches(gram_partial, batch_format="pyarrow")
-        .groupby("gram")
-        .aggregate(Sum("n", alias_name="df"))
-        .materialize()
-    )
+    dfreq = keyed_aggregate(
+        grams, ["gram"], {"df": ("gram", "count")}, rows=n_gram_rows
+    ).materialize()
     n_vocab = dfreq.count()
 
     if n_vocab <= df_broadcast_guard:
@@ -2813,33 +2698,10 @@ def containment_join(
         compact=True, right_rows=n_gram_rows,
     )
 
-    def inter_partial(t: pa.Table) -> pa.Table:
-        c = (
-            t.select(["id_a", "id_b"]).to_pandas()
-            .groupby(["id_a", "id_b"], sort=False).size().rename("i")
-            .reset_index()
-        )
-        return pa.Table.from_pydict(
-            {"id_a": pa.array(c["id_a"].astype(np.int64)),
-             "id_b": pa.array(c["id_b"].astype(np.int64)),
-             "i": pa.array(c["i"].astype(np.int64))}
-        )
+    inter = keyed_aggregate(j2, ["id_a", "id_b"], {"i": ("id_a", "count")})
 
-    inter = pre_aggregated_sum(
-        j2.map_batches(inter_partial, batch_format="pyarrow"),
-        keys=["id_a", "id_b"], sums={"i": "i"},
-    )
-
-    sizes = pre_aggregated_sum(
-        grams.map_batches(
-            lambda t: pa.Table.from_arrays(
-                [t["doc_id"],
-                 pa.array(np.ones(t.num_rows, dtype=np.int64))],
-                names=["doc_id", "one"],
-            ),
-            batch_format="pyarrow",
-        ),
-        keys=["doc_id"], sums={"one": "la"},
+    sizes = keyed_aggregate(
+        grams, ["doc_id"], {"la": ("doc_id", "count")}
     ).map_batches(
         lambda t: pa.Table.from_arrays(
             [t["doc_id"], t["la"]], names=["id_a", "la"]

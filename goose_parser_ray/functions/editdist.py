@@ -253,14 +253,15 @@ def jw_pairs_over_domain(
     scoring runs distributed over the pair-grid dataset; JW itself is a
     per-pair scalar kernel (character-level DP-free scan), the classic
     irreducible inner loop of string-similarity joins."""
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
+    from goose_parser_ray.functions.relational import keyed_aggregate
 
-    distinct = pre_aggregated_sum(
+    distinct = keyed_aggregate(
         ds.map_batches(
             lambda t: pa.Table.from_arrays([t[col]], names=["name"]),
             batch_format="pyarrow",
         ),
-        keys=["name"], sums={}, count_alias="k",
+        ["name"],
+        {"k": ("name", "count")},
     ).drop_columns(["k"])
     names = sorted(
         v for v in distinct.to_pandas()["name"].tolist() if v is not None

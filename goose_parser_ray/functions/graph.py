@@ -23,7 +23,7 @@ import ray.data
 
 from goose_parser_ray.functions.relational import (
     compact_for_join,
-    pre_aggregated_sum,
+    keyed_aggregate,
     safe_join,
 )
 
@@ -151,16 +151,7 @@ def pagerank_distributed(
     # on the empty blocks aggregates emit for empty partitions (see
     # relational.compact_for_join).
     deg = compact_for_join(
-        pre_aggregated_sum(
-            e.map_batches(
-                lambda t: pa.Table.from_arrays(
-                    [t["u"], pa.array(np.ones(t.num_rows, dtype=np.int64))],
-                    names=["u", "one"],
-                ),
-                batch_format="pyarrow",
-            ),
-            keys=["u"], sums={"one": "deg"},
-        ).materialize()
+        keyed_aggregate(e, ["u"], {"deg": ("u", "count")}).materialize()
     )
     e = safe_join(
         e, deg, num_partitions=num_partitions, on=("u",), left_rows=n_edges
@@ -173,24 +164,17 @@ def pagerank_distributed(
             {"node": pa.concat_arrays(
                 [t["u"].combine_chunks(), t["v"].combine_chunks()]
             )}
-        ).append_column(
-            "one", pa.array(np.ones(2 * t.num_rows, dtype=np.int64))
         ),
         batch_format="pyarrow",
     )
     if seed_arr is not None:
         node_src = node_src.union(
             ray.data.from_arrow(
-                pa.Table.from_pydict(
-                    {
-                        "node": pa.array(seed_arr, pa.int64()),
-                        "one": pa.array(np.ones(len(seed_arr), np.int64)),
-                    }
-                )
+                pa.Table.from_pydict({"node": pa.array(seed_arr, pa.int64())})
             )
         )
-    nodes = pre_aggregated_sum(
-        node_src, keys=["node"], sums={"one": "k"},
+    nodes = keyed_aggregate(
+        node_src, ["node"], {"k": ("node", "count")}
     ).drop_columns(["k"]).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
@@ -242,9 +226,7 @@ def pagerank_distributed(
             batch_format="pyarrow",
         )
         contrib = compact_for_join(
-            pre_aggregated_sum(
-                msgs, keys=["node"], sums={"c": "c"}
-            ).materialize()
+            keyed_aggregate(msgs, ["node"], {"c": ("c", "sum")}).materialize()
         ).materialize()
         # Σ contributions = Σ_{u: deg>0} rank(u) (each u emits deg copies
         # of rank/deg), so the dangling mass needs NO extra ranks⋈out_nodes
@@ -362,10 +344,9 @@ def _hits_broadcast(
             )
             return pa.Table.from_pydict({"node": t[emit_col], "c": pa.array(c)})
 
-        raw = pre_aggregated_sum(
-            e.map_batches(msgs, batch_format="pyarrow"),
-            keys=["node"],
-            sums={"c": "c"},
+        raw = keyed_aggregate(
+            e.map_batches(msgs, batch_format="pyarrow"), ["node"],
+            {"c": ("c", "sum")},
         ).to_pandas()  # node-bounded
         vals = np.zeros(n_nodes, dtype=np.float64)
         if len(raw) == 0:
@@ -497,23 +478,19 @@ def hits_distributed(
             .sum()
         )
         return _hits_driver(pdf, max_iters)
-    e = pre_aggregated_sum(
-        partials, keys=["u", "v"], sums={"w": "w"}
-    ).materialize()
+    e = keyed_aggregate(partials, ["u", "v"], {"w": ("w", "sum")}).materialize()
     n_edges = e.count()
 
-    nodes = pre_aggregated_sum(
+    nodes = keyed_aggregate(
         e.map_batches(
             lambda t: pa.Table.from_pydict(
                 {"node": pa.concat_arrays(
                     [t["u"].combine_chunks(), t["v"].combine_chunks()]
                 )}
-            ).append_column(
-                "one", pa.array(np.ones(2 * t.num_rows, dtype=np.int64))
             ),
             batch_format="pyarrow",
         ),
-        keys=["node"], sums={"one": "k"},
+        ["node"], {"k": ("node", "count")},
     ).drop_columns(["k"]).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
@@ -557,9 +534,7 @@ def hits_distributed(
             ),
             batch_format="pyarrow",
         )
-        raw = pre_aggregated_sum(
-            msgs, keys=["node"], sums={"c": "c"}
-        ).materialize()
+        raw = keyed_aggregate(msgs, ["node"], {"c": ("c", "sum")}).materialize()
         n_raw = raw.count()
         if n_raw == 0:
             # no mass moved (an all-sinks direction): this side is all 0
@@ -712,15 +687,12 @@ def triangle_count(
         # streaming join path, which never materializes the wedges
 
     def degrees(col: str, alias: str) -> ray.data.Dataset:
-        return pre_aggregated_sum(
+        return keyed_aggregate(
             e.map_batches(
-                lambda t, c=col: pa.Table.from_arrays(
-                    [t[c], pa.array(np.ones(t.num_rows, dtype=np.int64))],
-                    names=["node", "one"],
-                ),
+                lambda t, c=col: pa.Table.from_arrays([t[c]], names=["node"]),
                 batch_format="pyarrow",
             ),
-            keys=["node"], sums={"one": alias},
+            ["node"], {alias: ("node", "count")},
         )
 
     # wedges (a<b<c paths) = Σ_b (#edges ending at b) × (#edges starting at b)
@@ -911,12 +883,11 @@ def kcore_distributed(
                     "node": pa.concat_arrays(
                         [t["u"].combine_chunks(), t["v"].combine_chunks()]
                     ),
-                    "one": pa.array(np.ones(2 * t.num_rows, dtype=np.int64)),
                 }
             ),
             batch_format="pyarrow",
         )
-        return pre_aggregated_sum(both, keys=["node"], sums={"one": "deg"})
+        return keyed_aggregate(both, ["node"], {"deg": ("node", "count")})
 
     empty = ray.data.from_arrow(
         pa.Table.from_pydict(
@@ -1037,8 +1008,6 @@ def bfs_levels_distributed(
     Directed semantics: pass both edge directions for undirected graphs.
 
     Returns Dataset(node, lvl) with lvl = min hop distance ≤ max_hops."""
-    from ray.data.aggregate import Min
-
     from goose_parser_ray.functions.dedup import (
         _drop_empty_blocks,
         filter_out_ids,
@@ -1071,8 +1040,9 @@ def bfs_levels_distributed(
     def _distinct(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         # map-side-combined distinct (the repo idiom): one narrow row per
         # distinct node per block crosses the exchange
-        return pre_aggregated_sum(
-            ds, keys=["node"], sums={}, count_alias="k"
+        return keyed_aggregate(
+            ds, ["node"],
+            {"k": ("node", "count")},
         ).drop_columns(["k"])
 
     frontier = _drop_empty_blocks(
@@ -1108,10 +1078,10 @@ def bfs_levels_distributed(
             break
         tagged = fresh.map_batches(tag(lvl), batch_format="pyarrow")
         visited = _drop_empty_blocks(
-            visited.union(tagged)
-            .groupby("node")
-            .aggregate(Min("lvl", alias_name="lvl"))
-            .materialize()
+            keyed_aggregate(
+                visited.union(tagged), ["node"], {"lvl": ("lvl", "min")},
+                rows=n_edges,
+            ).materialize()
         )
         frontier = fresh
     return visited
@@ -1174,8 +1144,6 @@ def sssp_bounded(
     exact unrolled-CTE SQL twin possible (the q_pagerank pattern) — for
     full convergence loop until a monotone distance-sum fixed point, the
     components template."""
-    from ray.data.aggregate import Min
-
     from goose_parser_ray.functions.dedup import _drop_empty_blocks
 
     a, b, wcol = cols
@@ -1193,18 +1161,18 @@ def sssp_bounded(
         )
 
     dist = _drop_empty_blocks(
-        seeds.map_batches(
-            lambda t: pa.Table.from_pydict(
-                {
-                    "node": t[seed_col],
-                    "d": np.zeros(t.num_rows, dtype=np.int64),
-                }
+        keyed_aggregate(
+            seeds.map_batches(
+                lambda t: pa.Table.from_pydict(
+                    {
+                        "node": t[seed_col],
+                        "d": np.zeros(t.num_rows, dtype=np.int64),
+                    }
+                ),
+                batch_format="pyarrow",
             ),
-            batch_format="pyarrow",
-        )
-        .groupby("node")
-        .aggregate(Min("d", alias_name="d"))
-        .materialize()
+            ["node"], {"d": ("d", "min")},
+        ).materialize()
     )
     for _ in range(rounds):
         relaxed = safe_join(
@@ -1223,10 +1191,10 @@ def sssp_bounded(
             batch_format="pyarrow",
         )
         dist = _drop_empty_blocks(
-            dist.union(relaxed)
-            .groupby("node")
-            .aggregate(Min("d", alias_name="d"))
-            .materialize()
+            keyed_aggregate(
+                dist.union(relaxed), ["node"], {"d": ("d", "min")},
+                rows=n_edges,
+            ).materialize()
         )
     return dist
 
@@ -1505,8 +1473,6 @@ def scc_distributed(
     rule).
 
     Returns Dataset(node, scc) with scc = min node id of the component."""
-    from ray.data.aggregate import Min
-
     from goose_parser_ray.functions.dedup import (
         _drop_empty_blocks,
         filter_out_ids,
@@ -1543,9 +1509,9 @@ def scc_distributed(
         return compact_for_join(m, m.count()).materialize()
 
     all_nodes = _compact(
-        pre_aggregated_sum(
-            _nodes_of(edges, a).union(_nodes_of(edges, b)),
-            keys=["node"], sums={}, count_alias="k",
+        keyed_aggregate(
+            _nodes_of(edges, a).union(_nodes_of(edges, b)), ["node"],
+            {"k": ("node", "count")},
         ).drop_columns(["k"])
     )
     active_edges = edges
@@ -1557,9 +1523,9 @@ def scc_distributed(
             break
         # (1) forward min-color fixpoint: color(v) = min over ids reaching v
         colors = _compact(
-            pre_aggregated_sum(
-                _nodes_of(active_edges, a).union(_nodes_of(active_edges, b)),
-                keys=["node"], sums={}, count_alias="k",
+            keyed_aggregate(
+                _nodes_of(active_edges, a).union(_nodes_of(active_edges, b)), ["node"],
+                {"k": ("node", "count")},
             )
             .drop_columns(["k"])
             .map_batches(
@@ -1581,9 +1547,10 @@ def scc_distributed(
                 batch_format="pyarrow",
             )
             colors = _compact(
-                colors.union(pushed)
-                .groupby("node")
-                .aggregate(Min("color", alias_name="color"))
+                keyed_aggregate(
+                    colors.union(pushed), ["node"], {"color": ("color", "min")},
+                    rows=n_active,
+                )
             )
             # pointer-jumping shortcut (sound for min-forward-reaching-id
             # because reachability is transitive: color(color(v)) reaches
@@ -1657,29 +1624,30 @@ def scc_distributed(
             if hop.count() == 0:
                 break
             checked = _compact(
-                safe_join(
-                    hop,
-                    colors.map_batches(
+                keyed_aggregate(
+                    safe_join(
+                        hop,
+                        colors.map_batches(
+                            lambda t: pa.Table.from_pydict(
+                                {"node": t["node"], "__c2": t["color"]}
+                            ),
+                            batch_format="pyarrow",
+                        ),
+                        num_partitions=num_partitions,
+                        on=("node",),
+                        right_on=("node",),
+                        right_rows=colors.count(),
+                    )
+                    .map_batches(
                         lambda t: pa.Table.from_pydict(
-                            {"node": t["node"], "__c2": t["color"]}
+                            {"node": t["node"], "color": t["color"]}
+                        ).filter(
+                            pc.equal(t["color"], t["__c2"])
                         ),
                         batch_format="pyarrow",
                     ),
-                    num_partitions=num_partitions,
-                    on=("node",),
-                    right_on=("node",),
-                    right_rows=colors.count(),
+                    ["node"], {"color": ("color", "min")}, rows=n_active,
                 )
-                .map_batches(
-                    lambda t: pa.Table.from_pydict(
-                        {"node": t["node"], "color": t["color"]}
-                    ).filter(
-                        pc.equal(t["color"], t["__c2"])
-                    ),
-                    batch_format="pyarrow",
-                )
-                .groupby("node")
-                .aggregate(Min("color", alias_name="color"))
             )
             fresh = _compact(
                 filter_out_ids(checked, members, "node", drop_col="node")
@@ -1835,19 +1803,18 @@ def label_propagation(
 
     # join tier: global dedup of (u, v) once, then bounded rounds
     e = compact_for_join(
-        pre_aggregated_sum(sym, keys=["u", "v"], sums={}, count_alias="w")
+        keyed_aggregate(sym, ["u", "v"], {"w": ("u", "count")})
         .drop_columns(["w"])
         .materialize()
     )
     nodes = compact_for_join(
-        pre_aggregated_sum(
+        keyed_aggregate(
             e.map_batches(
                 lambda t: pa.Table.from_pydict({"node": t["u"]}),
                 batch_format="pyarrow",
             ),
-            keys=["node"],
-            sums={},
-            count_alias="k",
+            ["node"],
+            {"k": ("node", "count")},
         )
         .drop_columns(["k"])
         .materialize()
@@ -1879,16 +1846,15 @@ def label_propagation(
             e, labels, num_partitions=num_partitions, on=("u",),
             left_rows=n_partial,  # upper bound: e is sym deduplicated
         )
-        counts = pre_aggregated_sum(
+        counts = keyed_aggregate(
             msgs.map_batches(
                 lambda t: pa.Table.from_pydict(
                     {"v": t["v"], "label": t["label"]}
                 ),
                 batch_format="pyarrow",
             ),
-            keys=["v", "label"],
-            sums={},
-            count_alias="c",
+            ["v", "label"],
+            {"c": ("v", "count")},
         )
         labels = compact_for_join(
             counts.groupby("v").map_groups(pick_mode, batch_format="pandas")
@@ -2037,8 +2003,6 @@ def longest_path_dag(
     convergence-signal rule, no silently-partial output).
 
     Returns Dataset(node, lvl)."""
-    from ray.data.aggregate import Max
-
     a, b = cols
     edges = edges.materialize()
     n_edges = edges.count()
@@ -2076,9 +2040,9 @@ def longest_path_dag(
         )
 
     state = (
-        pre_aggregated_sum(
-            nodes_of(a).union(nodes_of(b)), keys=["node"], sums={},
-            count_alias="k",
+        keyed_aggregate(
+            nodes_of(a).union(nodes_of(b)), ["node"],
+            {"k": ("node", "count")},
         )
         .map_batches(
             lambda t: pa.Table.from_pydict(
@@ -2109,18 +2073,9 @@ def longest_path_dag(
             ),
             batch_format="pyarrow",
         )
-        merged = (
-            state.union(cand)
-            .groupby("node")
-            .aggregate(Max("lvl", alias_name="mx"))
-            .map_batches(
-                lambda t: pa.Table.from_pydict(
-                    {"node": t["node"], "lvl": t["mx"]}
-                ),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
+        merged = keyed_aggregate(
+            state.union(cand), ["node"], {"lvl": ("lvl", "max")}, rows=n_edges
+        ).materialize()
         # converged when the level multiset is unchanged (levels only grow)
         old_sum = state.map_batches(
             lambda t: pa.Table.from_pydict(

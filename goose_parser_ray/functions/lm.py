@@ -88,29 +88,18 @@ def bigram_model(
     """TRAIN pass: the (w1, w2, n) bigram count table as a Dataset.
     Map-side partial counts per batch (the shuffle moves counted pairs,
     not the raw pair stream), one pair-keyed aggregate."""
-    import pandas as pd
+    from goose_parser_ray.functions.relational import keyed_aggregate
 
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
-    def partial(t: pa.Table) -> pa.Table:
+    def pairs(t: pa.Table) -> pa.Table:
         _, w1, w2 = _doc_bigrams(t, id_col, text_col)
-        if len(w1) == 0:
-            return pa.Table.from_pydict(
-                {"w1": pa.array([], pa.string()),
-                 "w2": pa.array([], pa.string()),
-                 "n": pa.array([], pa.int64())}
-            )
-        vc = (
-            pd.DataFrame({"w1": w1, "w2": w2})
-            .groupby(["w1", "w2"], sort=False)
-            .size()
-            .rename("n")
-            .reset_index()
+        return pa.table(
+            {"w1": pa.array(w1, pa.string()), "w2": pa.array(w2, pa.string())}
         )
-        return pa.Table.from_pandas(vc, preserve_index=False)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return pre_aggregated_sum(partials, keys=["w1", "w2"], sums={"n": "n"})
+    return keyed_aggregate(
+        ds.map_batches(pairs, batch_format="pyarrow"), ["w1", "w2"],
+        {"n": ("w1", "count")},
+    )
 
 
 def bigram_lm_score(
@@ -131,7 +120,7 @@ def bigram_lm_score(
 
     from goose_parser_ray.functions.relational import (
         compact_for_join,
-        pre_aggregated_sum,
+        keyed_aggregate,
         safe_join,
     )
 
@@ -140,7 +129,7 @@ def bigram_lm_score(
 
     # prefix counts re-aggregated from the bigram table (already tiny
     # relative to the corpus — one pass over model rows, not text)
-    cu = pre_aggregated_sum(cb, keys=["w1"], sums={"n": "cu"})
+    cu = keyed_aggregate(cb, ["w1"], {"cu": ("n", "sum")})
 
     def doc_sums(frame: pd.DataFrame) -> pd.DataFrame:
         g = frame.groupby(id_col, sort=False)["s"]
@@ -202,10 +191,9 @@ def bigram_lm_score(
         # per-batch doc sums are COMPLETE for the docs they cover — but one
         # doc can span blocks: finish with a doc-bucketed re-sum.
         partial = ds.map_batches(score_batch, batch_format="pyarrow")
-        return pre_aggregated_sum(
-            partial,
-            keys=[id_col],
-            sums={"lm_score_e4": "lm_score_e4", "n_bigrams": "n_bigrams"},
+        return keyed_aggregate(
+            partial, [id_col],
+            {"lm_score_e4": ("lm_score_e4", "sum"), "n_bigrams": ("n_bigrams", "sum")},
         )
 
     # scale path: the model never leaves the cluster — triples join the
@@ -261,8 +249,7 @@ def bigram_lm_score(
         )
 
     partial = j.map_batches(score_joined, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        partial,
-        keys=[id_col],
-        sums={"lm_score_e4": "lm_score_e4", "n_bigrams": "n_bigrams"},
+    return keyed_aggregate(
+        partial, [id_col],
+        {"lm_score_e4": ("lm_score_e4", "sum"), "n_bigrams": ("n_bigrams", "sum")},
     )

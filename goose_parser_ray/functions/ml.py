@@ -71,35 +71,23 @@ def nb_train(
     """
     import pandas as pd
 
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
+    from goose_parser_ray.functions.relational import keyed_aggregate
 
-    def partial_counts(t: pa.Table) -> pa.Table:
+    def class_tokens(t: pa.Table) -> pa.Table:
         tok, parent = _tokenize_flat(t[text_col])
-        cls = np.asarray(t[class_col].to_pylist(), dtype=object)[parent]
-        vc = pd.Series(1, index=pd.MultiIndex.from_arrays([cls, tok])).groupby(
-            level=[0, 1]
-        ).sum()
-        idx = vc.index
-        return pa.Table.from_pydict(
-            {
-                "cls": idx.get_level_values(0).to_numpy(),
-                "w": idx.get_level_values(1).to_numpy(),
-                "c": vc.to_numpy().astype(np.int64),
-            }
+        return pa.table(
+            {"cls": t[class_col].take(parent), "w": pa.array(tok, pa.string())}
         )
 
-    counts = pre_aggregated_sum(
-        train.map_batches(partial_counts, batch_format="pyarrow"),
-        keys=["cls", "w"],
-        sums={"c": "c"},
+    counts = keyed_aggregate(
+        train.map_batches(class_tokens, batch_format="pyarrow"), ["cls", "w"],
+        {"c": ("w", "count")},
     ).to_pandas()  # bounded: ≤ (distinct tokens × classes) rows, capped below
 
     # per-class train-doc counts (priors) — tiny groupby
-    docs = pre_aggregated_sum(
-        train.select_columns([class_col]),
-        keys=[class_col],
-        sums={},
-        count_alias="n_docs",
+    docs = keyed_aggregate(
+        train.select_columns([class_col]), [class_col],
+        {"n_docs": (class_col, "count")},
     ).to_pandas()
 
     # deterministic frequency cap: top vocab_cap tokens by (total count DESC,

@@ -1,4 +1,4 @@
-"""Relational helpers: broadcast join + partial-aggregate groupby
+"""Relational helpers: broadcast join + the keyed aggregate
 (SURVEY.md §2.6 S6/S8; guide "Joins and lookups", "Aggregation at scale").
 """
 
@@ -251,53 +251,77 @@ def safe_join(
     )
 
 
-def pre_aggregated_sum(
+# How a keyed aggregate's partials combine: counts add up like sums.
+_COMBINE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def _group_aggregate(
+    t: pa.Table, keys: list[str], aggs: dict[str, tuple[str, str]]
+) -> pa.Table:
+    """One Arrow hash ``group_by`` of ``t``: columns ``keys`` then each
+    ``out`` of ``aggs = {out: (src, op)}``. A null key is one group (SQL
+    ``GROUP BY``); a sum skips nulls and gives 0 for an all-null group;
+    integer and boolean sums and counts come out ``int64``."""
+    spec = {}
+    for src, op in aggs.values():
+        if op == "count":  # rows per key, whatever src holds
+            spec[src, op] = (src, "count", pc.CountOptions(mode="all"))
+        elif op == "sum":
+            spec[src, op] = (src, "sum", pc.ScalarAggregateOptions(min_count=0))
+        else:
+            spec[src, op] = (src, op)
+    grouped = t.group_by(keys, use_threads=False).aggregate(list(spec.values()))
+    out = grouped.select(keys)
+    for name, (src, op) in aggs.items():
+        col = grouped[f"{src}_{op}"]
+        if op == "sum" and not pa.types.is_floating(col.type):
+            col = col.cast(pa.int64())
+        out = out.append_column(name, col)
+    return out
+
+
+def keyed_aggregate(
     ds: ray.data.Dataset,
-    keys: list[str],
-    sums: dict[str, str],
-    count_alias: str | None = None,
+    keys: "str | list[str]",
+    aggs: dict[str, tuple[str, str]],
+    *,
+    rows: int = 0,
     bounded_domain: bool = False,
 ) -> ray.data.Dataset:
-    """groupby with the partial/combiner pattern: per-batch pandas groupby
-    emits one row per key per batch (map_batches, no shuffle), then the small
-    partial stream goes through one ``groupby().aggregate(Sum)`` — the
-    all-to-all moves per-key partials, not raw rows.
+    """The package's keyed aggregate, SQL ``SELECT keys, op(src) AS out
+    ... GROUP BY keys``: ``aggs = {out: (src, op)}`` with ``op`` one of
+    ``sum``, ``min``, ``max`` or ``count`` (rows per key), the pandas
+    named-aggregation shape. Output columns are ``keys`` then the ``out``
+    names; rows come in no particular order.
+
+    Map side: each block is grouped once by Arrow (no per-group Python,
+    no pandas metadata), so the shuffle moves one partial row per key per
+    block. Combine: the partials go through :func:`dedup.bucket_groups`
+    (``rows`` is its row hint; 0 means the cluster floor) and each bucket
+    is grouped again the same way, summing sums and counts.
 
     ``bounded_domain=True`` is the caller's declaration that the key domain
     is SMALL AND DATA-INDEPENDENT (market segments, languages, digits,
-    calendar days — never ids): the final combine then runs as
-    ``repartition(1)`` + one in-block fold instead of Ray's sort-based
-    aggregate exchange, whose fixed cost (~1–3 s at 32 CPUs) dwarfs the
-    work for a ≤10³-row partial stream. Results are identical (int64 sums
-    are order-independent). Leave False for unbounded keys — a single
-    block must never hold a data-proportional domain."""
-    from ray.data.aggregate import Sum
+    calendar days — never ids): the partials then combine as
+    ``repartition(1)`` plus the same in-block group, skipping the shuffle
+    whose fixed cost dwarfs the work for a ≤10³-row partial stream. Leave
+    False for unbounded keys: a single block must never hold a
+    data-proportional domain."""
+    from goose_parser_ray.functions.dedup import bucket_groups
 
-    def partial(batch: "pa.Table") -> pa.Table:
-        df = batch.to_pandas()
-        agg_spec = {out: (src, "sum") for src, out in sums.items()}
-        if count_alias:
-            df["__one"] = 1
-            agg_spec[count_alias] = ("__one", "sum")
-        out = df.groupby(keys, as_index=False).agg(**agg_spec)
-        return pa.Table.from_pandas(out, preserve_index=False)
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    merge = {out: (out, _COMBINE[op]) for out, (_, op) in aggs.items()}
+
+    def partial(t: pa.Table) -> pa.Table:
+        return _group_aggregate(t, keys, aggs)
+
+    def combine(t: pa.Table) -> pa.Table:
+        return _group_aggregate(t, keys, merge)
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     if bounded_domain:
-        cols = list(sums.values()) + ([count_alias] if count_alias else [])
-
-        def combine(t: "pa.Table") -> pa.Table:
-            df = t.to_pandas()
-            out = df.groupby(keys, as_index=False)[cols].sum()
-            return pa.Table.from_pandas(out, preserve_index=False)
-
-        return partials.repartition(1).map_batches(
-            combine, batch_format="pyarrow"
-        )
-    aggs = [Sum(out, alias_name=out) for out in sums.values()]
-    if count_alias:
-        aggs.append(Sum(count_alias, alias_name=count_alias))
-    return partials.groupby(keys).aggregate(*aggs)
+        return partials.repartition(1).map_batches(combine, batch_format="pyarrow")
+    return bucket_groups(partials, keys, combine, rows=rows, batch_format="pyarrow")
 
 
 def weighted_sample(

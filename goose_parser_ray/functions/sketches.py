@@ -256,19 +256,13 @@ def grouped_sketch_quantiles(
             idx = np.floor(np.log(v / lo) * scale).astype(np.int64) + 1
         idx = np.where(v <= lo, 0, idx)
         idx = np.clip(idx, 0, nbins + 1)
-        df = pd.DataFrame(
-            {key: batch[key].to_pandas().to_numpy(), "bin": idx}
-        )
-        g = df.groupby([key, "bin"], as_index=False).size()
-        g = g.rename(columns={"size": "n"})
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({key: batch[key], "bin": idx})
 
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
+    from goose_parser_ray.functions.relational import keyed_aggregate
 
-    agg = pre_aggregated_sum(
-        ds.map_batches(binify, batch_format="pyarrow"),
-        keys=[key, "bin"],
-        sums={"n": "n"},
+    agg = keyed_aggregate(
+        ds.map_batches(binify, batch_format="pyarrow"), [key, "bin"],
+        {"n": ("bin", "count")},
     )
     pdf = agg.to_pandas()  # groups × occupied bins — tiny vs the data
     ratio = np.log(hi / lo) / nbins

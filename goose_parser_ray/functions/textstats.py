@@ -388,7 +388,7 @@ def tfidf_top_terms(
 
     from goose_parser_ray.functions.dedup import bucket_groups
     from goose_parser_ray.functions.relational import (
-        pre_aggregated_sum,
+        keyed_aggregate,
         safe_join,
     )
 
@@ -400,8 +400,9 @@ def tfidf_top_terms(
         return pa.Table.from_pandas(c.reset_index(), preserve_index=False)
 
     tfds = ds.map_batches(tf_batch, batch_format="pyarrow")
-    dfreq = pre_aggregated_sum(
-        tfds.select_columns(["word"]), keys=["word"], sums={}, count_alias="df"
+    dfreq = keyed_aggregate(
+        tfds.select_columns(["word"]), ["word"],
+        {"df": ("word", "count")},
     ).materialize()
 
     def rank_topk(frame: pd.DataFrame) -> pd.DataFrame:

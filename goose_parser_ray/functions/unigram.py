@@ -26,6 +26,7 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions.bpe import word_frequency_table
+from goose_parser_ray.functions.relational import keyed_aggregate
 from goose_parser_ray.stages.extract import cached_kernel
 
 
@@ -104,14 +105,16 @@ def unigram_train(
             {"piece": ks, "cnt": pa.array([counts[k] for k in ks], pa.int64())}
         )
 
-    from ray.data.aggregate import Sum
+    def piece_counts(partial) -> pd.DataFrame:
+        """Sum the per-block piece counts that ``partial`` emits, in piece
+        order."""
+        df = keyed_aggregate(
+            freq.map_batches(partial, batch_format="pyarrow"),
+            ["piece"], {"cnt": ("cnt", "sum")},
+        ).to_pandas()
+        return df.sort_values("piece", ignore_index=True) if len(df) else df
 
-    seed = (
-        freq.map_batches(seed_partials, batch_format="pyarrow")
-        .groupby("piece")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
+    seed = piece_counts(seed_partials)
     if seed.empty:
         return []
     chars = seed[seed["piece"].str.len() == 1]
@@ -148,12 +151,7 @@ def unigram_train(
                  "cnt": pa.array([counts[k] for k in ks], pa.int64())}
             )
 
-        em = (
-            freq.map_batches(estep, batch_format="pyarrow")
-            .groupby("piece")
-            .aggregate(Sum("cnt", alias_name="cnt"))
-            .to_pandas()
-        )
+        em = piece_counts(estep)
         used = dict(zip(em["piece"], em["cnt"].astype(int)))
         # chars always survive (coverage); +1 smoothing keeps them usable
         new_counts = {
@@ -184,10 +182,7 @@ def unigram_train(
         )
 
     cnts = (
-        freq.map_batches(final_counts, batch_format="pyarrow")
-        .groupby("piece")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
+        piece_counts(final_counts)
         if len(final)
         else pd.DataFrame({"piece": [], "cnt": []})
     )

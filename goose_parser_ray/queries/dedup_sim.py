@@ -21,7 +21,7 @@ from goose_parser_ray.functions.dedup import (
 )
 from goose_parser_ray.functions.relational import (
     broadcast_join,
-    pre_aggregated_sum,
+    keyed_aggregate,
     safe_join,
 )
 from goose_parser_ray.functions.similarity import ann_bruteforce, ann_lsh
@@ -507,28 +507,9 @@ def q_trimmed_mean(sf_dir: str):
         return pa.Table.from_pandas(out, preserve_index=False)
 
     trimmed = vals.map_batches(trim, batch_format="pyarrow")
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "event_type": t["event_type"].to_pandas(),
-                "v_e4": t["v_e4"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("event_type", sort=False)["v_e4"].agg(["sum", "size"])
-        g = g.reset_index()
-        return pa.Table.from_pydict(
-            {
-                "event_type": pa.array(g["event_type"]),
-                "trimmed_sum_e4": pa.array(g["sum"].astype(np.int64)),
-                "trimmed_n": pa.array(g["size"].astype(np.int64)),
-            }
-        )
-
-    return pre_aggregated_sum(
-        trimmed.map_batches(partial, batch_format="pyarrow"),
-        keys=["event_type"],
-        sums={"trimmed_sum_e4": "trimmed_sum_e4", "trimmed_n": "trimmed_n"},
+    return keyed_aggregate(
+        trimmed, ["event_type"],
+        {"trimmed_sum_e4": ("v_e4", "sum"), "trimmed_n": ("v_e4", "count")},
     )
 
 
@@ -621,14 +602,13 @@ def q_join_full(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).filter(
         expr="o_totalprice > 100000"
     )
-    big = pre_aggregated_sum(
+    big = keyed_aggregate(
         orders.map_batches(
             lambda t: pa.Table.from_arrays([t["o_custkey"]], names=["o_custkey"]),
             batch_format="pyarrow",
         ),
-        keys=["o_custkey"],
-        sums={},
-        count_alias="n_big_orders",
+        ["o_custkey"],
+        {"n_big_orders": ("o_custkey", "count")},
     )
 
     j = safe_join(
@@ -1023,21 +1003,16 @@ def q_soundex_blocking(sf_dir: str):
     shape: per-name counts are map-side partials over a BOUNDED name
     domain (the exchange moves ≤16 rows per batch); Soundex runs on the
     collected 16-row vocabulary, never per customer row."""
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
     ds = _read(sf_dir, "customer", ["c_custkey"])
     names = np.array(_SOUNDEX_NAMES)
 
     def tag(t: pa.Table) -> pa.Table:
         idx = t["c_custkey"].to_numpy(zero_copy_only=False) % 16
-        return pa.Table.from_pydict(
-            {"name": pa.array(names[idx].tolist(), pa.string()),
-             "one": pa.array(np.ones(len(idx), np.int64))}
-        )
+        return pa.table({"name": pa.array(names[idx].tolist(), pa.string())})
 
-    cnt = pre_aggregated_sum(
-        ds.map_batches(tag, batch_format="pyarrow"),
-        keys=["name"], sums={"one": "n_customers"},
+    cnt = keyed_aggregate(
+        ds.map_batches(tag, batch_format="pyarrow"), ["name"],
+        {"n_customers": ("name", "count")},
     ).to_pandas()  # bounded: 16 rows
     cnt["code"] = [_soundex_simple(w) for w in cnt["name"]]
     grp = cnt.groupby("code").agg(

@@ -13,7 +13,7 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 
 from goose_parser_ray.queries._shared import _cents, _read
 
@@ -27,34 +27,17 @@ def q_wilson_ctr(sf_dir: str):
     the same integer on both engines."""
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def clicks(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["event_type"], value_set=pa.array(["click", "view"]))
         t = t.filter(keep)
         day = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False) // (
             86_400 * 1_000_000
         )
-        k = (
-            pc.equal(t["event_type"], "click")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        g = pd.DataFrame({"day": day, "k": k}).groupby("day", sort=False).agg(
-            k=("k", "sum"), n=("k", "size")
-        )
-        return pa.Table.from_pydict(
-            {
-                "day": g.index.to_numpy(np.int64),
-                "k": g["k"].to_numpy(np.int64),
-                "n": g["n"].to_numpy(np.int64),
-            }
-        )
+        return pa.table({"day": day, "k": pc.equal(t["event_type"], "click")})
 
-    grouped = pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["day"],
-        sums={"k": "k", "n": "n"},
+    grouped = keyed_aggregate(
+        ds.map_batches(clicks, batch_format="pyarrow"), ["day"],
+        {"k": ("k", "sum"), "n": ("day", "count")},
     )
 
     def bound(t: pa.Table) -> pa.Table:
@@ -113,31 +96,15 @@ def q_mad_outliers(sf_dir: str):
     exchange carries one row per distinct (type, cents) — value-domain
     bounded, the same counting shape as ``gini`` — and the rank scans
     are driver-side numpy over that tiny table."""
-    import pandas as pd
-
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        v = _cents(t["value"]).to_numpy(zero_copy_only=False)
-        g = (
-            pd.DataFrame({"et": t["event_type"].to_pandas(), "v": v})
-            .groupby(["et", "v"], sort=False)
-            .size()
-        )
-        idx = g.index.to_frame(index=False)
-        return pa.Table.from_pydict(
-            {
-                "event_type": idx["et"].to_numpy(),
-                "v": idx["v"].to_numpy(np.int64),
-                "c": g.to_numpy(np.int64),
-            }
-        )
+    def cents(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"], "v": _cents(t["value"])})
 
     grouped = (
-        pre_aggregated_sum(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            keys=["event_type", "v"],
-            sums={"c": "c"},
+        keyed_aggregate(
+            ds.map_batches(cents, batch_format="pyarrow"), ["event_type", "v"],
+            {"c": ("v", "count")},
         )
         .sort(["event_type", "v"])
         .to_pandas()
@@ -300,50 +267,23 @@ def q_skew_profile(sf_dir: str):
     no float log), with key count, event mass, and the largest key per
     bucket. Two bounded exchanges: per-(bucket, user) partials combine
     map-side, then the log-domain-bounded (≤ 64 rows) final fold."""
-    import pandas as pd
-
     ds = _read(sf_dir, "events", ["user_id"])
-    per_user = pre_aggregated_sum(
-        ds, keys=["user_id"], sums={}, count_alias="cnt"
-    )
+    per_user = keyed_aggregate(ds, ["user_id"], {"cnt": ("user_id", "count")})
 
     def bucketize(t: pa.Table) -> pa.Table:
         cnt = t["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
         _m, e = np.frexp(cnt.astype(np.float64))
         bucket = e.astype(np.int64) - 1  # exact: cnt in [2^b, 2^(b+1))
-        return pa.Table.from_pydict(
-            {
-                "bucket_log2": bucket,
-                "n_keys": np.ones(len(cnt), np.int64),
-                "n_events": cnt,
-                "max_count": cnt,
-            }
-        )
+        return pa.Table.from_pydict({"bucket_log2": bucket, "cnt": cnt})
 
-    from ray.data.aggregate import Max, Sum
-
-    def partial_fold(t: pa.Table) -> pa.Table:
-        # map-side combine per block: the final groupby's payload is then
-        # ≤ 64 log-buckets × blocks, never the per-user table (most users
-        # share a handful of low buckets — an unbounded map_groups payload
-        # otherwise)
-        df = t.to_pandas()
-        out = df.groupby("bucket_log2", as_index=False).agg(
-            n_keys=("n_keys", "sum"),
-            n_events=("n_events", "sum"),
-            max_count=("max_count", "max"),
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return (
-        per_user.map_batches(bucketize, batch_format="pyarrow")
-        .map_batches(partial_fold, batch_format="pyarrow")
-        .groupby("bucket_log2")
-        .aggregate(
-            Sum("n_keys", alias_name="n_keys"),
-            Sum("n_events", alias_name="n_events"),
-            Max("max_count", alias_name="max_count"),
-        )
+    return keyed_aggregate(
+        per_user.map_batches(bucketize, batch_format="pyarrow"),
+        ["bucket_log2"],
+        {
+            "n_keys": ("bucket_log2", "count"),
+            "n_events": ("cnt", "sum"),
+            "max_count": ("cnt", "max"),
+        },
     )
 
 
@@ -407,10 +347,9 @@ def q_dq_audit(sf_dir: str):
             }
         )
 
-    flat = pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["check_name"],
-        sums={"n": "n"},
+    flat = keyed_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow"), ["check_name"],
+        {"n": ("n", "sum")},
     )
 
     # duplicate ids: total − distinct, distinct summed over disjoint buckets
@@ -464,8 +403,6 @@ def q_reject_reasons(sf_dir: str):
     (too_short → too_long → bad_lang → kept, the cascade order a real
     filter applies), rolled up to (reason, n_docs, first_doc). Map-side
     partial combine; the exchange is reason-domain bounded (4 rows)."""
-    from ray.data.aggregate import Min, Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
     def classify(t: pa.Table) -> pa.Table:
@@ -486,31 +423,12 @@ def q_reject_reasons(sf_dir: str):
                 ),
             ),
         )
-        return pa.Table.from_pydict(
-            {
-                "reason": reason,
-                "n_docs": pa.array(np.ones(t.num_rows, np.int64)),
-                "first_doc": t["doc_id"],
-            }
-        )
+        return pa.Table.from_pydict({"reason": reason, "doc_id": t["doc_id"]})
 
-    def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = t.to_pandas()
-        out = df.groupby("reason", as_index=False).agg(
-            n_docs=("n_docs", "sum"), first_doc=("first_doc", "min")
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return (
-        ds.map_batches(classify, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("reason")
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Min("first_doc", alias_name="first_doc"),
-        )
+    return keyed_aggregate(
+        ds.map_batches(classify, batch_format="pyarrow"),
+        ["reason"],
+        {"n_docs": ("reason", "count"), "first_doc": ("doc_id", "min")},
     )
 
 
@@ -576,26 +494,12 @@ def q_winsorize(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        v = _cents(t["value"]).to_numpy(zero_copy_only=False)
-        g = (
-            pd.DataFrame({"et": t["event_type"].to_pandas(), "v": v})
-            .groupby(["et", "v"], sort=False)
-            .size()
-        )
-        idx = g.index.to_frame(index=False)
-        return pa.Table.from_pydict(
-            {
-                "event_type": idx["et"].to_numpy(),
-                "v": idx["v"].to_numpy(np.int64),
-                "c": g.to_numpy(np.int64),
-            }
-        )
+    def cents(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"], "v": _cents(t["value"])})
 
-    counts = pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["event_type", "v"],
-        sums={"c": "c"},
+    counts = keyed_aggregate(
+        ds.map_batches(cents, batch_format="pyarrow"), ["event_type", "v"],
+        {"c": ("v", "count")},
     )
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
@@ -652,9 +556,9 @@ def q_grouping_sets(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
-    base = pre_aggregated_sum(
-        ds, keys=["lang", "source"], sums={"n_chars": "sum_chars"},
-        count_alias="n_docs",
+    base = keyed_aggregate(
+        ds, ["lang", "source"],
+        {"sum_chars": ("n_chars", "sum"), "n_docs": ("lang", "count")},
     ).to_pandas()
 
     levels = []
@@ -806,18 +710,12 @@ def q_fk_orphans(sf_dir: str):
     for name, child, ck, parent, pk in rels:
         ckeys = _read(sf_dir, child, [ck])
 
-        def cnt_partial(t: pa.Table, _ck=ck) -> pa.Table:
-            import pandas as pd
-            df = pd.DataFrame({"k": t[_ck].to_numpy(zero_copy_only=False)})
-            g = df.groupby("k", as_index=False).size()
-            return pa.Table.from_pydict(
-                {"k": pa.array(g["k"].to_numpy(), pa.int64()),
-                 "cnt": pa.array(g["size"].to_numpy(), pa.int64())}
-            )
-
-        ccnt = pre_aggregated_sum(
-            ckeys.map_batches(cnt_partial, batch_format="pyarrow"),
-            keys=["k"], sums={"cnt": "cnt"},
+        ccnt = keyed_aggregate(
+            ckeys.map_batches(
+                lambda t, _ck=ck: pa.table({"k": pc.cast(t[_ck], pa.int64())}),
+                batch_format="pyarrow",
+            ),
+            ["k"], {"cnt": ("k", "count")},
         )
         pkeys = _read(sf_dir, parent, [pk]).map_batches(
             lambda t, _pk=pk: pa.Table.from_pydict(

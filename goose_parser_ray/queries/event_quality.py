@@ -9,7 +9,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.queries._shared import _cents, _read
@@ -152,8 +152,9 @@ def q_retention(sf_dir: str):
         ds.map_batches(to_day, batch_format="pyarrow"), "user_id", fold,
         rows=ds.count(),
     )
-    return pre_aggregated_sum(
-        partial, keys=["cohort_day", "offset_week"], sums={"users": "users"}
+    return keyed_aggregate(
+        partial, ["cohort_day", "offset_week"],
+        {"users": ("users", "sum")},
     )
 
 
@@ -209,9 +210,7 @@ def q_markov_transitions(sf_dir: str):
         return agg
 
     partial = _dedup.bucket_groups(ds, "user_id", fold, rows=ds.count())
-    return pre_aggregated_sum(
-        partial, keys=["src_type", "dst_type"], sums={"n": "n"}
-    )
+    return keyed_aggregate(partial, ["src_type", "dst_type"], {"n": ("n", "sum")})
 
 
 SQL_MARKOV_TRANSITIONS = """
@@ -293,7 +292,7 @@ def q_pair_windows(sf_dir: str):
         )
 
     partial = _dedup.bucket_groups(ds, "user_id", fold, rows=ds.count())
-    return pre_aggregated_sum(partial, keys=["type_a", "type_b"], sums={"n": "n"})
+    return keyed_aggregate(partial, ["type_a", "type_b"], {"n": ("n", "sum")})
 
 
 SQL_PAIR_WINDOWS = """
@@ -323,11 +322,9 @@ def q_rate_spikes(sf_dir: str):
         day = pc.divide(pc.cast(t["ts"], pa.int64()), 86_400 * 1_000_000)
         return pa.Table.from_pydict({"event_type": t["event_type"], "day": day})
 
-    counts = pre_aggregated_sum(
-        ds.map_batches(to_day, batch_format="pyarrow"),
-        keys=["event_type", "day"],
-        sums={},
-        count_alias="n",
+    counts = keyed_aggregate(
+        ds.map_batches(to_day, batch_format="pyarrow"), ["event_type", "day"],
+        {"n": ("event_type", "count")},
     )
 
     def windows(g: pd.DataFrame) -> pd.DataFrame:
@@ -397,11 +394,9 @@ def q_seasonal_profile(sf_dir: str):
             }
         )
 
-    return pre_aggregated_sum(
-        ds.map_batches(to_hour, batch_format="pyarrow"),
-        keys=["event_type", "hour"],
-        sums={"v": "sum_value_c"},
-        count_alias="n",
+    return keyed_aggregate(
+        ds.map_batches(to_hour, batch_format="pyarrow"), ["event_type", "hour"],
+        {"sum_value_c": ("v", "sum"), "n": ("event_type", "count")},
     )
 
 
@@ -454,9 +449,7 @@ def q_gap_hist(sf_dir: str):
         )
 
     partial = _dedup.bucket_groups(ds, "user_id", fold, rows=ds.count())
-    return pre_aggregated_sum(
-        partial, keys=["bucket_log2_s"], sums={"n_gaps": "n_gaps"}
-    )
+    return keyed_aggregate(partial, ["bucket_log2_s"], {"n_gaps": ("n_gaps", "sum")})
 
 
 SQL_GAP_HIST = """
@@ -511,10 +504,10 @@ def q_transition_entropy(sf_dir: str):
         agg["n"] = agg["n"].astype(np.int64)
         return agg
 
-    counts = pre_aggregated_sum(
+    counts = keyed_aggregate(
         _dedup.bucket_groups(ds, "user_id", fold, rows=ds.count()),
-        keys=["src_type", "dst_type"],
-        sums={"n": "n"},
+        ["src_type", "dst_type"],
+        {"n": ("n", "sum")},
     ).to_pandas()  # |types|² — domain-bounded
     tot = counts.groupby("src_type")["n"].transform("sum").to_numpy(np.int64)
     nn = counts["n"].to_numpy(np.int64)
@@ -602,13 +595,13 @@ def q_churn_rate(sf_dir: str):
             }
         )
 
-    agg = pre_aggregated_sum(
+    agg = keyed_aggregate(
         _dedup.bucket_groups(
             ds.map_batches(to_week, batch_format="pyarrow"), "user_id", fold,
             rows=ds.count(),
         ),
-        keys=["week"],
-        sums={"active": "active", "churned": "churned"},
+        ["week"],
+        {"active": ("active", "sum"), "churned": ("churned", "sum")},
     ).materialize()
     gmax = agg.max("week")
 
@@ -651,8 +644,9 @@ def q_mutual_info(sf_dir: str):
     recipe), with the ln argument formed by the identical float ops as the
     SQL twin. One domain-bounded (langs × sources) exchange."""
     ds = _read(sf_dir, "documents", ["lang", "source"])
-    cells = pre_aggregated_sum(
-        ds, keys=["lang", "source"], sums={}, count_alias="n_xy"
+    cells = keyed_aggregate(
+        ds, ["lang", "source"],
+        {"n_xy": ("lang", "count")},
     ).to_pandas()  # langs × sources — domain-bounded
     n = int(cells["n_xy"].sum())
     nx = cells.groupby("lang")["n_xy"].transform("sum").to_numpy(np.int64)

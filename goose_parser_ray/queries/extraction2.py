@@ -15,6 +15,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from goose_parser_ray.functions.relational import keyed_aggregate
 from goose_parser_ray.queries._shared import _read
 
 
@@ -197,24 +198,13 @@ def q_canonical_dedup(sf_dir: str):
     before any content-level near-dup pass. Scale shape: map-only extract,
     map-side (canonical → min/count) partials per batch, then one
     aggregate exchange over partials (never raw rows)."""
-    from ray.data.aggregate import Min, Sum
-
     ds = _read(sf_dir, "documents", ["doc_id"])
     pairs = ds.map_batches(
         lambda t: _CanonicalActor()(t), batch_format="pyarrow", batch_size=512
     )
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        out = df.groupby("canonical", as_index=False).agg(
-            keeper=("doc_id", "min"), n_docs=("doc_id", "size")
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    partials = pairs.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby("canonical").aggregate(
-        Min("keeper", alias_name="keeper"),
-        Sum("n_docs", alias_name="n_docs"),
+    agg = keyed_aggregate(
+        pairs, ["canonical"],
+        {"keeper": ("doc_id", "min"), "n_docs": ("doc_id", "count")},
     )
     return agg.sort("canonical")
 

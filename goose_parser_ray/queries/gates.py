@@ -11,7 +11,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 
 from goose_parser_ray.queries._shared import _read
 
@@ -535,7 +535,6 @@ def dsir_weights_e6(
     pass over the corpus, a <= n_buckets-row groupby, e6 fixed-point
     log-ratio weights."""
     from goose_parser_ray.functions.ml import _round_half_away_e6
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
     from goose_parser_ray.functions.textstats import hashed_bigram_features
 
     B = n_buckets
@@ -561,9 +560,9 @@ def dsir_weights_e6(
              "r_cnt": pa.array(r_cnt[nz], pa.int64())}
         )
 
-    counts = pre_aggregated_sum(
-        ds.map_batches(count_partial, batch_format="pyarrow"),
-        keys=["feat"], sums={"t_cnt": "t_cnt", "r_cnt": "r_cnt"},
+    counts = keyed_aggregate(
+        ds.map_batches(count_partial, batch_format="pyarrow"), ["feat"],
+        {"t_cnt": ("t_cnt", "sum"), "r_cnt": ("r_cnt", "sum")}, rows=B,
     ).to_pandas()  # bounded: <= B rows by construction
     t_full = np.zeros(B, np.int64)
     r_full = np.zeros(B, np.int64)

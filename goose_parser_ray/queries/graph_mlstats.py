@@ -13,7 +13,7 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
+from goose_parser_ray.functions.relational import keyed_aggregate, safe_join
 from goose_parser_ray.functions.similarity import ann_lsh
 
 from goose_parser_ray.queries._shared import _cents, _read
@@ -39,11 +39,15 @@ def q_regr_by_flag(sf_dir: str):
             names=["l_returnflag", "x", "y", "xx", "xy"],
         )
 
-    partials = pre_aggregated_sum(
-        ds.map_batches(derive, batch_format="pyarrow"),
-        keys=["l_returnflag"],
-        sums={"x": "sx", "y": "sy", "xx": "sxx", "xy": "sxy"},
-        count_alias="n",
+    partials = keyed_aggregate(
+        ds.map_batches(derive, batch_format="pyarrow"), ["l_returnflag"],
+        {
+            "sx": ("x", "sum"),
+            "sy": ("y", "sum"),
+            "sxx": ("xx", "sum"),
+            "sxy": ("xy", "sum"),
+            "n": ("l_returnflag", "count"),
+        },
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -142,8 +146,9 @@ def q_cohort_retention(sf_dir: str):
 
     weeks = ds.map_batches(to_weeks, batch_format="pyarrow")
     per = _dedup.bucket_groups(weeks, "user_id", per_user, rows=ds.count())
-    return pre_aggregated_sum(
-        per, keys=["cohort_week", "week_offset"], sums={}, count_alias="n_users"
+    return keyed_aggregate(
+        per, ["cohort_week", "week_offset"],
+        {"n_users": ("cohort_week", "count")},
     )
 
 
@@ -289,9 +294,7 @@ def q_event_transitions(sf_dir: str):
     per_bucket = _dedup.bucket_groups(
         ds, "user_id", transitions, rows=ds.count()
     )
-    return pre_aggregated_sum(
-        per_bucket, keys=["prev_type", "next_type"], sums={"n": "n"}
-    )
+    return keyed_aggregate(per_bucket, ["prev_type", "next_type"], {"n": ("n", "sum")})
 
 
 SQL_EVENT_TRANSITIONS = """
@@ -596,9 +599,7 @@ def _copurchase_edges(sf_dir: str, mask: int = 3) -> "ray.data.Dataset":
     )
     # cross-bucket distinct (the same pair can arise from orders in
     # different buckets only via identical (u, v) — dedupe once globally)
-    return pre_aggregated_sum(
-        pairs, keys=["u", "v"], sums={}, count_alias="k"
-    ).drop_columns(["k"])
+    return keyed_aggregate(pairs, ["u", "v"], {"k": ("u", "count")}).drop_columns(["k"])
 
 
 def q_triangles(sf_dir: str):
@@ -701,11 +702,11 @@ def q_lang_entropy(sf_dir: str):
     # materialize the tiny (source,lang) count table — it feeds BOTH the
     # totals aggregate and the join; lazy lineage would re-scan the corpus
     # once per consumer
-    counts = pre_aggregated_sum(
-        _read(sf_dir, "documents", ["source", "lang"]),
-        keys=["source", "lang"], sums={}, count_alias="n",
+    counts = keyed_aggregate(
+        _read(sf_dir, "documents", ["source", "lang"]), ["source", "lang"],
+        {"n": ("source", "count")},
     ).materialize()
-    totals = pre_aggregated_sum(counts, keys=["source"], sums={"n": "tot"})
+    totals = keyed_aggregate(counts, ["source"], {"tot": ("n", "sum")})
     terms = safe_join(counts, totals, on=("source",)).map_batches(
         lambda t: pa.Table.from_pydict(
             {
@@ -721,7 +722,7 @@ def q_lang_entropy(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    ent = pre_aggregated_sum(terms, keys=["source"], sums={"term": "h"})
+    ent = keyed_aggregate(terms, ["source"], {"h": ("term", "sum")})
     return ent.map_batches(
         lambda t: pa.Table.from_pydict(
             {"source": t["source"], "ent_e6": _cents(t["h"], 1_000_000)}
@@ -778,9 +779,9 @@ def q_chi2_independence(sf_dir: str):
     argument), including zero cells via the full cross product."""
     import pandas as pd
 
-    counts = pre_aggregated_sum(
-        _read(sf_dir, "documents", ["lang", "source"]),
-        keys=["lang", "source"], sums={}, count_alias="n",
+    counts = keyed_aggregate(
+        _read(sf_dir, "documents", ["lang", "source"]), ["lang", "source"],
+        {"n": ("lang", "count")},
     ).to_pandas()
     piv = counts.pivot_table(
         index="lang", columns="source", values="n", fill_value=0,
@@ -891,8 +892,9 @@ def q_gapfill(sf_dir: str):
     # pin the tiny (span-bounded) count table: deriving the span from it
     # instead of from `hours` keeps the corpus scan at exactly ONE — lazy
     # lineage would otherwise re-read events for each consumer
-    counts = pre_aggregated_sum(
-        hours, keys=["bucket_s"], sums={}, count_alias="n"
+    counts = keyed_aggregate(
+        hours, ["bucket_s"],
+        {"n": ("bucket_s", "count")},
     ).materialize()
     span = counts.aggregate(Min("bucket_s", alias_name="lo"),
                             Max("bucket_s", alias_name="hi"))
@@ -984,13 +986,13 @@ def q_pmi_bigrams(sf_dir: str):
     # aggregate AND the floor filter — materialize both (vocab-bounded,
     # strictly smaller than the already-pinned partial stream) so each
     # aggregation shuffle runs exactly once
-    uni = pre_aggregated_sum(
-        parts.filter(expr="kind == 'u'").drop_columns(["kind", "w2"]),
-        keys=["w1"], sums={"n": "c"},
+    uni = keyed_aggregate(
+        parts.filter(expr="kind == 'u'").drop_columns(["kind", "w2"]), ["w1"],
+        {"c": ("n", "sum")},
     ).materialize()
-    pr = pre_aggregated_sum(
-        parts.filter(expr="kind == 'p'").drop_columns(["kind"]),
-        keys=["w1", "w2"], sums={"n": "c"},
+    pr = keyed_aggregate(
+        parts.filter(expr="kind == 'p'").drop_columns(["kind"]), ["w1", "w2"],
+        {"c": ("n", "sum")},
     ).materialize()
     from ray.data.aggregate import Sum
 

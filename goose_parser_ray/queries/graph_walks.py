@@ -11,7 +11,7 @@ import pyarrow.compute as pc
 
 from goose_parser_ray.functions.relational import (
     compact_for_join,
-    pre_aggregated_sum,
+    keyed_aggregate,
     safe_join,
 )
 
@@ -216,12 +216,13 @@ def q_assortativity(sf_dir: str):
         ),
         batch_format="pyarrow",
     ).materialize()
-    deg = pre_aggregated_sum(
+    deg = keyed_aggregate(
         und.map_batches(
             lambda t: pa.Table.from_pydict({"u": t["u"]}),
             batch_format="pyarrow",
         ),
-        keys=["u"], sums={}, count_alias="deg",
+        ["u"],
+        {"deg": ("u", "count")},
     ).materialize()
     j = safe_join(
         safe_join(und, compact_for_join(deg), on=("u",)),
@@ -323,12 +324,13 @@ def q_assoc_rules(sf_dir: str):
         )
         .count()
     )  # baskets are whole per block, so per-block unique orders sum exactly
-    cnt = pre_aggregated_sum(
+    cnt = keyed_aggregate(
         dis.map_batches(
             lambda t: pa.Table.from_arrays([t["p"]], names=["p"]),
             batch_format="pyarrow",
         ),
-        keys=["p"], sums={}, count_alias="c",
+        ["p"],
+        {"c": ("p", "count")},
     )
     co = _basket_pair_counts(dis).map_batches(
         lambda t: t.filter(pc.greater_equal(t["support"], 2)),
@@ -414,8 +416,6 @@ def q_degree_hist(sf_dir: str):
     hubs start?) that decides join/salting strategy, same exact integer
     frexp log₂ bucketing as q_skew_profile, node-bounded degree table,
     ≤64-row final aggregate."""
-    from ray.data.aggregate import Max, Sum
-
     und = _copurchase_edges(sf_dir, mask=15).map_batches(
         lambda t: pa.Table.from_pydict(
             {
@@ -426,28 +426,16 @@ def q_degree_hist(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    deg = pre_aggregated_sum(und, keys=["u"], sums={}, count_alias="deg")
+    deg = keyed_aggregate(und, ["u"], {"deg": ("u", "count")})
 
     def bucketize(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         d = t["deg"].to_numpy(zero_copy_only=False).astype(np.int64)
         _m, e = np.frexp(d.astype(np.float64))
-        df = pd.DataFrame(
-            {"bucket_log2": e.astype(np.int64) - 1, "one": 1, "deg": d}
-        )
-        out = df.groupby("bucket_log2", as_index=False).agg(
-            n_nodes=("one", "sum"), max_deg=("deg", "max")
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.table({"bucket_log2": e.astype(np.int64) - 1, "deg": d})
 
-    return (
-        deg.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket_log2")
-        .aggregate(
-            Sum("n_nodes", alias_name="n_nodes"),
-            Max("max_deg", alias_name="max_deg"),
-        )
+    return keyed_aggregate(
+        deg.map_batches(bucketize, batch_format="pyarrow"), ["bucket_log2"],
+        {"n_nodes": ("deg", "count"), "max_deg": ("deg", "max")},
     )
 
 
@@ -489,8 +477,9 @@ def q_dup_cluster_sizes(sf_dir: str):
         )
 
     partial = _dedup.bucket_groups(ds, "text", fold, rows=ds.count())
-    return pre_aggregated_sum(
-        partial, keys=["cluster_size"], sums={"n_clusters": "n_clusters"}
+    return keyed_aggregate(
+        partial, ["cluster_size"],
+        {"n_clusters": ("n_clusters", "sum")},
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from goose_parser_ray.functions.relational import keyed_aggregate
 from goose_parser_ray.queries._shared import _read
 
 
@@ -713,8 +714,6 @@ def q_image_dhash_dedup(sf_dir: str):
     with the existing ``hamming1_join`` over (dhash_hi, dhash_lo). Scale
     shape: map-only hash, partials before the shuffle, group domain
     bounded by distinct base patterns (≤ corpus/3)."""
-    from ray.data.aggregate import Min, Sum
-
     from goose_parser_ray.functions.netpbm import encode_pgm
     from goose_parser_ray.functions.multimodal import ImageDHashActor
 
@@ -750,17 +749,9 @@ def q_image_dhash_dedup(sf_dir: str):
         batch_size=128,
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        out = df.groupby(["dhash_hi", "dhash_lo"], as_index=False).agg(
-            first_doc=("doc_id", "min"), n_docs=("doc_id", "size")
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    partials = hashes.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(["dhash_hi", "dhash_lo"]).aggregate(
-        Min("first_doc", alias_name="first_doc"),
-        Sum("n_docs", alias_name="n_docs"),
+    return keyed_aggregate(
+        hashes, ["dhash_hi", "dhash_lo"],
+        {"first_doc": ("doc_id", "min"), "n_docs": ("doc_id", "count")},
     )
 
 

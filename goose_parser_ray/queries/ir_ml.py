@@ -15,7 +15,7 @@ import ray
 import ray.data
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
+from goose_parser_ray.functions.relational import keyed_aggregate, safe_join
 
 from goose_parser_ray.queries._shared import _cents, _read
 from goose_parser_ray.queries.graph_mlstats import _copurchase_edges
@@ -147,8 +147,6 @@ def q_except_all(sf_dir: str):
     user_ids WITH multiplicity. One signed partial-count pass over both
     sides (map-side combine), then each key re-emits max(0, diff) copies —
     the exchange moves one row per (batch, user), never the raw events."""
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def signed(t: pa.Table) -> pa.Table:
@@ -165,10 +163,9 @@ def q_except_all(sf_dir: str):
             [t["user_id"], sign], names=["user_id", "sign"]
         )
 
-    counts = pre_aggregated_sum(
-        ds.map_batches(signed, batch_format="pyarrow"),
-        ["user_id"],
-        {"sign": "diff"},
+    counts = keyed_aggregate(
+        ds.map_batches(signed, batch_format="pyarrow"), ["user_id"],
+        {"diff": ("sign", "sum")},
     )
 
     def expand(t: pa.Table) -> pa.Table:
@@ -238,7 +235,6 @@ def q_dup_chunks(sf_dir: str):
             {
                 "doc_id": g["doc_id"],
                 "dup": (docs_with > 1).astype("int64"),
-                "one": np.ones(len(g), dtype="int64"),
             }
         )
 
@@ -246,8 +242,9 @@ def q_dup_chunks(sf_dir: str):
         ds.map_batches(chunks, batch_format="pyarrow"), "chunk", mark_dups,
         rows=ds.count() * 4,  # ≈ chunks per doc upper bound
     )
-    return pre_aggregated_sum(
-        marked, ["doc_id"], {"one": "n_chunks", "dup": "dup_chunks"}
+    return keyed_aggregate(
+        marked, ["doc_id"],
+        {"n_chunks": ("doc_id", "count"), "dup_chunks": ("dup", "sum")},
     ).sort("doc_id")
 
 
@@ -638,32 +635,18 @@ def q_auc(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def scored(t: pa.Table) -> pa.Table:
         keep = pc.is_in(
             t["event_type"], value_set=pa.array(["click", "error"])
         )
         t = t.filter(keep)
-        v = _cents(t["value"]).to_numpy(zero_copy_only=False)
-        pos = pc.equal(t["event_type"], "click").to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        import pandas as pd
-
-        g = pd.DataFrame({"v": v, "p": pos}).groupby("v", sort=False).agg(
-            p=("p", "sum"), c=("p", "size")
-        )
-        return pa.Table.from_pydict(
-            {
-                "v": g.index.to_numpy(np.int64),
-                "p": g["p"].to_numpy(np.int64),
-                "c": g["c"].to_numpy(np.int64),
-            }
+        return pa.table(
+            {"v": _cents(t["value"]), "p": pc.equal(t["event_type"], "click")}
         )
 
-    grouped = pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["v"],
-        sums={"p": "p", "c": "c"},
+    grouped = keyed_aggregate(
+        ds.map_batches(scored, batch_format="pyarrow"), ["v"],
+        {"p": ("p", "sum"), "c": ("v", "count")},
     )
     n_groups = grouped.count()
     ranked = global_scan_offsets(
@@ -741,14 +724,15 @@ def q_components(sf_dir: str):
 
     edges = _copurchase_edges(sf_dir, mask=15)
     labels = connected_components_distributed(edges, cols=("u", "v"))
-    return pre_aggregated_sum(
+    return keyed_aggregate(
         labels.map_batches(
             lambda t: pa.Table.from_arrays(
                 [pc.cast(t["label"], pa.int64())], names=["component"]
             ),
             batch_format="pyarrow",
         ),
-        keys=["component"], sums={}, count_alias="n_nodes",
+        ["component"],
+        {"n_nodes": ("component", "count")},
     )
 
 
@@ -1105,8 +1089,9 @@ def q_interval_join(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    return pre_aggregated_sum(
-        hits, keys=["incident_id"], sums={}, count_alias="n_clicks"
+    return keyed_aggregate(
+        hits, ["incident_id"],
+        {"n_clicks": ("incident_id", "count")},
     )
 
 
@@ -1144,9 +1129,9 @@ def q_weighted_median(sf_dir: str):
             }
         )
 
-    grouped = pre_aggregated_sum(
-        ds.map_batches(derive, batch_format="pyarrow"),
-        keys=["flag", "v"], sums={"w": "w"},
+    grouped = keyed_aggregate(
+        ds.map_batches(derive, batch_format="pyarrow"), ["flag", "v"],
+        {"w": ("w", "sum")},
     )
 
     def pick(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -1415,12 +1400,13 @@ def q_order_count_dist(sf_dir: str):
     distinct ordering customers) — no left join against the full customer
     table."""
     orders = _read(sf_dir, "orders", ["o_custkey"])
-    per_cust = pre_aggregated_sum(
-        orders, keys=["o_custkey"], sums={}, count_alias="c_count"
+    per_cust = keyed_aggregate(
+        orders, ["o_custkey"],
+        {"c_count": ("o_custkey", "count")},
     ).materialize()  # feeds both the histogram and the distinct total
-    hist = pre_aggregated_sum(
-        per_cust.drop_columns(["o_custkey"]),
-        keys=["c_count"], sums={}, count_alias="custdist",
+    hist = keyed_aggregate(
+        per_cust.drop_columns(["o_custkey"]), ["c_count"],
+        {"custdist": ("c_count", "count")},
     )
     n_customers = _read(sf_dir, "customer", ["c_custkey"]).count()
     n_zero = n_customers - per_cust.count()
@@ -1478,9 +1464,9 @@ def q_theilsen_trend(sf_dir: str):
             }
         )
 
-    daily = pre_aggregated_sum(
-        ds.map_batches(day_rev, batch_format="pyarrow"),
-        keys=["x"], sums={"y": "y"},
+    daily = keyed_aggregate(
+        ds.map_batches(day_rev, batch_format="pyarrow"), ["x"],
+        {"y": ("y", "sum")},
     ).to_pandas()  # ≤365 rows — domain-bounded by construction
     x = daily["x"].to_numpy(np.int64)
     y = daily["y"].to_numpy(np.int64)
@@ -1583,12 +1569,14 @@ def q_calibration_bins(sf_dir: str):
             }
         )
 
-    return pre_aggregated_sum(
-        ds.map_batches(parts, batch_format="pyarrow"),
-        keys=["bin"],
-        sums={"n_pos": "n_pos", "sum_score": "sum_score",
-              "brier_e4": "brier_e4"},
-        count_alias="n",
+    return keyed_aggregate(
+        ds.map_batches(parts, batch_format="pyarrow"), ["bin"],
+        {
+            "n_pos": ("n_pos", "sum"),
+            "sum_score": ("sum_score", "sum"),
+            "brier_e4": ("brier_e4", "sum"),
+            "n": ("bin", "count"),
+        },
     )
 
 

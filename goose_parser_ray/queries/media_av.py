@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 
 from goose_parser_ray.queries._shared import _read
 
@@ -527,7 +527,7 @@ def q_video_neardup(sf_dir: str):
     pairs = bucket_groups(
         hashes, ["hi", "lo"], pairs_in_bucket, rows=ds.count() * 4
     )
-    agg = pre_aggregated_sum(pairs, keys=["id_a", "id_b"], sums={"n": "n"})
+    agg = keyed_aggregate(pairs, ["id_a", "id_b"], {"n": ("n", "sum")})
 
     def gate(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False)

@@ -11,6 +11,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from goose_parser_ray.functions.relational import keyed_aggregate
 from goose_parser_ray.queries._shared import _cents, _read
 
 
@@ -488,8 +489,6 @@ def q_format_sniff(sf_dir: str):
     partials. Mismatched rows are the spoofed ones. The twin re-states
     both labels closed-form; payload LENGTHS are compression-dependent
     and deliberately not emitted."""
-    from ray.data.aggregate import Min, Sum
-
     from goose_parser_ray.functions.bmpmini import encode_bmp
     from goose_parser_ray.functions.gifmini import encode_gif
     from goose_parser_ray.functions.netpbm import encode_pgm
@@ -568,20 +567,9 @@ def q_format_sniff(sf_dir: str):
         .map_batches(sniff, batch_format="pyarrow")
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        out = df.groupby(["claimed", "actual"], as_index=False).agg(
-            first_doc=("doc_id", "min"), n_docs=("doc_id", "size")
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return (
-        labeled.map_batches(partial, batch_format="pyarrow")
-        .groupby(["claimed", "actual"])
-        .aggregate(
-            Min("first_doc", alias_name="first_doc"),
-            Sum("n_docs", alias_name="n_docs"),
-        )
+    return keyed_aggregate(
+        labeled, ["claimed", "actual"],
+        {"first_doc": ("doc_id", "min"), "n_docs": ("doc_id", "count")},
     )
 
 

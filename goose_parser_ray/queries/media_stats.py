@@ -12,7 +12,7 @@ import pyarrow.compute as pc
 import ray
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 
 from goose_parser_ray.queries._shared import _cents, _read
 
@@ -155,9 +155,7 @@ def q_grouped_quantiles(sf_dir: str):
     import pandas as pd
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    counts = pre_aggregated_sum(
-        ds, keys=["lang", "n_chars"], sums={}, count_alias="cnt"
-    )
+    counts = keyed_aggregate(ds, ["lang", "n_chars"], {"cnt": ("lang", "count")})
 
     QS = [("p25", 0.25), ("p50", 0.50), ("p75", 0.75), ("p90", 0.90)]
 
@@ -203,9 +201,9 @@ def q_geo_mean(sf_dir: str):
         ln = np.floor(np.log(x) * 1e6 + 0.5).astype(np.int64)
         return pa.Table.from_pydict({"lang": t["lang"], "ln_e6": pa.array(ln)})
 
-    agg = pre_aggregated_sum(
-        ds.map_batches(ln_e6, batch_format="pyarrow"),
-        keys=["lang"], sums={"ln_e6": "sum_ln_e6"}, count_alias="n_docs",
+    agg = keyed_aggregate(
+        ds.map_batches(ln_e6, batch_format="pyarrow"), ["lang"],
+        {"sum_ln_e6": ("ln_e6", "sum"), "n_docs": ("lang", "count")},
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -251,13 +249,11 @@ def q_window_distinct_users(sf_dir: str):
         win = pc.strftime(starts, "%Y-%m-%d %H:%M:00")
         return pa.Table.from_arrays([win, users], names=["win_start", "user_id"])
 
-    pairs = pre_aggregated_sum(
-        ds.map_batches(fan_out, batch_format="pyarrow"),
-        keys=["win_start", "user_id"], sums={}, count_alias="__n",
+    pairs = keyed_aggregate(
+        ds.map_batches(fan_out, batch_format="pyarrow"), ["win_start", "user_id"],
+        {"__n": ("win_start", "count")},
     ).drop_columns(["__n"])
-    return pre_aggregated_sum(
-        pairs, keys=["win_start"], sums={}, count_alias="n_users"
-    )
+    return keyed_aggregate(pairs, ["win_start"], {"n_users": ("win_start", "count")})
 
 
 SQL_WINDOW_DISTINCT_USERS = """
@@ -375,36 +371,21 @@ def q_ks_test(sf_dir: str):
     distributed range-bucketed scan by folding them into the signed
     per-group weight w = c₁·n₂ − c₂·n₁, whose max |inclusive prefix sum|
     IS the KS numerator."""
-    import pandas as pd
-
     from goose_parser_ray.functions.packing import global_scan_offsets
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def scored(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["event_type"], value_set=pa.array(["click", "error"]))
         t = t.filter(keep)
-        v = _cents(t["value"]).to_numpy(zero_copy_only=False)
-        pos = (
-            pc.equal(t["event_type"], "click")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        g = pd.DataFrame({"v": v, "p": pos}).groupby("v", sort=False).agg(
-            c1=("p", "sum"), c=("p", "size")
-        )
-        return pa.Table.from_pydict(
-            {
-                "v": g.index.to_numpy(np.int64),
-                "c1": g["c1"].to_numpy(np.int64),
-                "c2": (g["c"] - g["c1"]).to_numpy(np.int64),
-            }
+        click = pc.equal(t["event_type"], "click")
+        return pa.table(
+            {"v": _cents(t["value"]), "c1": click, "c2": pc.invert(click)}
         )
 
-    grouped = pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["v"],
-        sums={"c1": "c1", "c2": "c2"},
+    grouped = keyed_aggregate(
+        ds.map_batches(scored, batch_format="pyarrow"), ["v"],
+        {"c1": ("c1", "sum"), "c2": ("c2", "sum")},
     ).materialize()  # consumed 3× (totals + scan passes); domain-bounded small
     n_groups = max(1, grouped.count())
     tot = grouped.map_batches(
@@ -687,11 +668,9 @@ def q_sentence_stats(sf_dir: str):
     n_sentences, sum_chars). Fully vectorized: list_flatten +
     list_parent_indices fan-out, map-side combine, tiny lang-domain
     shuffle."""
-    import pandas as pd
-
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def sentences(t: pa.Table) -> pa.Table:
         punct = pc.replace_substring(
             t["text"], pattern=" table ", replacement=". "
         )
@@ -703,24 +682,11 @@ def q_sentence_stats(sf_dir: str):
         keep = pc.not_equal(flat, "")
         flat = flat.filter(keep)
         lang = pc.take(t["lang"], idx).filter(keep)
-        g = pd.DataFrame(
-            {
-                "lang": lang.to_pandas(),
-                "len": pc.utf8_length(flat).to_numpy(zero_copy_only=False),
-            }
-        ).groupby("lang", sort=False)["len"].agg(["size", "sum"])
-        return pa.Table.from_pydict(
-            {
-                "lang": pa.array(g.index, pa.string()),
-                "n_sentences": pa.array(g["size"].to_numpy(np.int64)),
-                "sum_chars": pa.array(g["sum"].to_numpy(np.int64)),
-            }
-        )
+        return pa.table({"lang": lang, "len": pc.utf8_length(flat)})
 
-    return pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["lang"],
-        sums={"n_sentences": "n_sentences", "sum_chars": "sum_chars"},
+    return keyed_aggregate(
+        ds.map_batches(sentences, batch_format="pyarrow"), ["lang"],
+        {"n_sentences": ("len", "count"), "sum_chars": ("len", "sum")},
     )
 
 
@@ -1020,35 +986,20 @@ def q_mann_whitney(sf_dir: str):
     bounded by the cents-quantized value DOMAIN (map-side value_counts →
     tiny grouped table); the corpus crosses the wire as one row per
     distinct (type, value)."""
-    import pandas as pd
-
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def scored(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["event_type"], value_set=pa.array(["click", "view"]))
         t = t.filter(keep)
-        v = _cents(t["value"]).to_numpy(zero_copy_only=False)
-        pos = (
-            pc.equal(t["event_type"], "click")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        g = pd.DataFrame({"v": v, "p": pos}).groupby("v", sort=False).agg(
-            c1=("p", "sum"), c=("p", "size")
-        )
-        return pa.Table.from_pydict(
-            {
-                "v": g.index.to_numpy(np.int64),
-                "c1": g["c1"].to_numpy(np.int64),
-                "c2": (g["c"] - g["c1"]).to_numpy(np.int64),
-            }
+        click = pc.equal(t["event_type"], "click")
+        return pa.table(
+            {"v": _cents(t["value"]), "c1": click, "c2": pc.invert(click)}
         )
 
     grouped = (
-        pre_aggregated_sum(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            keys=["v"],
-            sums={"c1": "c1", "c2": "c2"},
+        keyed_aggregate(
+            ds.map_batches(scored, batch_format="pyarrow"), ["v"],
+            {"c1": ("c1", "sum"), "c2": ("c2", "sum")},
         )
         .sort("v")
         .to_pandas()
@@ -1219,8 +1170,9 @@ def q_adamic_adar(sf_dir: str):
         return pd.concat(out, ignore_index=True) if out else empty
 
     pair_ds = edges.groupby("dst").map_groups(pairs, batch_format="pandas")
-    return pre_aggregated_sum(
-        pair_ds, keys=["a", "b"], sums={"n": "cn", "w": "aa_e6"}
+    return keyed_aggregate(
+        pair_ds, ["a", "b"],
+        {"cn": ("n", "sum"), "aa_e6": ("w", "sum")},
     )
 
 
@@ -1327,9 +1279,6 @@ def q_survival(sf_dir: str):
     per-user endpoint aggregate (≤2 candidate rows per user per batch
     cross the exchange is not even needed — min/max combine natively);
     the day-domain risk table is tiny at any corpus size."""
-    import pandas as pd
-    from ray.data.aggregate import Max, Min
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def to_us(t: pa.Table) -> pa.Table:
@@ -1340,10 +1289,9 @@ def q_survival(sf_dir: str):
             }
         )
 
-    spans = (
-        ds.map_batches(to_us, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("us", alias_name="f"), Max("us", alias_name="l"))
+    spans = keyed_aggregate(
+        ds.map_batches(to_us, batch_format="pyarrow"), ["user_id"],
+        {"f": ("us", "min"), "l": ("us", "max")},
     ).materialize()  # one row per user; consumed twice (max + table)
     mx = int(spans.max("l"))
     cutoff = mx - 14 * 86_400 * 1_000_000
@@ -1353,23 +1301,12 @@ def q_survival(sf_dir: str):
         l = t["l"].to_numpy(zero_copy_only=False)
         day = 86_400 * 1_000_000
         lt = l // day - f // day  # date_diff('day') boundary crossings
-        death = (l <= cutoff).astype(np.int64)
-        g = pd.DataFrame({"lt": lt, "d": death}).groupby("lt", sort=False).agg(
-            d=("d", "sum"), c=("d", "size")
-        )
-        return pa.Table.from_pydict(
-            {
-                "lt": g.index.to_numpy(np.int64),
-                "d": g["d"].to_numpy(np.int64),
-                "c": g["c"].to_numpy(np.int64),
-            }
-        )
+        return pa.table({"lt": lt, "d": l <= cutoff})
 
     grouped = (
-        pre_aggregated_sum(
-            spans.map_batches(lifetimes, batch_format="pyarrow"),
-            keys=["lt"],
-            sums={"d": "d", "c": "c"},
+        keyed_aggregate(
+            spans.map_batches(lifetimes, batch_format="pyarrow"), ["lt"],
+            {"d": ("d", "sum"), "c": ("lt", "count")},
         )
         .sort("lt")
         .to_pandas()
@@ -1415,33 +1352,15 @@ def q_gini(sf_dir: str):
     G = gini_num / gini_den is reported as an exact integer fraction.
     Exchange bounded by the value DOMAIN (map-side value_counts, one row
     per distinct (type, cents))."""
-    import pandas as pd
-
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        v = _cents(t["value"]).to_numpy(zero_copy_only=False)
-        g = (
-            pd.DataFrame(
-                {"et": t["event_type"].to_pandas(), "v": v}
-            )
-            .groupby(["et", "v"], sort=False)
-            .size()
-        )
-        idx = g.index.to_frame(index=False)
-        return pa.Table.from_pydict(
-            {
-                "event_type": idx["et"].to_numpy(),
-                "v": idx["v"].to_numpy(np.int64),
-                "c": g.to_numpy(np.int64),
-            }
-        )
+    def cents(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"], "v": _cents(t["value"])})
 
     grouped = (
-        pre_aggregated_sum(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            keys=["event_type", "v"],
-            sums={"c": "c"},
+        keyed_aggregate(
+            ds.map_batches(cents, batch_format="pyarrow"), ["event_type", "v"],
+            {"c": ("v", "count")},
         )
         .sort(["event_type", "v"])
         .to_pandas()

@@ -15,7 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 from goose_parser_ray.queries._shared import _cents, _read
 
 
@@ -51,10 +51,9 @@ def q_benford_digits(sf_dir: str):
             }
         )
 
-    g = pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["digit"],
-        sums={"n_obs": "n_obs"},
+    g = keyed_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow"), ["digit"],
+        {"n_obs": ("n_obs", "sum")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -167,18 +166,13 @@ def q_acf_daily(sf_dir: str):
     day partials (day-domain-bounded exchange), final fold in one block."""
     ds = _read(sf_dir, "events", ["ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def days(t: pa.Table) -> pa.Table:
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // 86_400_000_000
-        uniq, counts = np.unique(day, return_counts=True)
-        return pa.Table.from_pydict(
-            {"day": uniq.astype(np.int64), "x": counts.astype(np.int64)}
-        )
+        return pa.table({"day": us // 86_400_000_000})
 
-    g = pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["day"],
-        sums={"x": "x"},
+    g = keyed_aggregate(
+        ds.map_batches(days, batch_format="pyarrow"), ["day"],
+        {"x": ("day", "count")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -297,20 +291,15 @@ def q_wordpiece_encode(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def word_partial(t: pa.Table) -> pa.Table:
-        words = pc.list_flatten(
+    def words(t: pa.Table) -> pa.Table:
+        flat = pc.list_flatten(
             pc.split_pattern_regex(pc.fill_null(t["text"], ""), pattern=r"\s+")
         )
-        s = pd.Series(words.to_pylist(), dtype=object)
-        vc = s[s != ""].value_counts()
-        return pa.Table.from_pydict(
-            {"word": vc.index.tolist(), "n": vc.to_numpy().astype(np.int64)}
-        )
+        return pa.table({"word": flat.filter(pc.not_equal(flat, ""))})
 
-    counts = pre_aggregated_sum(
-        ds.map_batches(word_partial, batch_format="pyarrow"),
-        keys=["word"],
-        sums={"n": "n"},
+    counts = keyed_aggregate(
+        ds.map_batches(words, batch_format="pyarrow"), ["word"],
+        {"n": ("word", "count")},
     )
 
     # ONE map over the aggregated word table emits both vocab ingredients
@@ -567,22 +556,10 @@ def q_temperature_mixture(sf_dir: str):
     itself is a broadcast-rate pure map — no shuffle anywhere."""
     import math
 
-    from goose_parser_ray.functions.relational import pre_aggregated_sum as _pas
-
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
-    def src_partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        vc = pd.Series(t["source"].to_pylist(), dtype=object).value_counts()
-        return pa.Table.from_pydict(
-            {"source": vc.index.tolist(), "n_s": vc.to_numpy().astype(np.int64)}
-        )
-
-    counts = _pas(
-        ds.map_batches(src_partial, batch_format="pyarrow"),
-        keys=["source"],
-        sums={"n_s": "n_s"},
+    counts = keyed_aggregate(
+        ds, ["source"], {"n_s": ("source", "count")}
     ).take_all()  # ≤ |sources| rows — bounded domain
 
     n_by_src = {r["source"]: int(r["n_s"]) for r in counts}
@@ -787,25 +764,20 @@ def q_interpolate_daily(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def measured(t: pa.Table) -> pa.Table:
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         day = us // 86_400_000_000
         v = np.round(
             100 * t["value"].to_numpy(zero_copy_only=False)
         ).astype(np.int64)
-        df = pd.DataFrame(
-            {"event_type": t["event_type"].to_pylist(), "day": day, "v": v}
-        )
+        out = pa.table({"event_type": t["event_type"], "day": day, "v": v})
         # withhold every 5th day from the measurements (sensor-outage
         # model) so the fixture actually exercises interpolation
-        df = df[df["day"] % 5 != 2]
-        out = df.groupby(["event_type", "day"], as_index=False)["v"].sum()
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return out.filter(day % 5 != 2)
 
-    agg = pre_aggregated_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["event_type", "day"],
-        sums={"v": "v"},
+    agg = keyed_aggregate(
+        ds.map_batches(measured, batch_format="pyarrow"), ["event_type", "day"],
+        {"v": ("v", "sum")},
     )
 
     def densify(g: pd.DataFrame) -> pd.DataFrame:

@@ -13,7 +13,7 @@ import pyarrow.compute as pc
 
 from goose_parser_ray.functions.relational import (
     broadcast_join,
-    pre_aggregated_sum,
+    keyed_aggregate,
     safe_join,
 )
 
@@ -45,8 +45,9 @@ WHERE lang = 'en' AND n_chars >= 200
 def q_agg_by_lang(sf_dir: str):
     """S6: partial-aggregate pattern (combine per batch, tiny shuffle)."""
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    return pre_aggregated_sum(
-        ds, keys=["lang"], sums={"n_chars": "sum_chars"}, count_alias="n_docs",
+    return keyed_aggregate(
+        ds, ["lang"],
+        {"sum_chars": ("n_chars", "sum"), "n_docs": ("lang", "count")},
         bounded_domain=True,  # |langs| is a constant, not data-proportional
     )
 
@@ -83,9 +84,9 @@ def q_join_segment(sf_dir: str):
         lambda t: t.append_column("total_cents", _cents(t["o_totalprice"])),
         batch_format="pyarrow",
     )
-    return pre_aggregated_sum(
-        joined, keys=["segment"], sums={"total_cents": "total_cents"},
-        count_alias="n_orders",
+    return keyed_aggregate(
+        joined, ["segment"],
+        {"total_cents": ("total_cents", "sum"), "n_orders": ("segment", "count")},
         bounded_domain=True,  # |segments| = 5, a constant
     )
 
@@ -110,8 +111,9 @@ def q_join_hash(sf_dir: str):
         lambda t: t.append_column("qty", pc.cast(t["l_quantity"], pa.int64())),
         batch_format="pyarrow",
     )
-    return pre_aggregated_sum(
-        joined, keys=["p_brand"], sums={"qty": "sum_qty"}, count_alias="n_items"
+    return keyed_aggregate(
+        joined, ["p_brand"],
+        {"sum_qty": ("qty", "sum"), "n_items": ("p_brand", "count")},
     )
 
 
@@ -173,9 +175,9 @@ def q_join_salted(sf_dir: str):
         lambda t: t.append_column("qty", pc.cast(t["l_quantity"], pa.int64())),
         batch_format="pyarrow",
     )
-    out = pre_aggregated_sum(
-        joined, keys=["s_nationkey"], sums={"qty": "sum_qty"},
-        count_alias="n_items",
+    out = keyed_aggregate(
+        joined, ["s_nationkey"],
+        {"sum_qty": ("qty", "sum"), "n_items": ("s_nationkey", "count")},
     )
     return out.map_batches(
         lambda t: t.set_column(
@@ -235,12 +237,14 @@ def q_pricing_summary(sf_dir: str):
         )
 
     ds = ds.map_batches(prep, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        ds,
-        keys=["l_returnflag", "l_linestatus"],
-        sums={"qty": "sum_qty", "base_cents": "sum_base_cents",
-              "disc_cents": "sum_disc_cents"},
-        count_alias="count_order",
+    return keyed_aggregate(
+        ds, ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("qty", "sum"),
+            "sum_base_cents": ("base_cents", "sum"),
+            "sum_disc_cents": ("disc_cents", "sum"),
+            "count_order": ("l_returnflag", "count"),
+        },
         bounded_domain=True,  # flag×status is a ≤6-cell constant grid
     )
 

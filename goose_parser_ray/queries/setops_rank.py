@@ -14,7 +14,7 @@ import pyarrow.compute as pc
 import ray
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
+from goose_parser_ray.functions.relational import keyed_aggregate, safe_join
 
 from goose_parser_ray.queries._shared import _cents, _read
 
@@ -263,11 +263,16 @@ def q_corr_by_flag(sf_dir: str):
             names=["l_returnflag", "x", "y", "xx", "yy", "xy"],
         )
 
-    partials = pre_aggregated_sum(
-        ds.map_batches(derive, batch_format="pyarrow"),
-        keys=["l_returnflag"],
-        sums={"x": "sx", "y": "sy", "xx": "sxx", "yy": "syy", "xy": "sxy"},
-        count_alias="n",
+    partials = keyed_aggregate(
+        ds.map_batches(derive, batch_format="pyarrow"), ["l_returnflag"],
+        {
+            "sx": ("x", "sum"),
+            "sy": ("y", "sum"),
+            "sxx": ("xx", "sum"),
+            "syy": ("yy", "sum"),
+            "sxy": ("xy", "sum"),
+            "n": ("l_returnflag", "count"),
+        },
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -485,10 +490,9 @@ def q_shipping_priority(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    agg = pre_aggregated_sum(
-        joined,
-        keys=["l_orderkey", "o_orderdate", "o_orderpriority"],
-        sums={"rev_cents": "revenue_cents"},
+    agg = keyed_aggregate(
+        joined, ["l_orderkey", "o_orderdate", "o_orderpriority"],
+        {"revenue_cents": ("rev_cents", "sum")},
     )
     return agg.sort(
         ["revenue_cents", "l_orderkey"], descending=[True, False]
@@ -599,9 +603,9 @@ def q_regional_revenue(sf_dir: str):
             [pc.take(nat_names, nidx), t["rev"]], names=["n_name", "rev"]
         )
 
-    return pre_aggregated_sum(
-        joined.map_batches(attach_nation, batch_format="pyarrow"),
-        keys=["n_name"], sums={"rev": "revenue_c4"},
+    return keyed_aggregate(
+        joined.map_batches(attach_nation, batch_format="pyarrow"), ["n_name"],
+        {"revenue_c4": ("rev", "sum")},
     )
 
 
@@ -695,11 +699,10 @@ def q_pivot_events(sf_dir: str):
         return pa.Table.from_arrays(cols, names=names)
 
     ds = ds.map_batches(widen, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        ds,
-        keys=["user_id"],
-        sums={f"{et}_e4": f"{et}_e4" for et in _EVENT_TYPES},
-        count_alias="n_events",
+    return keyed_aggregate(
+        ds, ["user_id"],
+        {f"{et}_e4": (f"{et}_e4", "sum") for et in _EVENT_TYPES}
+        | {"n_events": ("user_id", "count")},
     )
 
 
@@ -730,9 +733,9 @@ def q_rollup_lineitem(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    finest = pre_aggregated_sum(
-        ds, keys=["l_returnflag", "l_linestatus"], sums={"qty": "sum_qty"},
-        count_alias="n",
+    finest = keyed_aggregate(
+        ds, ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("qty", "sum"), "n": ("l_returnflag", "count")},
     ).to_pandas()
     lvl1 = (
         finest.groupby("l_returnflag", as_index=False)[["sum_qty", "n"]].sum()
@@ -769,9 +772,7 @@ def q_distinct_users_per_type(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     uniq = distinct_rows(ds, ["event_type", "user_id"], rows=ds.count())
-    return pre_aggregated_sum(
-        uniq, keys=["event_type"], sums={}, count_alias="n_users"
-    )
+    return keyed_aggregate(uniq, ["event_type"], {"n_users": ("event_type", "count")})
 
 
 SQL_DISTINCT_USERS_PER_TYPE = """
@@ -781,10 +782,8 @@ FROM events GROUP BY event_type
 
 
 def q_agg_builtins(sf_dir: str):
-    """S6 via Ray's native aggregate API (Min/Max/Count) — exact-integer
+    """S6 min/max/count through the keyed aggregate — exact-integer
     columns only, so the hash compare cannot be bitten by float sum order."""
-    from ray.data.aggregate import Count, Max, Min
-
     ds = _read(sf_dir, "events", ["event_type", "value"])
     ds = ds.map_batches(
         lambda t: pa.Table.from_arrays(
@@ -793,10 +792,13 @@ def q_agg_builtins(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    return ds.groupby("event_type").aggregate(
-        Min("value_e4", alias_name="min_e4"),
-        Max("value_e4", alias_name="max_e4"),
-        Count(alias_name="n"),
+    return keyed_aggregate(
+        ds, ["event_type"],
+        {
+            "min_e4": ("value_e4", "min"),
+            "max_e4": ("value_e4", "max"),
+            "n": ("event_type", "count"),
+        },
     )
 
 

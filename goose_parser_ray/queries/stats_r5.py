@@ -18,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 from goose_parser_ray.queries._shared import _read
 
 
@@ -51,10 +51,7 @@ def q_spearman(sf_dir: str):
     def rank2_table(col: str) -> tuple[np.ndarray, np.ndarray]:
         """(sorted distinct values, their doubled ranks)."""
         vc = (
-            pre_aggregated_sum(
-                base.select_columns([col]), keys=[col], sums={},
-                count_alias="n",
-            )
+            keyed_aggregate(base.select_columns([col]), [col], {"n": (col, "count")})
             .to_pandas()
             .sort_values(col)
         )
@@ -140,22 +137,17 @@ def q_mann_kendall(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["ts", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def daily(t: pa.Table) -> pa.Table:
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // 86_400_000_000
         v = np.round(
             100 * t["value"].to_numpy(zero_copy_only=False)
         ).astype(np.int64)
-        df = pd.DataFrame({"day": day, "v": v}).groupby("day", as_index=False)[
-            "v"
-        ].sum()
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.table({"day": us // 86_400_000_000, "v": v})
 
     series = (
-        pre_aggregated_sum(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            keys=["day"],
-            sums={"v": "v"},
+        keyed_aggregate(
+            ds.map_batches(daily, batch_format="pyarrow"), ["day"],
+            {"v": ("v", "sum")},
         )
         .to_pandas()
         .sort_values("day")
@@ -220,16 +212,15 @@ def q_prf_metrics(sf_dir: str):
     pred = ds.map_batches(
         lambda t: LangIdActor()(t), batch_format="pyarrow"
     )
-    conf = pre_aggregated_sum(
+    conf = keyed_aggregate(
         pred.map_batches(
             lambda t: pa.Table.from_arrays(
                 [t["lang"], t["lang_pred"]], names=["lang", "lang_pred"]
             ),
             batch_format="pyarrow",
         ),
-        keys=["lang", "lang_pred"],
-        sums={},
-        count_alias="n",
+        ["lang", "lang_pred"],
+        {"n": ("lang", "count")},
     ).to_pandas()  # |langs|^2-bounded
     langs = sorted(set(conf["lang"]) | set(conf["lang_pred"]))
     rows = []

@@ -17,7 +17,7 @@ from goose_parser_ray.functions.dedup import exact_dedup, minhash_dedup_keep
 from goose_parser_ray.functions.multimodal import ImageDecodeActor
 from goose_parser_ray.functions.relational import (
     broadcast_join,
-    pre_aggregated_sum,
+    keyed_aggregate,
     safe_join,
 )
 from goose_parser_ray.functions.textstats import LangIdActor, add_fingerprint
@@ -92,16 +92,15 @@ def q_langid_confusion(sf_dir: str):
     pred = ds.map_batches(
         lambda t: LangIdActor()(t), batch_format="pyarrow"
     )
-    return pre_aggregated_sum(
+    return keyed_aggregate(
         pred.map_batches(
             lambda t: pa.Table.from_arrays(
                 [t["lang"], t["lang_pred"]], names=["lang", "lang_pred"]
             ),
             batch_format="pyarrow",
         ),
-        keys=["lang", "lang_pred"],
-        sums={},
-        count_alias="n_docs",
+        ["lang", "lang_pred"],
+        {"n_docs": ("lang", "count")},
     )
 
 
@@ -428,10 +427,9 @@ def q_web_pipeline(sf_dir: str):
             {"lang_pred": t["lang_pred"], "n_tok": n_tok}
         )
 
-    return pre_aggregated_sum(
-        kept.map_batches(stats, batch_format="pyarrow"),
-        keys=["lang_pred"], sums={"n_tok": "sum_tokens"},
-        count_alias="n_docs",
+    return keyed_aggregate(
+        kept.map_batches(stats, batch_format="pyarrow"), ["lang_pred"],
+        {"sum_tokens": ("n_tok", "sum"), "n_docs": ("lang_pred", "count")},
     )
 
 
@@ -478,49 +476,37 @@ def q_vocab_growth(sf_dir: str):
     (token → min doc) partials per batch, ONE vocabulary-keyed Min
     aggregate (wordcount shape), then bucket partials; the cumulative
     sum runs on the driver over <= 32 rows."""
-    import pandas as pd
-    from ray.data.aggregate import Min, Sum
-
     from goose_parser_ray.functions.textstats import WORD_SPLIT_RE
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def partial_first(t: pa.Table) -> pa.Table:
+    def word_docs(t: pa.Table) -> pa.Table:
         lowered = pc.fill_null(pc.utf8_lower(t["text"]), "")
         words = pc.split_pattern_regex(lowered, pattern=WORD_SPLIT_RE)
         if isinstance(words, pa.ChunkedArray):
             words = words.combine_chunks()
-        lens = pc.list_value_length(words).to_numpy()
-        flat = pd.Series(pc.list_flatten(words).to_pylist(), dtype=object)
-        docs = np.repeat(t["doc_id"].to_numpy(zero_copy_only=False), lens)
-        df = pd.DataFrame({"word": flat, "first_doc": docs})
-        df = df[df["word"] != ""]
-        out = df.groupby("word", as_index=False)["first_doc"].min()
-        return pa.Table.from_pandas(out, preserve_index=False)
+        flat = pc.list_flatten(words)
+        docs = pc.take(t["doc_id"], pc.list_parent_indices(words))
+        return pa.table({"word": flat, "doc_id": docs}).filter(
+            pc.not_equal(flat, "")
+        )
 
-    firsts = (
-        ds.map_batches(partial_first, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Min("first_doc", alias_name="first_doc"))
+    firsts = keyed_aggregate(
+        ds.map_batches(word_docs, batch_format="pyarrow"), ["word"],
+        {"first_doc": ("doc_id", "min")},
     )
 
     max_doc = int(ds.max("doc_id"))
 
     def floor_bucket(t: pa.Table) -> pa.Table:
         fd = t["first_doc"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = pd.Series(fd * 32 // (max_doc + 1))
-        vc = s.value_counts()
-        return pa.Table.from_pydict(
-            {
-                "checkpoint": pa.array(vc.index.to_numpy(np.int64)),
-                "new_terms": pa.array(vc.to_numpy(np.int64)),
-            }
-        )
+        return pa.table({"checkpoint": fd * 32 // (max_doc + 1)})
 
     buckets = (
-        firsts.map_batches(floor_bucket, batch_format="pyarrow")
-        .groupby("checkpoint")
-        .aggregate(Sum("new_terms", alias_name="new_terms"))
+        keyed_aggregate(
+            firsts.map_batches(floor_bucket, batch_format="pyarrow"),
+            ["checkpoint"], {"new_terms": ("checkpoint", "count")},
+        )
         .sort("checkpoint")
         .to_pandas()  # checkpoint-bounded: rows = docs/100
     )
@@ -556,25 +542,20 @@ def q_top_words(sf_dir: str):
     as lang-ID (split on non-letter/digit runs, lower-cased), map-side
     partial counts per batch, one vocabulary-keyed aggregate, global sort +
     limit with deterministic tie-break."""
-    import pandas as pd
-
     from goose_parser_ray.functions.textstats import WORD_SPLIT_RE
 
     ds = _read(sf_dir, "documents", ["text"])
 
-    def partial_counts(t: pa.Table) -> pa.Table:
+    def to_words(t: pa.Table) -> pa.Table:
         lowered = pc.fill_null(pc.utf8_lower(t["text"]), "")
         words = pc.split_pattern_regex(lowered, pattern=WORD_SPLIT_RE)
         if isinstance(words, pa.ChunkedArray):
             words = words.combine_chunks()
-        s = pd.Series(pc.list_flatten(words).to_pylist(), dtype=object)
-        vc = s[s != ""].value_counts()
-        return pa.Table.from_pydict(
-            {"word": vc.index.tolist(), "n": vc.to_numpy()}
-        )
+        flat = pc.list_flatten(words)
+        return pa.table({"word": flat.filter(pc.not_equal(flat, ""))})
 
-    ds = ds.map_batches(partial_counts, batch_format="pyarrow")
-    ds = pre_aggregated_sum(ds, keys=["word"], sums={"n": "n"})
+    ds = ds.map_batches(to_words, batch_format="pyarrow")
+    ds = keyed_aggregate(ds, ["word"], {"n": ("word", "count")})
     return ds.sort(["n", "word"], descending=[True, False]).limit(20)
 
 
@@ -637,19 +618,8 @@ def q_cms_words(sf_dir: str):
     sketch = cms_build(words_ds, "word", width=width, depth=depth)
     n_total = int(sketch[0].sum())  # each row counts every insert once
 
-    def partial_counts(t: pa.Table) -> pa.Table:
-        s = pd.Series(t["word"].to_pylist(), dtype=object)
-        vc = s.value_counts()
-        return pa.Table.from_pydict(
-            {"word": vc.index.tolist(), "n": vc.to_numpy()}
-        )
-
     exact = (
-        pre_aggregated_sum(
-            words_ds.map_batches(partial_counts, batch_format="pyarrow"),
-            keys=["word"],
-            sums={"n": "n"},
-        )
+        keyed_aggregate(words_ds, ["word"], {"n": ("word", "count")})
         .sort(["n", "word"], descending=[True, False])
         .limit(10)
         .to_pandas()
@@ -715,11 +685,9 @@ def q_image_ahash_dedup(sf_dir: str):
             batch_size=64,  # wide binary payloads — small batches (guide)
         )
     )
-    counts = pre_aggregated_sum(
-        hashes.select_columns(["hash_lo", "hash_hi"]),
-        keys=["hash_lo", "hash_hi"],
-        sums={},
-        count_alias="group_size",
+    counts = keyed_aggregate(
+        hashes.select_columns(["hash_lo", "hash_hi"]), ["hash_lo", "hash_hi"],
+        {"group_size": ("hash_lo", "count")},
     )
     out = safe_join(hashes, counts, on=("hash_lo", "hash_hi"))
     return out.sort("doc_id")
@@ -804,8 +772,9 @@ def q_lang_centroids(sf_dir: str):
         return pa.Table.from_pydict(out)
 
     parts = joined.map_batches(partial, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        parts, keys=["lang", "dim"], sums={"sum_e6": "sum_e6", "n": "n"}
+    return keyed_aggregate(
+        parts, ["lang", "dim"],
+        {"sum_e6": ("sum_e6", "sum"), "n": ("n", "sum")},
     )
 
 
@@ -928,11 +897,10 @@ def q_link_graph(sf_dir: str):
     in-degree rollup is the partial/combiner pattern (one row per
     (batch, dst) crosses the exchange)."""
     from goose_parser_ray.functions.linkgraph import extract_links
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     edges = extract_links(ds)
-    deg = pre_aggregated_sum(edges, ["dst"], {}, count_alias="in_degree")
+    deg = keyed_aggregate(edges, ["dst"], {"in_degree": ("dst", "count")})
     return deg.sort("dst")
 
 
@@ -1105,14 +1073,7 @@ def q_profile(sf_dir: str):
     per batch); the distinct count is one bounded shuffle over per-batch-
     unique (col, v) pairs. Two column-pruned reads of the source — no
     derived-table re-execution, no driver materialization of values."""
-    import pandas as pd
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    from goose_parser_ray.functions.relational import (
-        distinct_rows,
-        pre_aggregated_sum,
-    )
+    from goose_parser_ray.functions.relational import distinct_rows
 
     ds = _read(sf_dir, "events", _PROFILE_COLS)
 
@@ -1127,32 +1088,19 @@ def q_profile(sf_dir: str):
             names=["col", "v"],
         )
 
-    def stats_partial(t: pa.Table) -> pa.Table:
+    def with_nulls(t: pa.Table) -> pa.Table:
         lf = long_form(t)
-        df = lf.to_pandas()
-        g = df.groupby("col", dropna=False)
-        out = pd.DataFrame(
-            {
-                "col": list(g.groups),
-                "n_p": g.size().to_numpy().astype("int64"),
-                "nulls_p": g["v"].apply(lambda s: int(s.isna().sum())).to_numpy(),
-                "min_p": g["v"].min().to_numpy(),
-                "max_p": g["v"].max().to_numpy(),
-            }
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return lf.append_column("null", pc.is_null(lf["v"]))
 
-    stats = (
-        ds.map_batches(stats_partial, batch_format="pyarrow")
-        .groupby("col")
-        .aggregate(
-            Sum("n_p", alias_name="n"),
-            Sum("nulls_p", alias_name="nulls"),
-            Min("min_p", alias_name="min_v"),
-            Max("max_p", alias_name="max_v"),
-        )
-        .to_pandas()
-    )
+    stats = keyed_aggregate(
+        ds.map_batches(with_nulls, batch_format="pyarrow"), ["col"],
+        {
+            "n": ("col", "count"),
+            "nulls": ("null", "sum"),
+            "min_v": ("v", "min"),
+            "max_v": ("v", "max"),
+        },
+    ).to_pandas()
 
     def long_nonnull(t: pa.Table) -> pa.Table:
         lf = long_form(t)
@@ -1161,7 +1109,7 @@ def q_profile(sf_dir: str):
     long = ds.map_batches(long_nonnull, batch_format="pyarrow")
     dis = distinct_rows(long, ["col", "v"])
     nd = (
-        pre_aggregated_sum(dis, ["col"], {}, count_alias="n_distinct")
+        keyed_aggregate(dis, ["col"], {"n_distinct": ("col", "count")})
         .to_pandas()
     )
 
@@ -1196,8 +1144,6 @@ def q_tree_rollup(sf_dir: str):
     its ancestor chain ARITHMETICALLY map-side (≤ 8 rows, no joins, no
     iteration) and one partial-combined count per ancestor finishes it —
     the recursion is in the oracle, not the engine."""
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
     ds = _read(sf_dir, "documents", ["doc_id"])
 
     def ancestors(t: pa.Table) -> pa.Table:
@@ -1216,8 +1162,9 @@ def q_tree_rollup(sf_dir: str):
         return pa.Table.from_pydict({"node": pa.array(flat, pa.int64())})
 
     fanned = ds.map_batches(ancestors, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        fanned, ["node"], {}, count_alias="subtree"
+    return keyed_aggregate(
+        fanned, ["node"],
+        {"subtree": ("node", "count")},
     ).sort("node")
 
 

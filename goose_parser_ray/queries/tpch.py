@@ -14,7 +14,7 @@ import pyarrow.compute as pc
 import ray
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
+from goose_parser_ray.functions.relational import keyed_aggregate, safe_join
 
 from goose_parser_ray.queries._shared import _cents, _read
 
@@ -59,9 +59,9 @@ def q_forecast_revenue(sf_dir: str):
             {"k": pa.array([0] * n, pa.int64()), "rev": rev}
         )
 
-    agg = pre_aggregated_sum(
-        ds.map_batches(sel, batch_format="pyarrow"),
-        keys=["k"], sums={"rev": "revenue_c4"}, count_alias="n_items",
+    agg = keyed_aggregate(
+        ds.map_batches(sel, batch_format="pyarrow"), ["k"],
+        {"revenue_c4": ("rev", "sum"), "n_items": ("k", "count")},
     )
     return agg.drop_columns(["k"])
 
@@ -111,13 +111,13 @@ def q_priority_semi(sf_dir: str):
         ).select(["l_orderkey", "o_orderpriority"]),
         batch_format="pyarrow",
     )
-    distinct_orders = pre_aggregated_sum(
-        joined, keys=["l_orderkey", "o_orderpriority"], sums={},
-        count_alias="__n",
+    distinct_orders = keyed_aggregate(
+        joined, ["l_orderkey", "o_orderpriority"],
+        {"__n": ("l_orderkey", "count")},
     ).drop_columns(["__n"])
-    return pre_aggregated_sum(
-        distinct_orders, keys=["o_orderpriority"], sums={},
-        count_alias="order_count",
+    return keyed_aggregate(
+        distinct_orders, ["o_orderpriority"],
+        {"order_count": ("o_orderpriority", "count")},
     )
 
 
@@ -187,11 +187,12 @@ def q_returned_customers(sf_dir: str):
     joined = safe_join(
         li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     )
-    per_cust = pre_aggregated_sum(
+    per_cust = keyed_aggregate(
         joined.map_batches(
             lambda t: t.select(["o_custkey", "rev"]), batch_format="pyarrow"
         ),
-        keys=["o_custkey"], sums={"rev": "revenue_c4"},
+        ["o_custkey"],
+        {"revenue_c4": ("rev", "sum")},
     )
 
     def attach(t: pa.Table) -> pa.Table:
@@ -271,9 +272,9 @@ def q_promo_share(sf_dir: str):
         sf_dir, "lineitem",
         ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
     ).map_batches(sel, batch_format="pyarrow")
-    agg = pre_aggregated_sum(
-        li, keys=["k"],
-        sums={"promo": "promo_revenue_c4", "total": "total_revenue_c4"},
+    agg = keyed_aggregate(
+        li, ["k"],
+        {"promo_revenue_c4": ("promo", "sum"), "total_revenue_c4": ("total", "sum")},
     ).to_pandas()
     p = int(agg["promo_revenue_c4"].iloc[0])
     t = int(agg["total_revenue_c4"].iloc[0])
@@ -384,9 +385,9 @@ def q_volume_shipping(sf_dir: str):
         ).select(["supp_nation", "cust_nation", "l_year", "rev"]),
         batch_format="pyarrow",
     )
-    return pre_aggregated_sum(
-        joined, keys=["supp_nation", "cust_nation", "l_year"],
-        sums={"rev": "revenue_c4"},
+    return keyed_aggregate(
+        joined, ["supp_nation", "cust_nation", "l_year"],
+        {"revenue_c4": ("rev", "sum")},
     )
 
 
@@ -486,13 +487,16 @@ def q_market_share(sf_dir: str):
     joined = safe_join(
         li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     )
-    per_year = pre_aggregated_sum(
+    per_year = keyed_aggregate(
         joined.map_batches(
             lambda t: t.select(["o_year", "rev", "target_rev"]),
             batch_format="pyarrow",
         ),
-        keys=["o_year"],
-        sums={"target_rev": "nation_revenue_c4", "rev": "total_revenue_c4"},
+        ["o_year"],
+        {
+            "nation_revenue_c4": ("target_rev", "sum"),
+            "total_revenue_c4": ("rev", "sum"),
+        },
     ).to_pandas().sort_values("o_year")
     share = [
         int(math.floor(10000.0 * float(p) / float(t) + 0.5)) if t else 0
@@ -589,9 +593,7 @@ def q_product_profit(sf_dir: str):
         ["l_partkey", "l_suppkey", "l_quantity", "l_extendedprice",
          "l_discount", "l_shipdate"],
     ).map_batches(sel, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        li, keys=["n_name", "l_year"], sums={"profit": "profit_c4"}
-    )
+    return keyed_aggregate(li, ["n_name", "l_year"], {"profit_c4": ("profit", "sum")})
 
 
 SQL_PRODUCT_PROFIT = """
@@ -655,9 +657,9 @@ def q_late_priority(sf_dir: str):
     joined = safe_join(
         li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     ).map_batches(classify, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        joined, keys=["l_linestatus"],
-        sums={"high": "high_line_count", "low": "low_line_count"},
+    return keyed_aggregate(
+        joined, ["l_linestatus"],
+        {"high_line_count": ("high", "sum"), "low_line_count": ("low", "sum")},
     )
 
 
@@ -723,11 +725,12 @@ def q_min_cost_supplier(sf_dir: str):
         )
         return t.select(["l_partkey", "l_suppkey"])
 
-    pairs = pre_aggregated_sum(
+    pairs = keyed_aggregate(
         _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
             sel, batch_format="pyarrow"
         ),
-        keys=["l_partkey", "l_suppkey"], sums={}, count_alias="__n",
+        ["l_partkey", "l_suppkey"],
+        {"__n": ("l_partkey", "count")},
     ).drop_columns(["__n"])
 
     def attach_bal(t: pa.Table) -> pa.Table:
@@ -737,10 +740,8 @@ def q_min_cost_supplier(sf_dir: str):
 
     with_bal = pairs.map_batches(attach_bal, batch_format="pyarrow")
     # per-part min over the joined attribute (the correlated subquery)
-    from ray.data.aggregate import Min
-
-    mins = with_bal.groupby(["l_partkey"]).aggregate(
-        Min("bal_cents", alias_name="min_bal")
+    mins = keyed_aggregate(
+        with_bal, ["l_partkey"], {"min_bal": ("bal_cents", "min")}
     )
     winners = safe_join(
         with_bal, mins, on=("l_partkey",), right_on=("l_partkey",),
@@ -812,12 +813,13 @@ def q_important_parts(sf_dir: str):
         )
         return pa.Table.from_pydict({"l_partkey": t["l_partkey"], "rev": rev})
 
-    per_part = pre_aggregated_sum(
+    per_part = keyed_aggregate(
         _read(
             sf_dir, "lineitem",
             ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
         ).map_batches(sel, batch_format="pyarrow"),
-        keys=["l_partkey"], sums={"rev": "value_c4"},
+        ["l_partkey"],
+        {"value_c4": ("rev", "sum")},
     )
     total = int(
         per_part.map_batches(
@@ -884,12 +886,13 @@ def q_top_supplier(sf_dir: str):
         )
         return pa.Table.from_pydict({"l_suppkey": t["l_suppkey"], "rev": rev})
 
-    per_sup = pre_aggregated_sum(
+    per_sup = keyed_aggregate(
         _read(
             sf_dir, "lineitem",
             ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
         ).map_batches(sel, batch_format="pyarrow"),
-        keys=["l_suppkey"], sums={"rev": "total_revenue_c4"},
+        ["l_suppkey"],
+        {"total_revenue_c4": ("rev", "sum")},
     ).to_pandas()
     best = int(per_sup["total_revenue_c4"].max())
     win = per_sup[per_sup["total_revenue_c4"] == best].copy()
@@ -958,11 +961,12 @@ def q_part_supplier_counts(sf_dir: str):
         )
         return t.select(["l_partkey", "l_suppkey"])
 
-    pairs = pre_aggregated_sum(
+    pairs = keyed_aggregate(
         _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
             sel, batch_format="pyarrow"
         ),
-        keys=["l_partkey", "l_suppkey"], sums={}, count_alias="__n",
+        ["l_partkey", "l_suppkey"],
+        {"__n": ("l_partkey", "count")},
     ).drop_columns(["__n"])
 
     def attach(t: pa.Table) -> pa.Table:
@@ -977,14 +981,14 @@ def q_part_supplier_counts(sf_dir: str):
             }
         )
 
-    grp = pre_aggregated_sum(
+    grp = keyed_aggregate(
         pairs.map_batches(attach, batch_format="pyarrow"),
-        keys=["p_brand", "p_type", "p_size", "l_suppkey"], sums={},
-        count_alias="__n",
+        ["p_brand", "p_type", "p_size", "l_suppkey"],
+        {"__n": ("p_brand", "count")},
     ).drop_columns(["__n"])
-    return pre_aggregated_sum(
-        grp, keys=["p_brand", "p_type", "p_size"], sums={},
-        count_alias="supplier_cnt",
+    return keyed_aggregate(
+        grp, ["p_brand", "p_type", "p_size"],
+        {"supplier_cnt": ("p_brand", "count")},
     )
 
 
@@ -1037,8 +1041,9 @@ def q_small_qty_revenue(sf_dir: str):
         sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
     ).map_batches(sel, batch_format="pyarrow")
 
-    per_part = pre_aggregated_sum(
-        li, keys=["l_partkey"], sums={"qty_c2": "sum_q"}, count_alias="n"
+    per_part = keyed_aggregate(
+        li, ["l_partkey"],
+        {"sum_q": ("qty_c2", "sum"), "n": ("l_partkey", "count")},
     )
 
     def small(t: pa.Table) -> pa.Table:
@@ -1062,9 +1067,7 @@ def q_small_qty_revenue(sf_dir: str):
         ),
         on=("l_partkey",), right_on=("pk",),
     ).map_batches(small, batch_format="pyarrow")
-    agg = pre_aggregated_sum(
-        joined, keys=["k"], sums={"price_c2": "total_c2"}
-    ).to_pandas()
+    agg = keyed_aggregate(joined, ["k"], {"total_c2": ("price_c2", "sum")}).to_pandas()
     total = int(agg["total_c2"].iloc[0]) if len(agg) else 0
     avg_yearly = int(math.floor(float(total) / 7.0 + 0.5)) if total >= 0 else 0
     return pd.DataFrame(
@@ -1116,8 +1119,9 @@ def q_large_volume_customers(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    per_order = pre_aggregated_sum(
-        li, keys=["l_orderkey"], sums={"qty_c2": "sum_qty_c2"}
+    per_order = keyed_aggregate(
+        li, ["l_orderkey"],
+        {"sum_qty_c2": ("qty_c2", "sum")},
     ).map_batches(
         lambda t: t.filter(
             pc.greater(t["sum_qty_c2"], pa.scalar(threshold_c2, pa.int64()))
@@ -1231,7 +1235,7 @@ def q_bracket_revenue(sf_dir: str):
         sf_dir, "lineitem",
         ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     ).map_batches(sel, batch_format="pyarrow")
-    agg = pre_aggregated_sum(li, keys=["k"], sums={"rev": "revenue_c4"}).to_pandas()
+    agg = keyed_aggregate(li, ["k"], {"revenue_c4": ("rev", "sum")}).to_pandas()
     total = int(agg["revenue_c4"].iloc[0]) if len(agg) else 0
     return pd.DataFrame({"revenue_c4": [np.int64(total)]})
 
@@ -1302,11 +1306,13 @@ def q_dominant_suppliers(sf_dir: str):
     li = _read(
         sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"]
     ).map_batches(sel, batch_format="pyarrow")
-    per_pair = pre_aggregated_sum(
-        li, keys=["l_partkey", "l_suppkey"], sums={"qty_c2": "supp_qty"}
+    per_pair = keyed_aggregate(
+        li, ["l_partkey", "l_suppkey"],
+        {"supp_qty": ("qty_c2", "sum")},
     )
-    per_part = pre_aggregated_sum(
-        per_pair, keys=["l_partkey"], sums={"supp_qty": "part_qty"}
+    per_part = keyed_aggregate(
+        per_pair, ["l_partkey"],
+        {"part_qty": ("supp_qty", "sum")},
     ).map_batches(
         lambda t: t.rename_columns(["pk", "part_qty"]), batch_format="pyarrow"
     )
@@ -1323,8 +1329,9 @@ def q_dominant_suppliers(sf_dir: str):
     winners = safe_join(
         per_pair, per_part, on=("l_partkey",), right_on=("pk",),
     ).map_batches(dominant, batch_format="pyarrow")
-    distinct = pre_aggregated_sum(
-        winners, keys=["l_suppkey"], sums={}, count_alias="__n"
+    distinct = keyed_aggregate(
+        winners, ["l_suppkey"],
+        {"__n": ("l_suppkey", "count")},
     ).drop_columns(["__n"])
 
     def attach(t: pa.Table) -> pa.Table:
@@ -1603,8 +1610,9 @@ def q_local_supplier_volume(sf_dir: str):
     joined = safe_join(
         li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
     ).map_batches(local_only, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        joined, keys=["n_name"], sums={"rev": "revenue_c4"}
+    return keyed_aggregate(
+        joined, ["n_name"],
+        {"revenue_c4": ("rev", "sum")},
     ).sort("revenue_c4", descending=True)
 
 

@@ -15,7 +15,7 @@ import ray.data
 from goose_parser_ray.functions import dedup as _dedup
 from goose_parser_ray.functions.dedup import exact_dedup
 from goose_parser_ray.functions.packing import global_scan_offsets
-from goose_parser_ray.functions.relational import pre_aggregated_sum, safe_join
+from goose_parser_ray.functions.relational import keyed_aggregate, safe_join
 from goose_parser_ray.stages.extract import cached_kernel
 
 from goose_parser_ray.queries._shared import _cents, _read
@@ -199,10 +199,9 @@ def q_stump(sf_dir: str):
         )
 
     hist = (
-        pre_aggregated_sum(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            keys=["bin"],
-            sums={"n": "n", "p": "p"},
+        keyed_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow"), ["bin"],
+            {"n": ("n", "sum"), "p": ("p", "sum")},
         )
         .to_pandas()  # ≤ 64 rows by construction
         .sort_values("bin")
@@ -487,9 +486,9 @@ def q_entity_resolution(sf_dir: str):
     # lexicographic name, and the label-sum convergence detector needs
     # integer nodes); the id table is the same domain-bounded name list
     names = sorted(
-        pre_aggregated_sum(
-            parts.select_columns(["p_name"]), keys=["p_name"], sums={},
-            count_alias="k",
+        keyed_aggregate(
+            parts.select_columns(["p_name"]), ["p_name"],
+            {"k": ("p_name", "count")},
         )
         .to_pandas()["p_name"]
         .dropna()
@@ -531,11 +530,9 @@ def q_entity_resolution(sf_dir: str):
         )
 
     labeled = parts.map_batches(to_label, batch_format="pyarrow")
-    canon = (
-        labeled.groupby("label")
-        .aggregate(ray.data.aggregate.Min("p_partkey", alias_name="canonical_id"))
-        .to_pandas()  # ≤ one row per cluster (domain-bounded)
-    )
+    canon = keyed_aggregate(
+        labeled, ["label"], {"canonical_id": ("p_partkey", "min")}
+    ).to_pandas()  # ≤ one row per cluster (domain-bounded)
     canon_ref = ray.put(dict(zip(canon["label"], canon["canonical_id"])))
 
     def to_canon(t: pa.Table) -> pa.Table:
@@ -702,9 +699,9 @@ def q_bfs_levels(sf_dir: str):
         batch_format="pyarrow",
     )
     levels = bfs_levels_distributed(und, seeds, max_hops=6)
-    return pre_aggregated_sum(
-        levels.select_columns(["lvl"]), keys=["lvl"], sums={},
-        count_alias="n_nodes",
+    return keyed_aggregate(
+        levels.select_columns(["lvl"]), ["lvl"],
+        {"n_nodes": ("lvl", "count")},
     )
 
 
@@ -783,31 +780,16 @@ def _basket_pair_counts(dis: "ray.data.Dataset") -> "ray.data.Dataset":
     whole blocks (``_capped_baskets`` keeps every basket inside one block),
     so the only exchange is the (pair, partial-count) aggregate — baskets
     never shuffle again."""
-    import pandas as pd
-
     def expand(t: pa.Table) -> pa.Table:
         d = t.to_pandas()
         m = d.merge(d, on="o")
         m = m[m["p_x"] < m["p_y"]]
-        c = (
-            m.groupby(["p_x", "p_y"], as_index=False, sort=False)
-            .size()
-            .rename(columns={"p_x": "u", "p_y": "v", "size": "support"})
-        )
-        return pa.Table.from_pydict(
-            {
-                "u": c["u"].to_numpy(np.int64),
-                "v": c["v"].to_numpy(np.int64),
-                "support": c["support"].to_numpy(np.int64),
-            }
+        return pa.table(
+            {"u": m["p_x"].to_numpy(np.int64), "v": m["p_y"].to_numpy(np.int64)}
         )
 
-    partial = dis.map_batches(
-        expand, batch_format="pyarrow", batch_size=None
-    )
-    return pre_aggregated_sum(
-        partial, keys=["u", "v"], sums={"support": "support"}
-    )
+    pairs = dis.map_batches(expand, batch_format="pyarrow", batch_size=None)
+    return keyed_aggregate(pairs, ["u", "v"], {"support": ("u", "count")})
 
 
 _SQL_CAPPED_BASKETS = """
@@ -884,12 +866,13 @@ def q_item_cf(sf_dir: str):
     bounds the output to the frequent-pair set; the basket-size cap
     (``_capped_baskets``) bounds the map-side pair fan-out."""
     dis = _capped_baskets(sf_dir)
-    cnt = pre_aggregated_sum(
+    cnt = keyed_aggregate(
         dis.map_batches(
             lambda t: pa.Table.from_arrays([t["p"]], names=["p"]),
             batch_format="pyarrow",
         ),
-        keys=["p"], sums={}, count_alias="c",
+        ["p"],
+        {"c": ("p", "count")},
     )
     co = _basket_pair_counts(dis).map_batches(
         lambda t: pa.Table.from_arrays(
@@ -955,19 +938,15 @@ def q_minmax_normalize(sf_dir: str):
     integers. Tiny per-group min/max aggregate → broadcast → map-only
     second pass; zero-range groups emit 0."""
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    from ray.data.aggregate import Max, Min
-
-    stats = (
+    stats = keyed_aggregate(
         ds.map_batches(
             lambda t: pa.Table.from_pydict(
                 {"event_type": t["event_type"], "vc": _cents(t["value"])}
             ),
             batch_format="pyarrow",
-        )
-        .groupby("event_type")
-        .aggregate(Min("vc", alias_name="lo"), Max("vc", alias_name="hi"))
-        .to_pandas()  # one row per event_type — domain-bounded
-    )
+        ),
+        ["event_type"], {"lo": ("vc", "min"), "hi": ("vc", "max")},
+    ).to_pandas()  # one row per event_type — domain-bounded
     lo = dict(zip(stats["event_type"], stats["lo"]))
     hi = dict(zip(stats["event_type"], stats["hi"]))
     ref = ray.put((lo, hi))
@@ -1179,9 +1158,9 @@ def q_training_shards(sf_dir: str):
             {"shard": (ex % 8).astype(np.int64), "n_tok": t["n_tok"]}
         )
 
-    return pre_aggregated_sum(
-        packed.map_batches(shard, batch_format="pyarrow"),
-        keys=["shard"], sums={"n_tok": "sum_tokens"}, count_alias="n_docs",
+    return keyed_aggregate(
+        packed.map_batches(shard, batch_format="pyarrow"), ["shard"],
+        {"sum_tokens": ("n_tok", "sum"), "n_docs": ("shard", "count")},
     )
 
 
@@ -1419,13 +1398,14 @@ def q_scc(sf_dir: str):
         ds.map_batches(order_slice, batch_format="pyarrow"), "o", fold,
         rows=ds.count(),
     )
-    edges = pre_aggregated_sum(
-        edges, keys=["u", "v"], sums={}, count_alias="k"
+    edges = keyed_aggregate(
+        edges, ["u", "v"],
+        {"k": ("u", "count")},
     ).drop_columns(["k"])
     labels = scc_distributed(edges, cols=("u", "v"))
-    return pre_aggregated_sum(
-        labels.select_columns(["scc"]), keys=["scc"], sums={},
-        count_alias="n_nodes",
+    return keyed_aggregate(
+        labels.select_columns(["scc"]), ["scc"],
+        {"n_nodes": ("scc", "count")},
     )
 
 

@@ -18,7 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 from goose_parser_ray.queries._shared import _read
 
 
@@ -313,7 +313,7 @@ def q_crawl_frontier(sf_dir: str):
         return t.filter(pc.equal(mod4, 0))
 
     edges = edges.map_batches(uncrawled, batch_format="pyarrow")
-    deg = pre_aggregated_sum(edges, ["dst"], {}, count_alias="in_degree")
+    deg = keyed_aggregate(edges, ["dst"], {"in_degree": ("dst", "count")})
 
     def add_domain(t: pa.Table) -> pa.Table:
         dst = t["dst"]

@@ -9,7 +9,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from goose_parser_ray.functions.relational import pre_aggregated_sum
+from goose_parser_ray.functions.relational import keyed_aggregate
 
 from goose_parser_ray.queries._shared import _read
 
@@ -378,7 +378,6 @@ def q_anchor_texts(sf_dir: str):
     states the expected (target, anchor) multiset in closed form, so a
     text-node split/drop bug in the tree builder breaks the hash."""
     from goose_parser_ray.functions.linkgraph import AnchorTextActor
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     pairs = ds.map_batches(
@@ -388,8 +387,7 @@ def q_anchor_texts(sf_dir: str):
         batch_format="pyarrow",
         batch_size=512,
     )
-    return pre_aggregated_sum(pairs, ["dst", "anchor"], {},
-                              count_alias="n_links")
+    return keyed_aggregate(pairs, ["dst", "anchor"], {"n_links": ("dst", "count")})
 
 
 SQL_ANCHOR_TEXTS = """
@@ -478,10 +476,6 @@ def q_homoglyph_domains(sf_dir: str):
     aggregate: map-side (skeleton, raw) partial counts, one exchange
     over distinct variants, then a skeleton-bounded rollup. The twin
     re-states the synthesis and the same replace chain."""
-    from ray.data.aggregate import Min, Sum
-
-    from goose_parser_ray.functions.relational import pre_aggregated_sum
-
     CONF = [("і", "i"), ("е", "e"), ("о", "o")]
 
     def synth(t: pa.Table) -> pa.Table:
@@ -511,39 +505,18 @@ def q_homoglyph_domains(sf_dir: str):
         .map_batches(skeletonize, batch_format="pyarrow")
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        out = df.groupby(["skeleton", "domain"], as_index=False).agg(
-            n_docs=("doc_id", "size"), first_doc=("doc_id", "min")
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    variants = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["skeleton", "domain"])
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Min("first_doc", alias_name="first_doc"),
-        )
+    variants = keyed_aggregate(
+        ds, ["skeleton", "domain"],
+        {"n_docs": ("doc_id", "count"), "first_doc": ("doc_id", "min")},
     )
-
-    def rollup(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        out = df.groupby("skeleton", as_index=False).agg(
-            n_variants=("domain", "nunique"),
-            n_docs=("n_docs", "sum"),
-            first_doc=("first_doc", "min"),
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    rolled = (
-        variants.map_batches(rollup, batch_format="pyarrow")
-        .groupby("skeleton")
-        .aggregate(
-            Sum("n_variants", alias_name="n_variants"),
-            Sum("n_docs", alias_name="n_docs"),
-            Min("first_doc", alias_name="first_doc"),
-        )
+    # one row per (skeleton, domain), so counting rows counts variants
+    rolled = keyed_aggregate(
+        variants, ["skeleton"],
+        {
+            "n_variants": ("domain", "count"),
+            "n_docs": ("n_docs", "sum"),
+            "first_doc": ("first_doc", "min"),
+        },
     )
 
     def flag(t: pa.Table) -> pa.Table:

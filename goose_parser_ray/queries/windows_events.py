@@ -12,7 +12,7 @@ import pyarrow.compute as pc
 import ray
 
 from goose_parser_ray.functions import dedup as _dedup
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
+from goose_parser_ray.functions.relational import broadcast_join, keyed_aggregate
 
 from goose_parser_ray.queries._shared import _cents, _read
 
@@ -33,9 +33,9 @@ def q_cube_agg(sf_dir: str):
     cube expansion touches only the (langs × sources)-row grouped result,
     which is small BY DEFINITION of the grouping keys."""
     ds = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
-    base = pre_aggregated_sum(
-        ds, keys=["lang", "source"], sums={"n_chars": "sum_chars"},
-        count_alias="n_docs",
+    base = keyed_aggregate(
+        ds, ["lang", "source"],
+        {"sum_chars": ("n_chars", "sum"), "n_docs": ("lang", "count")},
     ).to_pandas()
 
     import pandas as pd
@@ -72,8 +72,9 @@ def q_mode_per_group(sf_dir: str):
     source). Distributed count partials → tiny grouped result → driver
     argmax over ≤ (langs × sources) rows."""
     ds = _read(sf_dir, "documents", ["lang", "source"])
-    counts = pre_aggregated_sum(
-        ds, keys=["lang", "source"], sums={}, count_alias="n_docs"
+    counts = keyed_aggregate(
+        ds, ["lang", "source"],
+        {"n_docs": ("lang", "count")},
     ).to_pandas()
     top = (
         counts.sort_values(
@@ -120,9 +121,9 @@ def q_zscore_by_type(sf_dir: str):
         )
 
     vals = ds.map_batches(prep, batch_format="pyarrow")
-    stats = pre_aggregated_sum(
-        vals, keys=["event_type"], sums={"v4": "s", "v4sq": "q"},
-        count_alias="n",
+    stats = keyed_aggregate(
+        vals, ["event_type"],
+        {"s": ("v4", "sum"), "q": ("v4sq", "sum"), "n": ("event_type", "count")},
     ).to_pandas()
     types = pa.array(stats["event_type"].tolist())
     s_arr = stats["s"].to_numpy(np.float64)
@@ -287,9 +288,9 @@ def q_events_window(sf_dir: str):
         )
 
     ds = ds.map_batches(prep, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        ds, keys=["event_type", "hour"], sums={"value_e4": "value_e4"},
-        count_alias="n_events",
+    return keyed_aggregate(
+        ds, ["event_type", "hour"],
+        {"value_e4": ("value_e4", "sum"), "n_events": ("event_type", "count")},
     )
 
 
@@ -438,9 +439,9 @@ def q_events_hopping(sf_dir: str):
         )
 
     ds = ds.map_batches(fan_out, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        ds, keys=["event_type", "win_start"], sums={"value_e4": "value_e4"},
-        count_alias="n_events",
+    return keyed_aggregate(
+        ds, ["event_type", "win_start"],
+        {"value_e4": ("value_e4", "sum"), "n_events": ("event_type", "count")},
     )
 
 
@@ -480,9 +481,9 @@ def q_activity_streaks(sf_dir: str):
         )
         return pa.Table.from_pydict({"user_id": t["user_id"], "day_i": day_i})
 
-    days = pre_aggregated_sum(
-        ds.map_batches(to_days, batch_format="pyarrow"),
-        keys=["user_id", "day_i"], sums={}, count_alias="k",
+    days = keyed_aggregate(
+        ds.map_batches(to_days, batch_format="pyarrow"), ["user_id", "day_i"],
+        {"k": ("user_id", "count")},
     ).drop_columns(["k"])
 
     def streaks_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -876,9 +877,7 @@ def q_value_histogram(sf_dir: str):
         )
 
     ds = ds.map_batches(binify, batch_format="pyarrow")
-    return pre_aggregated_sum(
-        ds, keys=["event_type", "bin"], sums={}, count_alias="n"
-    )
+    return keyed_aggregate(ds, ["event_type", "bin"], {"n": ("event_type", "count")})
 
 
 SQL_VALUE_HISTOGRAM = """

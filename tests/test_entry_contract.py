@@ -205,6 +205,31 @@ def test_keyed_folds_go_through_bucket_groups():
     assert hash_mod == hasher_defs | set(SALTED), sorted(hash_mod)
 
 
+def test_keyed_aggregates_go_through_keyed_aggregate():
+    """Every keyed aggregate of the package is ``relational.keyed_aggregate``:
+    no ``.aggregate(...)`` runs on a ``.groupby(...)`` (Ray's sort-based
+    aggregate folds each group in Python and cannot sort a null string
+    key), and the retired ``pre_aggregated_sum`` is gone by name too."""
+    sites, named = [], []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        src = path.read_text()
+        rel = str(path.relative_to(PACKAGE_DIR))
+        if "pre_aggregated_sum" in src:
+            named.append(rel)
+        for n in ast.walk(ast.parse(src)):
+            if (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "aggregate"
+                and isinstance(n.func.value, ast.Call)
+                and isinstance(n.func.value.func, ast.Attribute)
+                and n.func.value.func.attr == "groupby"
+            ):
+                sites.append(f"{rel}:{n.lineno}")
+    assert not sites, sites
+    assert not named, named
+
+
 def test_no_query_starts_an_actor():
     """Every batch kernel runs as plain tasks: a kernel with constant
     arguments through ``stages.extract.cached_kernel``, one with per-call

@@ -16,7 +16,7 @@ from goose_parser_ray.functions.dedup import (
     simhash_near_dups,
 )
 from goose_parser_ray.functions.multimodal import FrameSampleActor, ImageDecodeActor
-from goose_parser_ray.functions.relational import broadcast_join, pre_aggregated_sum
+from goose_parser_ray.functions.relational import broadcast_join, keyed_aggregate
 from goose_parser_ray.functions.similarity import ann_bruteforce
 from goose_parser_ray.functions.textstats import (
     LangIdActor,
@@ -143,21 +143,80 @@ def test_broadcast_join_inner_and_left(ray_session):
     assert len(left) == 3 and left[left["k"] == 9]["name"].isna().all()
 
 
-def test_pre_aggregated_sum_matches_pandas(ray_session):
-    import pandas as pd
+# a null in the string key, in the integer key and in both; 3 blocks
+_KEYED = pa.table(
+    {
+        "k": ["a", None, "a", None, "b", "c"],
+        "i": pa.array([1, None, 1, None, 2, None], pa.int64()),
+        "v": pa.array([1, 2, 3, 4, 5, 6], pa.int32()),
+        "b": [True, False, True, True, False, True],
+    }
+)
 
-    df = pd.DataFrame(
-        {"g": ["a", "b", "a", "b", "a"], "x": [1, 2, 3, 4, 5]}
+
+def _arrow_rows(ds: ray.data.Dataset, keys: list[str]) -> pa.Table:
+    # Ray emits a column-less block for an empty shuffle partition
+    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
+    return pa.concat_tables(blocks).sort_by([(k, "ascending") for k in keys])
+
+
+@pytest.mark.parametrize("bounded_domain", [False, True])
+@pytest.mark.parametrize("value", ["v", "b"])  # int32, bool
+@pytest.mark.parametrize(
+    "keys", [["k"], ["i"], ["k", "i"]], ids=["str", "int", "str_int"]
+)
+def test_keyed_aggregate_matches_duckdb(ray_session, keys, value, bounded_domain):
+    import duckdb
+
+    ds = ray.data.from_arrow([_KEYED.slice(0, 2), _KEYED.slice(2, 2), _KEYED.slice(4)])
+    out = keyed_aggregate(
+        ds, keys,
+        {
+            "s": (value, "sum"),
+            "lo": (value, "min"),
+            "hi": (value, "max"),
+            "n": (keys[0], "count"),
+        },
+        bounded_domain=bounded_domain,
     )
-    ds = ray.data.from_pandas(df)
-    out = (
-        pre_aggregated_sum(ds, keys=["g"], sums={"x": "sx"}, count_alias="n")
-        .to_pandas()
-        .sort_values("g")
-        .reset_index(drop=True)
+    got = _arrow_rows(out, keys)
+    cols = ", ".join(keys)
+    con = duckdb.connect()
+    con.register("_tbl", _KEYED)
+    want = con.sql(
+        f"SELECT {cols}, CAST(SUM({value}::BIGINT) AS BIGINT) AS s,"
+        f" MIN({value}) AS lo, MAX({value}) AS hi, COUNT(*) AS n"
+        f" FROM _tbl GROUP BY {cols}"
+    ).arrow().sort_by([(k, "ascending") for k in keys])
+    assert got.schema == want.schema
+    assert got.to_pylist() == want.to_pylist()
+
+
+@pytest.mark.parametrize("case", ["hash", "fold"])
+def test_mixed_key_bucket_ignores_nulls_elsewhere_in_block(ray_session, case):
+    """A (string, int) key hashes the same in a block whose int column holds
+    a null as in one whose does not (``to_pandas`` makes only the former
+    float64), so ``bucket_groups`` folds each key once."""
+    from goose_parser_ray.functions.dedup import add_hash_bucket, bucket_groups
+
+    keys = pa.table({"k": [f"s{j}" for j in range(20)], "i": list(range(20))})
+    with_null = pa.concat_tables(
+        [keys, pa.table({"k": ["z"], "i": pa.array([None], pa.int64())})]
     )
-    assert out["sx"].tolist() == [9, 6]
-    assert out["n"].tolist() == [3, 2]
+    if case == "hash":
+        nb = 1 << 20
+        plain = add_hash_bucket(keys, ["k", "i"], nb)["__b"]
+        nulled = add_hash_bucket(with_null, ["k", "i"], nb)["__b"]
+        assert nulled.to_pylist()[:20] == plain.to_pylist()
+        return
+    ds = ray.data.from_arrow([with_null, keys])
+    out = bucket_groups(
+        ds, ["k", "i"],
+        lambda g: g.groupby(["k", "i"], dropna=False, as_index=False).size(),
+        rows=len(with_null) + len(keys),
+    ).to_pandas()
+    assert len(out) == 21
+    assert sorted(out["size"].tolist()) == [1] + [2] * 20
 
 
 def test_textstats_vectorized():

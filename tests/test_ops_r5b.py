@@ -43,8 +43,6 @@ class TestSpearmanProperties:
         import pyarrow as pa
         import ray
 
-        from goose_parser_ray.functions.relational import pre_aggregated_sum
-
         # replicate the q_spearman moment math on a controlled table
         x = np.arange(50, dtype=np.int64)
         y = (x * 3 + 7).astype(np.int64)  # strictly monotone in x
