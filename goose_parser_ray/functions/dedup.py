@@ -1061,7 +1061,7 @@ def connected_components_distributed(
             lambda t: pa.Table.from_arrays([t["u"], t["u"]], names=["node", "label"]),
             batch_format="pyarrow",
         ),
-        ["node"], {"label": ("label", "min")}, rows=n_edges,
+        ["node"], {"label": ("label", "min")},
     ).materialize()
     labels = _drop_empty_blocks(labels)
 
@@ -1085,7 +1085,6 @@ def connected_components_distributed(
         labels = _drop_empty_blocks(
             keyed_aggregate(
                 labels.union(msgs), ["node"], {"label": ("label", "min")},
-                rows=n_edges,
             ).materialize()
         )
         # pointer-jumping shortcut: label(x) ← label(label(x)). Labels are
@@ -1903,7 +1902,7 @@ def set_similarity_join(
 
     # token document frequencies: tokens are distinct per doc
     dfreq = keyed_aggregate(
-        tokens, ["token"], {"df": ("token", "count")}, rows=n_tok_rows
+        tokens, ["token"], {"df": ("token", "count")}
     ).materialize()
     n_vocab = dfreq.count()
 
@@ -2591,7 +2590,7 @@ def containment_join(
         return ray.data.from_arrow(empty)
 
     dfreq = keyed_aggregate(
-        grams, ["gram"], {"df": ("gram", "count")}, rows=n_gram_rows
+        grams, ["gram"], {"df": ("gram", "count")}
     ).materialize()
     n_vocab = dfreq.count()
 

@@ -1080,7 +1080,6 @@ def bfs_levels_distributed(
         visited = _drop_empty_blocks(
             keyed_aggregate(
                 visited.union(tagged), ["node"], {"lvl": ("lvl", "min")},
-                rows=n_edges,
             ).materialize()
         )
         frontier = fresh
@@ -1193,7 +1192,6 @@ def sssp_bounded(
         dist = _drop_empty_blocks(
             keyed_aggregate(
                 dist.union(relaxed), ["node"], {"d": ("d", "min")},
-                rows=n_edges,
             ).materialize()
         )
     return dist
@@ -1549,7 +1547,6 @@ def scc_distributed(
             colors = _compact(
                 keyed_aggregate(
                     colors.union(pushed), ["node"], {"color": ("color", "min")},
-                    rows=n_active,
                 )
             )
             # pointer-jumping shortcut (sound for min-forward-reaching-id
@@ -1646,7 +1643,7 @@ def scc_distributed(
                         ),
                         batch_format="pyarrow",
                     ),
-                    ["node"], {"color": ("color", "min")}, rows=n_active,
+                    ["node"], {"color": ("color", "min")},
                 )
             )
             fresh = _compact(
@@ -2074,7 +2071,7 @@ def longest_path_dag(
             batch_format="pyarrow",
         )
         merged = keyed_aggregate(
-            state.union(cand), ["node"], {"lvl": ("lvl", "max")}, rows=n_edges
+            state.union(cand), ["node"], {"lvl": ("lvl", "max")}
         ).materialize()
         # converged when the level multiset is unchanged (levels only grow)
         old_sum = state.map_batches(

@@ -282,23 +282,26 @@ def _group_aggregate(
 
 def keyed_aggregate(
     ds: ray.data.Dataset,
-    keys: "str | list[str]",
+    keys: list[str],
     aggs: dict[str, tuple[str, str]],
     *,
-    rows: int = 0,
     bounded_domain: bool = False,
 ) -> ray.data.Dataset:
     """The package's keyed aggregate, SQL ``SELECT keys, op(src) AS out
     ... GROUP BY keys``: ``aggs = {out: (src, op)}`` with ``op`` one of
     ``sum``, ``min``, ``max`` or ``count`` (rows per key), the pandas
     named-aggregation shape. Output columns are ``keys`` then the ``out``
-    names; rows come in no particular order.
+    names; rows come in no particular order. An input with no rows but an
+    Arrow schema gives an empty table with those columns, typed from it.
 
     Map side: each block is grouped once by Arrow (no per-group Python,
     no pandas metadata), so the shuffle moves one partial row per key per
-    block. Combine: the partials go through :func:`dedup.bucket_groups`
-    (``rows`` is its row hint; 0 means the cluster floor) and each bucket
-    is grouped again the same way, summing sums and counts.
+    block. The partials are materialized (the shuffle waits for all of
+    them anyway) and their row count, read from block metadata, sizes
+    the combine: the partials go through :func:`dedup.bucket_groups` with
+    ``num_shuffle_buckets(<partial rows>)`` buckets, so a bucket's payload
+    stays bounded as the key domain grows, and each bucket is grouped
+    again the same way, summing sums and counts.
 
     ``bounded_domain=True`` is the caller's declaration that the key domain
     is SMALL AND DATA-INDEPENDENT (market segments, languages, digits,
@@ -309,7 +312,6 @@ def keyed_aggregate(
     data-proportional domain."""
     from goose_parser_ray.functions.dedup import bucket_groups
 
-    keys = [keys] if isinstance(keys, str) else list(keys)
     merge = {out: (out, _COMBINE[op]) for out, (_, op) in aggs.items()}
 
     def partial(t: pa.Table) -> pa.Table:
@@ -318,10 +320,19 @@ def keyed_aggregate(
     def combine(t: pa.Table) -> pa.Table:
         return _group_aggregate(t, keys, merge)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    n_partial = partials.count()  # metadata only: just materialized
+    if n_partial == 0:  # Ray would give column-less blocks, or none
+        schema = ds.schema()
+        base = None if schema is None else schema.base_schema
+        if not isinstance(base, pa.Schema):  # no rows ever, or pandas blocks
+            return partials
+        return ray.data.from_arrow(combine(partial(base.empty_table())))
     if bounded_domain:
         return partials.repartition(1).map_batches(combine, batch_format="pyarrow")
-    return bucket_groups(partials, keys, combine, rows=rows, batch_format="pyarrow")
+    return bucket_groups(
+        partials, keys, combine, rows=n_partial, batch_format="pyarrow"
+    )
 
 
 def weighted_sample(

@@ -562,7 +562,7 @@ def dsir_weights_e6(
 
     counts = keyed_aggregate(
         ds.map_batches(count_partial, batch_format="pyarrow"), ["feat"],
-        {"t_cnt": ("t_cnt", "sum"), "r_cnt": ("r_cnt", "sum")}, rows=B,
+        {"t_cnt": ("t_cnt", "sum"), "r_cnt": ("r_cnt", "sum")},
     ).to_pandas()  # bounded: <= B rows by construction
     t_full = np.zeros(B, np.int64)
     r_full = np.zeros(B, np.int64)

@@ -155,9 +155,9 @@ _KEYED = pa.table(
 
 
 def _arrow_rows(ds: ray.data.Dataset, keys: list[str]) -> pa.Table:
-    # Ray emits a column-less block for an empty shuffle partition
-    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
-    return pa.concat_tables(blocks).sort_by([(k, "ascending") for k in keys])
+    # iter_batches keeps Arrow types (to_pandas makes a nullable int float)
+    batches = ds.iter_batches(batch_format="pyarrow", batch_size=None)
+    return pa.concat_tables(batches).sort_by([(k, "ascending") for k in keys])
 
 
 @pytest.mark.parametrize("bounded_domain", [False, True])
@@ -190,6 +190,50 @@ def test_keyed_aggregate_matches_duckdb(ray_session, keys, value, bounded_domain
     ).arrow().sort_by([(k, "ascending") for k in keys])
     assert got.schema == want.schema
     assert got.to_pylist() == want.to_pylist()
+
+
+@pytest.mark.parametrize("bounded_domain", [False, True])
+def test_keyed_aggregate_empty_input_keeps_columns(ray_session, bounded_domain):
+    """No input rows give no output rows under the output's typed columns,
+    not Ray's column-less empty shuffle partitions."""
+    empty = _KEYED.slice(0, 0)
+    out = keyed_aggregate(
+        ray.data.from_arrow(empty), ["k", "i"],
+        {"s": ("v", "sum"), "lo": ("v", "min"), "n": ("k", "count")},
+        bounded_domain=bounded_domain,
+    )
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema(
+        [("k", pa.string()), ("i", pa.int64()), ("s", pa.int64()),
+         ("lo", pa.int32()), ("n", pa.int64())]
+    )
+
+
+def test_keyed_aggregate_buckets_follow_partial_rows(ray_session, monkeypatch):
+    """The combine's bucket count grows with the partial rows, so a bucket's
+    payload stays bounded on a large key domain instead of sitting at the
+    CPU-count floor."""
+    from goose_parser_ray.functions import dedup
+
+    n = 2_000
+    t = pa.table({"k": pa.array(np.arange(n) % 1_000, pa.int64()),
+                  "v": pa.array(np.ones(n), pa.int64())})
+    monkeypatch.setattr(dedup, "_TARGET_ROWS_PER_BUCKET", 16)
+    floor = dedup.num_shuffle_buckets(0)
+    seen = []
+    count = dedup.num_shuffle_buckets
+
+    def spy(rows: int) -> int:
+        seen.append(count(rows))
+        return seen[-1]
+
+    monkeypatch.setattr(dedup, "num_shuffle_buckets", spy)
+    ds = ray.data.from_arrow([t.slice(j, 500) for j in range(0, n, 500)])
+    got = _arrow_rows(keyed_aggregate(ds, ["k"], {"s": ("v", "sum")}), ["k"])
+    assert got["k"].to_pylist() == list(range(1_000))
+    assert set(got["s"].to_pylist()) == {2}
+    # 4 blocks of 500 rows hold 2,000 partial rows: 125 buckets of 16, rounded up
+    assert seen == [count(n)] and seen[0] == 128 > floor
 
 
 @pytest.mark.parametrize("case", ["hash", "fold"])
